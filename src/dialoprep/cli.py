@@ -113,12 +113,11 @@ def _cmd_clean(args) -> int:
         )
     dialogues = records.load_corpus(args.input, "dialogues")
     removals: list[dedup.RemovalRecord] = []
-    kept, removed = dedup.dedup_corpus(dialogues, cfg, use_minhash=args.minhash)
+    kept, removed = dedup.dedup_corpus(dialogues, cfg)
     removals.extend(removed)
     if args.eval_set:
         eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set]
-        kept, removed = dedup.remove_eval_overlap(kept, eval_sets, cfg,
-                                                  use_minhash=args.minhash)
+        kept, removed = dedup.remove_eval_overlap(kept, eval_sets, cfg)
         removals.extend(removed)
     kept, removed = dedup.filter_min_size(kept, cfg)
     removals.extend(removed)
@@ -132,7 +131,7 @@ def _cmd_clean(args) -> int:
             "shingle_k": cfg.shingle_k,
             "min_turns": cfg.min_turns,
             "min_tokens": cfg.min_tokens,
-            "minhash": bool(args.minhash),
+            "minhash": bool(args.minhash),  # recorded as given; the flag is a no-op
         },
         corpus=records.corpus_manifest(Path(args.out).name, kept))
     print(f"clean: kept {len(kept)} of {len(dialogues)} dialogues "
@@ -364,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-turns", type=int, default=4)
     p.add_argument("--min-tokens", type=int, default=32)
     p.add_argument("--minhash", action="store_true",
-                   help="accelerate pair search with banded MinHash")
+                   help="deprecated no-op: the one exact pair search always runs; "
+                        "kept so existing commands still parse")
     p.add_argument("--report", help="removal report path (line-delimited)")
     p.set_defaults(fn=_cmd_clean)
 
@@ -389,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="parallel corpus output (appended; resumable)")
     p.add_argument("--model", default="gpt-3.5-turbo-0301")
     p.add_argument("--endpoint", help="base URL of a chat-completion-compatible service")
-    p.add_argument("--mock", help="offline endpoint: 'fixed:<text>' or 'head:<k>'")
+    p.add_argument("--mock", help="offline endpoint: 'fixed:<text>', 'head:<k>' or 'digest:<k>'")
     p.add_argument("--template", choices=["preceding", "instruct", "subsequent"],
                    default="instruct")
     p.add_argument("--temperature", type=float, default=0.0)

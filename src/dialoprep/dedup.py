@@ -1,34 +1,26 @@
 """Duplicate removal, evaluation-set leakage removal, and minimum-size filtering.
 
 Similarity is Jaccard over shingle sets built from utterance text only (role
-names are randomized later and would only add noise). The reference decision
-pass is exact and sequential in input order, first occurrence wins, so results
-are order-stable. A banded MinHash prefilter (128 hashes, 32 bands of 4 rows)
-can restrict which pairs the exact check visits on large corpora; every
-candidate pair is still verified with exact Jaccard, so acceleration can only
-miss a pair, never invent one, and at practical thresholds the miss
-probability is negligible (~5e-8 per true pair at 0.8).
+names are randomized later and would only add noise). Decisions are exact and
+sequential in input order, first occurrence wins, so results are order-stable.
+The pair search is an exact filtered similarity join (prefix filtering as in
+AllPairs, Bayardo et al. 2007, and PPJoin, Xiao et al. 2008): shingles become
+integer ids, rarest first, each set is posted under its shortest prefix that
+any set at or above the threshold must share, and every candidate passes a
+length filter and is verified on integer bitsets. The filters only skip pairs
+that cannot reach the threshold, so the result is the brute-force scan's.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .metrics import tokenize_for_metrics
 from .records import Dialogue
-
-_MINHASH_PERMS = 128
-_MINHASH_BANDS = 32  # 32 bands x 4 rows
-_MERSENNE_PRIME = (1 << 61) - 1
-# Hash parameters are internal constants: the prefilter is an accelerator,
-# not a semantic knob, so it must not vary run to run.
-_HASH_SEED = 0x5EED_CAFE
 
 
 @dataclass(frozen=True)
@@ -112,158 +104,144 @@ def _jaccard_sets(sa: frozenset, sb: frozenset) -> float:
     return len(sa & sb) / union
 
 
-def _similar(sa: frozenset, sb: frozenset, threshold: float) -> float | None:
-    """Jaccard score if it reaches the threshold, else None. Prunes on set sizes:
-    J <= min(|a|,|b|) / max(|a|,|b|)."""
-    la, lb = len(sa), len(sb)
-    if la == 0 and lb == 0:
-        return 1.0
-    if la == 0 or lb == 0:
-        return None if threshold > 0.0 else 0.0
-    if min(la, lb) < threshold * max(la, lb):
+# ---------------------------------------------------------------------------
+# Exact filtered similarity join
+# ---------------------------------------------------------------------------
+
+def _size_bounds(size: int, threshold: float) -> tuple[int, int]:
+    """Sizes a set may have and still reach ``threshold`` with a set of ``size``
+    shingles, since J <= min / max; tested with the verifier's own float
+    division, which ``ceil(threshold * size)`` can round away from.
+
+    The lower bound is also the fewest shingles such a pair shares: inter / size
+    >= inter / union, and correctly rounded division keeps that order."""
+    lo = max(1, int(threshold * size))
+    while lo > 1 and (lo - 1) / size >= threshold:
+        lo -= 1
+    while lo / size < threshold:
+        lo += 1
+    hi = int(size / threshold)
+    while size / (hi + 1) >= threshold:
+        hi += 1
+    while size / hi < threshold:
+        hi -= 1
+    return lo, hi
+
+
+class _PrefixJoin:
+    """Exact candidate filter for Jaccard >= threshold (AllPairs / PPJoin prefix
+    filtering) over the shingle sets it is built from.
+
+    Shingles get integer ids, rarest first, ties broken by the shingle itself; a
+    set is encoded as (size, bitset, prefix, lo, hi), where [lo, hi] are the set
+    sizes it can still reach the threshold with. Two sets at J >= threshold share
+    at least ``lo`` shingles, so their first ``size - lo + 1`` ids intersect and
+    every such pair is a candidate. Candidates pass the length filter and are
+    verified exactly in ascending row order, so the first match is the lowest
+    reference row at or above the threshold."""
+
+    def __init__(self, shingle_sets: Sequence[frozenset], threshold: float):
+        freq: Counter = Counter()
+        for s in shingle_sets:
+            freq.update(s)
+        self._ids = {g: i for i, g in enumerate(sorted(freq, key=lambda g: (freq[g], g)))}
+        self._threshold = threshold
+        self._postings: dict[int, list[int]] = {}
+        self._sets: list[tuple[int, int]] = []
+        self._first_empty: int | None = None
+
+    def encode(self, shingles: frozenset) -> tuple:
+        sorted_ids = sorted(map(self._ids.__getitem__, shingles))
+        bits = 0
+        for i in sorted_ids:
+            bits |= 1 << i
+        size = len(sorted_ids)
+        if not size:
+            return 0, 0, [], 0, 0
+        lo, hi = _size_bounds(size, self._threshold)
+        return size, bits, sorted_ids[:size - lo + 1], lo, hi
+
+    def add(self, entry: tuple) -> None:
+        """Index an encoded set as the next reference row."""
+        size, bits, prefix, _, _ = entry
+        row = len(self._sets)
+        self._sets.append((size, bits))
+        if size == 0 and self._first_empty is None:
+            self._first_empty = row
+        for i in prefix:
+            self._postings.setdefault(i, []).append(row)
+
+    def first_match(self, entry: tuple) -> tuple[int, float] | None:
+        """(row, score) of the lowest reference row at J >= threshold, or None."""
+        size, bits, prefix, lo, hi = entry
+        if size == 0:  # two empty sets score 1.0; an empty and a non-empty one 0.0
+            return None if self._first_empty is None else (self._first_empty, 1.0)
+        candidates: set[int] = set()
+        for i in prefix:
+            candidates.update(self._postings.get(i, ()))
+        for row in sorted(candidates):
+            other, other_bits = self._sets[row]
+            if lo <= other <= hi:
+                inter = (bits & other_bits).bit_count()
+                score = inter / (size + other - inter)
+                if score >= self._threshold:
+                    return row, score
         return None
-    score = len(sa & sb) / len(sa | sb)
-    return score if score >= threshold else None
 
 
-# ---------------------------------------------------------------------------
-# MinHash prefilter
-# ---------------------------------------------------------------------------
+def _drop_similar(dialogues: Sequence[Dialogue], references: Sequence[Dialogue] | None,
+                  cfg: DedupConfig, reason: str) -> tuple[list[Dialogue], list[RemovalRecord]]:
+    """Drop each dialogue whose Jaccard with some reference reaches the threshold,
+    reporting the first such reference. ``references=None`` joins the corpus with
+    itself: the references are then the dialogues kept so far."""
+    refs = [] if references is None else list(references)
+    query_sets = [dialogue_shingles(d, cfg.shingle_k) for d in dialogues]
+    ref_sets = [dialogue_shingles(d, cfg.shingle_k) for d in refs]
+    join = _PrefixJoin(query_sets + ref_sets, cfg.jaccard_threshold)
+    for s in ref_sets:
+        join.add(join.encode(s))
 
-def _stable_hash64(item) -> int:
-    if isinstance(item, tuple):
-        data = "\x1f".join(item).encode("utf-8")
-    else:
-        data = str(item).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
-
-
-def _hash_params() -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(_HASH_SEED)
-    a = rng.integers(1, _MERSENNE_PRIME, size=_MINHASH_PERMS, dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE_PRIME, size=_MINHASH_PERMS, dtype=np.uint64)
-    return a, b
-
-
-_HASH_A, _HASH_B = _hash_params()
-
-
-def _signature(shingle_set: frozenset) -> np.ndarray:
-    """128-value MinHash signature; empty sets get a sentinel signature."""
-    if not shingle_set:
-        return np.full(_MINHASH_PERMS, np.iinfo(np.uint64).max, dtype=np.uint64)
-    hashes = np.fromiter((_stable_hash64(s) for s in shingle_set),
-                         dtype=np.uint64, count=len(shingle_set))
-    # (a * h + b) mod p, vectorized over permutations x shingles.
-    products = (np.outer(_HASH_A, hashes) + _HASH_B[:, None]) % _MERSENNE_PRIME
-    return products.min(axis=1)
-
-
-class _BandIndex:
-    """LSH buckets over banded signatures; returns candidate row ids for a query."""
-
-    def __init__(self):
-        rows = _MINHASH_PERMS // _MINHASH_BANDS
-        self._bounds = [(band * rows, (band + 1) * rows) for band in range(_MINHASH_BANDS)]
-        self._buckets: list[dict[bytes, list[int]]] = [{} for _ in range(_MINHASH_BANDS)]
-
-    def _keys(self, signature: np.ndarray) -> list[bytes]:
-        return [signature[lo:hi].tobytes() for lo, hi in self._bounds]
-
-    def candidates(self, signature: np.ndarray) -> set[int]:
-        found: set[int] = set()
-        for band, key in enumerate(self._keys(signature)):
-            found.update(self._buckets[band].get(key, ()))
-        return found
-
-    def add(self, row_id: int, signature: np.ndarray) -> None:
-        for band, key in enumerate(self._keys(signature)):
-            self._buckets[band].setdefault(key, []).append(row_id)
+    kept: list[Dialogue] = []
+    removed: list[RemovalRecord] = []
+    for d, s in zip(dialogues, query_sets):
+        entry = join.encode(s)
+        match = join.first_match(entry)
+        if match is not None:
+            row, score = match
+            removed.append(RemovalRecord(
+                removed_id=d.id, reason=reason, matched_id=refs[row].id, score=score))
+        else:
+            kept.append(d)
+            if references is None:
+                join.add(entry)
+                refs.append(d)
+    return kept, removed
 
 
 # ---------------------------------------------------------------------------
 # Corpus operations
 # ---------------------------------------------------------------------------
 
-def dedup_corpus(dialogues: Sequence[Dialogue], cfg: DedupConfig,
-                 use_minhash: bool = False) -> tuple[list[Dialogue], list[RemovalRecord]]:
+def dedup_corpus(dialogues: Sequence[Dialogue],
+                 cfg: DedupConfig) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop every dialogue similar (>= threshold) to an earlier kept one.
 
     First occurrence wins; kept order is input order. The report pairs each
     removed dialogue with the kept dialogue it matched.
     """
-    shingle_sets = [dialogue_shingles(d, cfg.shingle_k) for d in dialogues]
-    index = _BandIndex() if use_minhash else None
-    signatures = [_signature(s) for s in shingle_sets] if use_minhash else None
-
-    kept: list[Dialogue] = []
-    kept_rows: list[int] = []
-    removed: list[RemovalRecord] = []
-    for row, d in enumerate(dialogues):
-        if index is not None:
-            candidate_rows = sorted(index.candidates(signatures[row]))
-        else:
-            candidate_rows = kept_rows
-        match_row = None
-        match_score = None
-        for kept_row in candidate_rows:
-            score = _similar(shingle_sets[row], shingle_sets[kept_row], cfg.jaccard_threshold)
-            if score is not None:
-                match_row = kept_row
-                match_score = score
-                break
-        if match_row is not None:
-            removed.append(RemovalRecord(
-                removed_id=d.id, reason="duplicate",
-                matched_id=dialogues[match_row].id, score=match_score))
-        else:
-            kept.append(d)
-            kept_rows.append(row)
-            if index is not None:
-                index.add(row, signatures[row])
-    return kept, removed
+    return _drop_similar(dialogues, None, cfg, "duplicate")
 
 
 def remove_eval_overlap(dialogues: Sequence[Dialogue],
                         eval_sets: Sequence[Sequence[Dialogue]],
-                        cfg: DedupConfig,
-                        use_minhash: bool = False) -> tuple[list[Dialogue], list[RemovalRecord]]:
+                        cfg: DedupConfig) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop every training dialogue similar to any evaluation dialogue.
 
     Evaluation sets are never modified; after this pass no kept dialogue is
     within the threshold of any evaluation dialogue.
     """
-    eval_dialogues = [d for eval_set in eval_sets for d in eval_set]
-    eval_shingles = [dialogue_shingles(d, cfg.shingle_k) for d in eval_dialogues]
-    index = None
-    if use_minhash:
-        index = _BandIndex()
-        for row, s in enumerate(eval_shingles):
-            index.add(row, _signature(s))
-
-    kept: list[Dialogue] = []
-    removed: list[RemovalRecord] = []
-    for d in dialogues:
-        shingles = dialogue_shingles(d, cfg.shingle_k)
-        if index is not None:
-            candidate_rows = sorted(index.candidates(_signature(shingles)))
-        else:
-            candidate_rows = range(len(eval_dialogues))
-        match_row = None
-        match_score = None
-        for row in candidate_rows:
-            score = _similar(shingles, eval_shingles[row], cfg.jaccard_threshold)
-            if score is not None:
-                match_row = row
-                match_score = score
-                break
-        if match_row is not None:
-            removed.append(RemovalRecord(
-                removed_id=d.id, reason="eval_overlap",
-                matched_id=eval_dialogues[match_row].id, score=match_score))
-        else:
-            kept.append(d)
-    return kept, removed
+    return _drop_similar(dialogues, [d for eval_set in eval_sets for d in eval_set],
+                         cfg, "eval_overlap")
 
 
 def filter_min_size(dialogues: Sequence[Dialogue],

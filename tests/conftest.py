@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+from dialoprep.dedup import RemovalRecord, _jaccard_sets, dialogue_shingles
 from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
 
 WORDS = [
@@ -44,3 +45,36 @@ def make_example(rng: random.Random, dialogue_id: str, origin: str = "annotated"
     d = make_dialogue(rng, dialogue_id, **kwargs)
     summary = " ".join(rng.choices(WORDS, k=rng.randint(3, 8)))
     return ParallelExample(dialogue=d, summaries=(SummaryRecord(summary, origin),))
+
+
+def _brute_force_first_match(dialogues, references, cfg, reason):
+    """The O(n^2) first-match scan the dedup join must reproduce: each dialogue
+    is compared with every reference in order and dropped with the first at
+    Jaccard >= threshold; ``references=None`` means the dialogues kept so far."""
+    refs = [] if references is None else [(r, dialogue_shingles(r, cfg.shingle_k))
+                                           for r in references]
+    kept, removed = [], []
+    for d in dialogues:
+        shingles = dialogue_shingles(d, cfg.shingle_k)
+        for ref, ref_shingles in refs:
+            score = _jaccard_sets(shingles, ref_shingles)
+            if score >= cfg.jaccard_threshold:
+                removed.append(RemovalRecord(removed_id=d.id, reason=reason,
+                                             matched_id=ref.id, score=score))
+                break
+        else:
+            kept.append(d)
+            if references is None:
+                refs.append((d, shingles))
+    return kept, removed
+
+
+def brute_force_dedup(dialogues, cfg):
+    """Reference for ``dedup_corpus``."""
+    return _brute_force_first_match(dialogues, None, cfg, "duplicate")
+
+
+def brute_force_eval_overlap(dialogues, eval_sets, cfg):
+    """Reference for ``remove_eval_overlap``."""
+    return _brute_force_first_match(dialogues, [d for s in eval_sets for d in s],
+                                    cfg, "eval_overlap")

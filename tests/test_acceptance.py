@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_dialogue
+from conftest import brute_force_dedup, brute_force_eval_overlap, make_dialogue
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "data" / "sample"
@@ -264,7 +264,7 @@ def test_c06_dedup_and_leakage():
                         turns=tuple(Turn(i % 2, t) for i, t in enumerate(texts)))
 
     cfg = DedupConfig(jaccard_threshold=0.8, min_turns=1, min_tokens=1)
-    with criterion(6, "dedup, leakage removal, MinHash == exact on 2,000 dialogues",
+    with criterion(6, "dedup, leakage removal, join == brute force on 2,000 dialogues",
                    budget_seconds=60.0):
         # planted duplicate / near-duplicate / dissimilar
         tokens = [f"tok{i}" for i in range(10)]
@@ -296,7 +296,8 @@ def test_c06_dedup_and_leakage():
                 assert len(s & es) / len(s | es) < cfg.jaccard_threshold
         assert {r.removed_id for r in removed} == {"base", "near"}
 
-        # MinHash path returns the identical kept set on a 2,000-dialogue corpus
+        # the filtered join equals the brute-force scan on a 2,000-dialogue corpus,
+        # removal records (matched id and score) included
         rng = random.Random(4242)
         corpus = []
         for i in range(1600):
@@ -309,9 +310,12 @@ def test_c06_dedup_and_leakage():
                 corpus.append(dlg(f"d{i}-dup", texts))
         corpus = corpus[:2000]
         assert len(corpus) == 2000
-        exact_kept, _ = dedup_corpus(corpus, cfg, use_minhash=False)
-        fast_kept, _ = dedup_corpus(corpus, cfg, use_minhash=True)
-        assert [d.id for d in exact_kept] == [d.id for d in fast_kept]
+        kept, removed = dedup_corpus(corpus, cfg)
+        assert len(removed) >= 300
+        assert (kept, removed) == brute_force_dedup(corpus, cfg)
+        eval_sets = [corpus[:100], corpus[1000:1100]]
+        assert (remove_eval_overlap(corpus, eval_sets, cfg)
+                == brute_force_eval_overlap(corpus, eval_sets, cfg))
 
 
 def test_c07_role_pipeline():

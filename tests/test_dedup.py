@@ -17,7 +17,7 @@ from dialoprep.dedup import (
 )
 from dialoprep.records import Dialogue, Turn
 
-from conftest import make_dialogue
+from conftest import brute_force_dedup, brute_force_eval_overlap, make_dialogue
 
 
 def _dlg(dialogue_id: str, texts: list[str]) -> Dialogue:
@@ -106,29 +106,6 @@ def test_dedup_first_occurrence_wins_order_stable():
     assert ids == [d.id for d in ds if d.id in set(ids)]  # input order preserved
 
 
-def _pairwise_oracle(dialogues, cfg):
-    """Quadratic reference: greedy first-wins keep set."""
-    shingle_sets = [dialogue_shingles(d, cfg.shingle_k) for d in dialogues]
-    kept_rows: list[int] = []
-    for row in range(len(dialogues)):
-        sa = shingle_sets[row]
-        hit = False
-        for kept in kept_rows:
-            sb = shingle_sets[kept]
-            if not sa and not sb:
-                score = 1.0
-            elif not sa or not sb:
-                score = 0.0
-            else:
-                score = len(sa & sb) / len(sa | sb)
-            if score >= cfg.jaccard_threshold:
-                hit = True
-                break
-        if not hit:
-            kept_rows.append(row)
-    return [dialogues[row].id for row in kept_rows]
-
-
 def test_dedup_matches_oracle_small_corpora():
     rng = random.Random(42)
     base = [make_dialogue(rng, f"d{i}", n_turns=rng.randint(2, 5)) for i in range(120)]
@@ -143,7 +120,7 @@ def test_dedup_matches_oracle_small_corpora():
     assert len(corpus) <= 200
     for cfg in (CFG, DedupConfig(jaccard_threshold=0.5, min_turns=1, min_tokens=1)):
         kept, removed = dedup_corpus(corpus, cfg)
-        assert [d.id for d in kept] == _pairwise_oracle(corpus, cfg)
+        assert (kept, removed) == brute_force_dedup(corpus, cfg)
         # every removal cites an earlier kept dialogue at or above threshold
         kept_ids = {d.id for d in kept}
         for record in removed:
@@ -168,7 +145,7 @@ def test_dedup_never_grows_corpus():
     assert len(kept) <= len(ds)
 
 
-def test_minhash_matches_exact_path():
+def test_join_matches_brute_force_planted_copies():
     rng = random.Random(7)
     corpus = []
     for i in range(300):
@@ -176,14 +153,13 @@ def test_minhash_matches_exact_path():
         corpus.append(d)
         if i % 4 == 0:
             corpus.append(_dlg(f"d{i}-dup", [t.text for t in d.turns]))
-    exact_kept, _ = dedup_corpus(corpus, CFG, use_minhash=False)
-    fast_kept, _ = dedup_corpus(corpus, CFG, use_minhash=True)
-    assert [d.id for d in exact_kept] == [d.id for d in fast_kept]
+    assert dedup_corpus(corpus, CFG) == brute_force_dedup(corpus, CFG)
+    eval_sets = [corpus[:40], corpus[200:230]]
+    assert (remove_eval_overlap(corpus, eval_sets, CFG)
+            == brute_force_eval_overlap(corpus, eval_sets, CFG))
 
 
-def test_minhash_recall_at_threshold_slack():
-    # whatever the exact path removes at J >= threshold + 0.05, the
-    # accelerated path must remove as well
+def test_join_matches_brute_force_near_copies():
     rng = random.Random(55)
     corpus = []
     for i in range(200):
@@ -192,14 +168,60 @@ def test_minhash_recall_at_threshold_slack():
         texts[-1] = texts[-1] + " zweak"
         corpus.append(d)
         corpus.append(_dlg(f"b{i}-near", texts))
-    exact_kept, exact_removed = dedup_corpus(corpus, CFG, use_minhash=False)
-    fast_kept, fast_removed = dedup_corpus(corpus, CFG, use_minhash=True)
-    high_confidence = {r.removed_id for r in exact_removed
-                       if r.score >= CFG.jaccard_threshold + 0.05}
-    assert len(high_confidence) > 100  # the construction plants close pairs
-    fast_removed_ids = {r.removed_id for r in fast_removed}
-    assert high_confidence <= fast_removed_ids
-    assert [d.id for d in exact_kept] == [d.id for d in fast_kept]
+    kept, removed = dedup_corpus(corpus, CFG)
+    assert (kept, removed) == brute_force_dedup(corpus, CFG)
+    assert sum(r.score >= CFG.jaccard_threshold + 0.05 for r in removed) > 100
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "..."])
+_TEXTS = st.lists(st.lists(_WORDS, max_size=8).map(" ".join), min_size=1, max_size=3)
+
+
+@given(corpus=st.lists(_TEXTS, max_size=25), eval_corpus=st.lists(_TEXTS, max_size=6),
+       threshold=st.sampled_from([0.5, 0.7, 0.8, 0.9, 1.0]), shingle_k=st.sampled_from([1, 2]))
+def test_join_matches_brute_force_property(corpus, eval_corpus, threshold, shingle_k):
+    # "..." tokenizes to nothing, so empty shingle sets (J = 1.0 between two) occur often
+    cfg = DedupConfig(jaccard_threshold=threshold, shingle_k=shingle_k, min_turns=1, min_tokens=1)
+    dialogues = [_dlg(f"d{i}", texts) for i, texts in enumerate(corpus)]
+    eval_sets = [[_dlg(f"e{i}", texts) for i, texts in enumerate(eval_corpus)]]
+    assert dedup_corpus(dialogues, cfg) == brute_force_dedup(dialogues, cfg)
+    assert (remove_eval_overlap(dialogues, eval_sets, cfg)
+            == brute_force_eval_overlap(dialogues, eval_sets, cfg))
+
+
+def _pair_at(inter: int, union: int, subset: bool) -> tuple[str, str]:
+    """Two texts whose unigram sets share ``inter`` of ``union`` tokens; with
+    ``subset`` the first set lies inside the second."""
+    words = [f"w{i}" for i in range(union)]
+    if subset:
+        return " ".join(words[:inter]), " ".join(words)
+    extra = (union - inter) // 2
+    return " ".join(words[:inter + extra]), " ".join(words[:inter] + words[inter + extra:])
+
+
+@pytest.mark.parametrize("threshold, inter, union, subset", [
+    (0.8, 4, 5, False), (0.8, 4, 5, True), (0.8, 8, 10, True), (0.8, 16, 20, False),
+    (0.7, 7, 10, False), (0.7, 7, 10, True), (0.7, 14, 20, True),
+    (0.9, 9, 10, True), (0.9, 18, 20, False), (0.9, 27, 30, True),
+    (0.5, 3, 6, True), (0.55, 55, 100, True), (1.0, 6, 6, True),
+])
+def test_prefix_boundary_exact_threshold(threshold, inter, union, subset):
+    # exactly at the threshold the pair is removed, one shared token fewer it is not,
+    # whichever side comes first and whichever side is the reference
+    cfg = DedupConfig(jaccard_threshold=threshold, min_turns=1, min_tokens=1)
+    at = _pair_at(inter, union, subset)
+    below = _pair_at(inter - 1, union, subset)
+    assert jaccard_similarity(*at) == inter / union >= threshold
+    assert jaccard_similarity(*below) < threshold
+    for (x, y), removed_expected in ((at, True), (below, False)):
+        for first, second in ((x, y), (y, x)):
+            a, b = _dlg("first", [first]), _dlg("second", [second])
+            kept, removed = dedup_corpus([a, b], cfg)
+            assert [r.removed_id for r in removed] == (["second"] if removed_expected else [])
+            kept, removed = remove_eval_overlap([b], [[a]], cfg)
+            assert [r.matched_id for r in removed] == (["first"] if removed_expected else [])
+            if removed_expected:
+                assert removed[0].score == inter / union
 
 
 def test_eval_overlap_identity_removed():
