@@ -18,7 +18,8 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -225,7 +226,10 @@ def _annotate_one(d: Dialogue, job: AnnotationJob, endpoint: AnnotationEndpoint,
         except Exception as exc:  # network timeouts etc. are retryable
             status, body = -1, repr(exc)
         if status == 200:
-            return _extract_summary(body), attempt - 1
+            summary = _extract_summary(body)
+            if not summary:  # a well-formed reply that says nothing: not retried
+                raise EndpointError(status, "empty_summary")
+            return summary, attempt - 1
         last_status, last_body = status, body
         retryable = status == -1 or status in policy.retryable_statuses
         if not retryable or attempt == policy.max_attempts:
@@ -248,8 +252,10 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
     """Annotate a batch, appending each success to ``out_path`` immediately.
 
     Reruns skip ids already present in the output file, so partial runs are
-    resumable. At most ``job.max_in_flight`` requests run concurrently; the
-    output file has a single writer.
+    resumable. At most ``job.max_in_flight`` requests are submitted and not yet
+    consumed: the next is submitted as the writer takes the oldest result, so
+    memory stays bounded for any batch size. The output file has a single
+    writer, which consumes results in input order.
     """
     policy = policy or RetryPolicy()
     report = AnnotationReport()
@@ -262,12 +268,21 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
             pending.append(d)
 
     budget = _Budget(job.budget)
+    queue = iter(pending)
+    in_flight: deque[tuple[Dialogue, Future]] = deque()
+
+    def submit_next() -> None:
+        d = next(queue, None)
+        if d is not None:
+            in_flight.append((d, pool.submit(_annotate_one, d, job, endpoint,
+                                              policy, budget, sleep)))
+
     with open(out_path, "a", encoding="utf-8") as out, \
             ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
-        futures = [(d, pool.submit(_annotate_one, d, job, endpoint,
-                                   policy, budget, sleep))
-                   for d in pending]
-        for d, future in futures:
+        for _ in range(job.max_in_flight):
+            submit_next()
+        while in_flight:
+            d, future = in_flight.popleft()
             try:
                 summary, retry_count = future.result()
             except BudgetExhaustedError:
@@ -281,6 +296,8 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
                     "reason": exc.body_excerpt,
                 })
                 continue
+            finally:
+                submit_next()
             if retry_count:
                 report.retries[d.id] = retry_count
             example = ParallelExample(

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, annotate, dedup, ingest, metrics, noising, records, roles
@@ -69,14 +68,6 @@ def _sniff_kind(path: str) -> str:
             if line:
                 return "parallel" if "summaries" in json.loads(line) else "dialogues"
     return "dialogues"
-
-
-def _parallel_map(fn, items, jobs: int):
-    """Order-preserving map; results are identical at any worker count."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +134,8 @@ def _cmd_roles(args) -> int:
     pool = (roles.NamePool.from_file(args.names) if args.names
             else roles.bundled_name_pool())
     dialogues = records.load_corpus(args.input, "dialogues")
-    renamed = _parallel_map(
-        lambda d: roles.assign_role_group(d, pool, args.seed, force=not args.no_force),
-        dialogues, args.jobs)
+    renamed = [roles.assign_role_group(d, pool, args.seed, force=not args.no_force)
+               for d in dialogues]
     records.save_corpus(renamed, args.out)
     _write_manifest(
         "roles", args.out,
@@ -218,12 +208,14 @@ def _cmd_noise(args) -> int:
             mix = noising.TaskMix(weights=mix.weights, seed=args.seed)
     else:
         mix = noising.TaskMix.equal_reconstruction(seed=cfg.seed)
+    if args.count < 0:
+        raise PipelineError("--count must be >= 0")
     kind = args.kind or _sniff_kind(args.input)
+    if kind == "dialogues" and mix.weights.get("task_oriented", 0.0) > 0.0:
+        raise PipelineError("the mix gives task_oriented a positive weight, which "
+                            "needs a parallel corpus, but the input is a dialogue corpus")
     items = records.load_corpus(args.input, kind)
-    pairs = _parallel_map(
-        lambda ordinal: noising.mixed_pair(items, mix, cfg, ordinal),
-        range(args.count), args.jobs)
-    noising.save_pairs(pairs, args.out)
+    written = noising.save_pairs(noising.mix_tasks(items, mix, cfg, args.count), args.out)
     _write_manifest(
         "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
         params={
@@ -237,7 +229,7 @@ def _cmd_noise(args) -> int:
             "uttr_mask_rate": cfg.uttr_mask_rate,
         },
         seed=cfg.seed)
-    print(f"noise: wrote {len(pairs)} pairs")
+    print(f"noise: wrote {written} pairs")
     return 0
 
 
@@ -375,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", help="name pool file (default: bundled pool)")
     p.add_argument("--no-force", action="store_true",
                    help="keep role tables already drawn from the pool")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="deprecated no-op: the stage runs serially; kept so existing "
+                        "commands still parse")
     p.set_defaults(fn=_cmd_roles)
 
     p = sub.add_parser("augment", help="role-replaced augmentation of a parallel corpus")
@@ -409,7 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", help="TaskMix JSON")
     p.add_argument("--kind", choices=["dialogues", "parallel"],
                    help="input corpus kind (default: sniffed)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="deprecated no-op: pairs are generated serially and written "
+                        "as produced; kept so existing commands still parse")
     p.set_defaults(fn=_cmd_noise)
 
     p = sub.add_parser("stats", help="corpus statistics report")

@@ -214,6 +214,66 @@ def test_in_flight_bound_respected(tmp_path, bound):
     assert endpoint.peak <= bound
 
 
+@pytest.mark.parametrize("bound", [1, 3])
+def test_submitted_work_bounded_by_in_flight(tmp_path, monkeypatch, bound):
+    from dialoprep import annotate
+
+    lock = threading.Lock()
+    unconsumed = [0]
+    peak = [0]
+
+    class CountingPool(annotate.ThreadPoolExecutor):
+        """Counts futures submitted and not yet read by the writer."""
+
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            with lock:
+                unconsumed[0] += 1
+                peak[0] = max(peak[0], unconsumed[0])
+            read = future.result
+
+            def result(timeout=None):
+                try:
+                    return read(timeout)
+                finally:
+                    with lock:
+                        unconsumed[0] -= 1
+
+            future.result = result
+            return future
+
+    monkeypatch.setattr(annotate, "ThreadPoolExecutor", CountingPool)
+    rng = random.Random(5)
+    dialogues = [make_dialogue(rng, f"d{i}") for i in range(12)]
+    job = AnnotationJob(model="m", max_in_flight=bound, budget=9)
+    out = tmp_path / "o.plx"
+    report = annotate_batch(dialogues, job, GatingEndpoint(), out, NO_BACKOFF)
+    assert peak[0] <= bound
+    assert unconsumed[0] == 0
+    ids = [d.id for d in dialogues]
+    assert sorted(report.completed + report.not_attempted) == sorted(ids)
+    assert report.completed == [i for i in ids if i in report.completed]  # input order
+    assert [ex.dialogue.id for ex in load_corpus(out, "parallel")] == report.completed
+    if bound == 1:  # one request at a time: the budget covers a prefix
+        assert report.completed == ids[:9]
+
+
+def test_whitespace_summary_is_a_failure(tmp_path):
+    rng = random.Random(6)
+    dialogues = [make_dialogue(rng, f"d{i}") for i in range(3)]
+    endpoint = MockEndpoint("fixed:   ")
+    out = tmp_path / "out.plx"
+    report = annotate_batch(dialogues, JOB, endpoint, out, NO_BACKOFF)
+    assert endpoint.calls == 3  # not retried
+    assert report.completed == []
+    assert report.failures == [{"dialogue_id": d.id, "status": 200, "reason": "empty_summary"}
+                               for d in dialogues]
+    assert out.read_text() == ""
+    # a rerun retries the failed ids and resumes cleanly
+    report2 = annotate_batch(dialogues, JOB, MockEndpoint("fixed:ok."), out, NO_BACKOFF)
+    assert report2.completed == [d.id for d in dialogues]
+
+
 def test_failure_report_file(tmp_path):
     import json
 

@@ -4,6 +4,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from dialoprep.cli import main
 from dialoprep.records import load_corpus, save_corpus
 
@@ -89,6 +91,39 @@ def test_noise_kind_sniffing_parallel(tmp_path):
                  "--count", "10", "--seed", "1", "--mix", str(mix)]) == 0
     tasks = {json.loads(line)["task"] for line in out.read_text().splitlines()}
     assert tasks == {"task_oriented"}
+
+
+def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"weights": {"task_oriented": 1, "token_mask": 1}}))
+    out = tmp_path / "pairs.jsonl"
+    assert main(["noise", "--in", str(SAMPLE / "golden" / "named.dlg"), "--out", str(out),
+                 "--count", "50", "--seed", "1", "--mix", str(mix)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [mix]
+
+
+def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
+    from dialoprep import noising
+
+    corpus = SAMPLE / "golden" / "named.dlg"
+    out = tmp_path / "pairs.jsonl"
+    argv = ["noise", "--in", str(corpus), "--out", str(out), "--count", "40", "--seed"]
+    assert main(argv + ["5"]) == 0
+    earlier = out.read_bytes()
+    original = noising.mixed_pair
+
+    def failing(items, mix, cfg, ordinal):
+        if ordinal == 25:
+            raise RuntimeError("interrupted")
+        return original(items, mix, cfg, ordinal)
+
+    monkeypatch.setattr(noising, "mixed_pair", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(argv + ["6"])
+    assert out.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl",
+                                                          "pairs.jsonl.manifest.json"]
 
 
 def test_roles_cli_uses_bundled_pool(tmp_path):

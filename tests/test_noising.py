@@ -386,10 +386,20 @@ def test_gap_selection_matches_stepwise_oracle():
     from dialoprep.metrics import tokenize_for_metrics
 
     rng = random.Random(15)
+    dialogues = [make_dialogue(rng, f"d{i}", n_turns=rng.randint(2, 8), max_tokens=6)
+                 for i in range(60)]
+    # Utterances that tokenize to nothing reach the empty-side conventions:
+    # an empty selected side, an empty rest, or both.
     for i in range(60):
-        d = make_dialogue(rng, f"d{i}", n_turns=rng.randint(2, 8), max_tokens=6)
+        d = make_dialogue(rng, f"e{i}", n_turns=rng.randint(1, 8), max_tokens=3)
+        texts = [rng.choice(("...", "!!")) if rng.random() < 0.4 else t.text
+                 for t in d.turns]
+        dialogues.append(_dlg(texts))
+    dialogues += [_dlg(["..."]), _dlg(["...", "!!"]), _dlg(["!!", "a b", "..."]),
+                  _dlg(["a", "..."]), _dlg(["a b", "a b", "!!"])]
+    for d in dialogues:
         token_lists = [tokenize_for_metrics(t.text) for t in d.turns]
-        for k in range(1, len(d.turns) + 1):
+        for k in range(1, len(d.turns) + 1):  # up to k = n
             assert select_gap_utterances(d, k) == _stepwise_oracle(token_lists, k)
 
 
