@@ -14,8 +14,8 @@ never written to config files, reports, or logs.
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 import threading
 import time
 from collections import deque
@@ -27,6 +27,7 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
+from . import jsonl
 from .errors import BudgetExhaustedError, EndpointError
 from .records import (
     Dialogue,
@@ -238,6 +239,18 @@ def _annotate_one(d: Dialogue, job: AnnotationJob, endpoint: AnnotationEndpoint,
     raise EndpointError(last_status, str(last_body)[:200])
 
 
+def _drop_torn_tail(out_path: str | Path) -> None:
+    """Cut an unterminated last line off the output and say so on stderr."""
+    if not Path(out_path).exists():
+        return
+    with open(out_path, "r+b") as fh:
+        kept = sum(len(raw) for raw in fh if raw.endswith(b"\n"))
+        size = fh.tell()
+        if kept < size:
+            fh.truncate(kept)
+            print(f"annotate: dropped {size - kept} bytes of a torn last line", file=sys.stderr)
+
+
 def existing_annotated_ids(out_path: str | Path) -> set[str]:
     """Dialogue ids already present in an annotation output file."""
     if not Path(out_path).exists():
@@ -252,13 +265,17 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
     """Annotate a batch, appending each success to ``out_path`` immediately.
 
     Reruns skip ids already present in the output file, so partial runs are
-    resumable. At most ``job.max_in_flight`` requests are submitted and not yet
-    consumed: the next is submitted as the writer takes the oldest result, so
+    resumable. Each record is written whole with its newline, so a run killed
+    mid-write can leave only the last line unterminated: it is cut off first,
+    with a note on stderr, and its dialogue annotated again. At most
+    ``job.max_in_flight`` requests are submitted and not yet consumed: the
+    next is submitted as the writer takes the oldest result, so
     memory stays bounded for any batch size. The output file has a single
     writer, which consumes results in input order.
     """
     policy = policy or RetryPolicy()
     report = AnnotationReport()
+    _drop_torn_tail(out_path)
     done = existing_annotated_ids(out_path)
     pending: list[Dialogue] = []
     for d in dialogues:
@@ -303,7 +320,7 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
             example = ParallelExample(
                 dialogue=d,
                 summaries=(SummaryRecord(text=summary, origin="annotated"),))
-            out.write(json.dumps(record_to_obj(example), ensure_ascii=False) + "\n")
+            out.write(jsonl.line(record_to_obj(example)))
             out.flush()
             report.completed.append(d.id)
     return report
@@ -311,9 +328,6 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
 
 def save_failure_report(report: AnnotationReport, path: str | Path) -> None:
     """Write the failure side of a run as line-delimited records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for failure in report.failures:
-            fh.write(json.dumps({"kind": "failure", **failure}, ensure_ascii=False) + "\n")
-        for dialogue_id in report.not_attempted:
-            fh.write(json.dumps({"kind": "budget_exhausted", "dialogue_id": dialogue_id},
-                                ensure_ascii=False) + "\n")
+    jsonl.write(path, [*({"kind": "failure", **failure} for failure in report.failures),
+                       *({"kind": "budget_exhausted", "dialogue_id": dialogue_id}
+                         for dialogue_id in report.not_attempted)])

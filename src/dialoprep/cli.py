@@ -7,7 +7,7 @@ Each stage is a subcommand so partial reruns stay cheap:
 Every run writes ``<out>.manifest.json`` next to its primary output,
 recording the command, parameters, seed, and SHA-256 digests of the inputs,
 enough to re-run the stage identically. Exit codes: 0 success, 1 data error
-(message on stderr), 2 usage error.
+or invalid value (message on stderr), 2 usage error.
 
 All randomness flows from ``--seed``; no stage reads the clock or OS entropy,
 so a fixed config and seed reproduce outputs byte-for-byte at any ``--jobs``
@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
 
-from . import __version__, annotate, dedup, ingest, metrics, noising, records, roles
-from .errors import IdMismatchError, PipelineError
+from . import __version__, annotate, dedup, ingest, jsonl, metrics, noising, records, roles
+from .errors import IdMismatchError, MalformedRecordError, PipelineError
 
 
 def _sha256(path: str | Path) -> str:
@@ -49,24 +48,14 @@ def _write_manifest(command: str, out_path: str, inputs: list[str],
         "outputs": [Path(out_path).name],
     }
     if corpus is not None:
-        manifest["corpus"] = {
-            "name": corpus.name,
-            "examples": corpus.examples,
-            "created_with_seed": corpus.created_with_seed,
-            "source_datasets": list(corpus.source_datasets),
-        }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        manifest["corpus"] = dataclasses.asdict(corpus)
+    jsonl.write_json(f"{out_path}.manifest.json", manifest)
 
 
 def _sniff_kind(path: str) -> str:
     """Dialogue or parallel corpus? Decided by the first record's fields."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                return "parallel" if "summaries" in json.loads(line) else "dialogues"
+    for _, obj in jsonl.read(path):
+        return "parallel" if "summaries" in obj else "dialogues"
     return "dialogues"
 
 
@@ -79,9 +68,7 @@ def _cmd_ingest(args) -> int:
     result = ingest.ingest(args.input, spec)
     records.save_corpus(result.dialogues, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(result.report.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        jsonl.write_json(args.report, result.report.to_dict())
     _write_manifest(
         "ingest", args.out, [args.input, args.spec],
         params={"spec": Path(args.spec).name},
@@ -236,10 +223,7 @@ def _cmd_noise(args) -> int:
 def _cmd_stats(args) -> int:
     examples = records.load_corpus(args.input, "parallel")
     report = metrics.corpus_report(examples, summary_index=args.summary_index)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"tokenizer": metrics.TOKENIZER_LABEL, **report.to_dict()},
-                  fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL, **report.to_dict()})
     _write_manifest(
         "stats", args.out, [args.input],
         params={"summary_index": args.summary_index,
@@ -250,13 +234,10 @@ def _cmd_stats(args) -> int:
 
 def _load_keyed(path: str) -> dict[str, dict]:
     entries: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            entries[str(obj["id"])] = obj
+    for line_number, obj in jsonl.read(path):
+        if "id" not in obj:
+            raise MalformedRecordError(line_number, "record missing 'id' field")
+        entries[str(obj["id"])] = obj
     return entries
 
 
@@ -316,9 +297,7 @@ def _cmd_eval(args) -> int:
             "per_example": per_example,
         }
         print("mean F1  R-1 {rouge1:.4f}  R-2 {rouge2:.4f}  R-L {rougeL:.4f}".format(**mean))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    jsonl.write_json(args.out, report)
     _write_manifest(
         "eval", args.out, [args.candidates, args.references],
         params={"multi_ref": bool(args.multi_ref),
@@ -436,10 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import jsonl
 from .metrics import tokenize_for_metrics
 from .records import Dialogue
 
@@ -62,13 +63,7 @@ class RemovalRecord:
 
 
 def save_removal_report(records: Iterable[RemovalRecord], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+    return jsonl.write(path, (r.to_dict() for r in records))
 
 
 def _shingles(tokens: Sequence[str], k: int) -> frozenset:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import jsonl
 from .errors import MalformedRecordError, UnmappedFieldError
 from .records import RESERVED_MARKERS, Dialogue, Turn, validate_dialogue
 
@@ -97,12 +98,7 @@ class IngestReport:
     dropped_invalid_dialogues: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "dialogues": self.dialogues,
-            "dropped_empty_utterances": self.dropped_empty_utterances,
-            "dropped_empty_dialogues": self.dropped_empty_dialogues,
-            "dropped_invalid_dialogues": self.dropped_invalid_dialogues,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,8 @@ def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
 
     Speaker order of first appearance defines each dialogue's role table.
     Dialogues whose utterances all normalize to nothing are dropped and
-    counted in the report.
+    counted in the report. A raw id that reappears after other rows would
+    make two dialogues with one id, so it raises :class:`MalformedRecordError`.
     """
     report = IngestReport()
     dialogues: list[Dialogue] = []
@@ -166,26 +163,21 @@ def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
         if d is not None:
             dialogues.append(d)
 
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecordError(line_number, "record is not an object")
-            for name in (spec.speaker_field, spec.utterance_field, spec.id_field):
-                if name not in obj:
-                    raise UnmappedFieldError(name)
-            raw_id = str(obj[spec.id_field])
-            if raw_id != current_id:
-                flush()
-                current_id = raw_id
-                current = []
-            current.append((str(obj[spec.speaker_field]), str(obj[spec.utterance_field])))
+    seen_ids: set[str] = set()
+    for line_number, obj in jsonl.read(path):
+        for name in (spec.speaker_field, spec.utterance_field, spec.id_field):
+            if name not in obj:
+                raise UnmappedFieldError(name)
+        raw_id = str(obj[spec.id_field])
+        if raw_id != current_id:
+            if raw_id in seen_ids:
+                raise MalformedRecordError(
+                    line_number, f"dialogue id {raw_id!r} reappears after other rows")
+            seen_ids.add(raw_id)
+            flush()
+            current_id = raw_id
+            current = []
+        current.append((str(obj[spec.speaker_field]), str(obj[spec.utterance_field])))
     flush()
     report.dialogues = len(dialogues)
     return IngestResult(dialogues=tuple(dialogues), report=report)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import jsonl
 from .metrics import tokenize_for_metrics
 from .records import Dialogue, ParallelExample, Turn
 from .seeding import derive_rng
@@ -543,40 +543,17 @@ def pair_to_obj(pair: NoisedPair) -> dict:
 def save_pairs(pairs: Iterable[NoisedPair], path: str | Path) -> int:
     """Write pairs one line each as they are drawn from ``pairs``; the count.
 
-    Lines go to a temporary file beside ``path`` that replaces it only after
-    the last pair, so a failure mid-stream removes the temporary file and
-    leaves any earlier ``path`` as it was.
+    ``path`` is replaced only after the last pair (see :func:`jsonl.write`).
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    count = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for pair in pairs:
-                fh.write(json.dumps(pair_to_obj(pair), ensure_ascii=False))
-                fh.write("\n")
-                count += 1
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return count
+    return jsonl.write(path, map(pair_to_obj, pairs))
 
 
 def load_pairs(path: str | Path) -> list[NoisedPair]:
-    pairs: list[NoisedPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            pairs.append(NoisedPair(
-                task=obj["task"],
-                source=SerializedInput(tokens=tuple(obj["source_tokens"]),
-                                       speaker_ids=tuple(obj["source_speaker_ids"])),
-                target_tokens=tuple(obj["target_tokens"]),
-                dialogue_id=obj["dialogue_id"],
-                target_origin=obj.get("target_origin"),
-            ))
-    return pairs
+    return [NoisedPair(
+        task=obj["task"],
+        source=SerializedInput(tokens=tuple(obj["source_tokens"]),
+                               speaker_ids=tuple(obj["source_speaker_ids"])),
+        target_tokens=tuple(obj["target_tokens"]),
+        dialogue_id=obj["dialogue_id"],
+        target_origin=obj.get("target_origin"),
+    ) for _, obj in jsonl.read(path)]

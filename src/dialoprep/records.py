@@ -14,11 +14,11 @@ inputs can never be confused with control tokens downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import jsonl
 from .errors import MalformedRecordError
 
 SCHEMA_VERSION = 1
@@ -165,18 +165,14 @@ def record_to_obj(record: Dialogue | ParallelExample) -> dict:
     return _dialogue_to_obj(record)
 
 
-def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
-    """Parse and validate one dialogue record object (as read by load_corpus)."""
-    return _dialogue_from_obj(obj, line_number)
-
-
 def _require(obj: dict, key: str, line_number: int):
     if key not in obj:
         raise MalformedRecordError(line_number, f"record missing {key!r} field")
     return obj[key]
 
 
-def _dialogue_from_obj(obj: dict, line_number: int) -> Dialogue:
+def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
+    """Parse and validate one dialogue record object (as read by load_corpus)."""
     version = _require(obj, "schema_version", line_number)
     if version != SCHEMA_VERSION:
         raise MalformedRecordError(line_number, f"unsupported schema_version {version!r}")
@@ -204,7 +200,7 @@ def _dialogue_from_obj(obj: dict, line_number: int) -> Dialogue:
 
 
 def _example_from_obj(obj: dict, line_number: int) -> ParallelExample:
-    dialogue = _dialogue_from_obj(obj, line_number)
+    dialogue = dialogue_from_obj(obj, line_number)
     raw = _require(obj, "summaries", line_number)
     if not isinstance(raw, list) or not raw:
         raise MalformedRecordError(line_number, "summaries must be a non-empty array")
@@ -228,38 +224,17 @@ def load_corpus(path: str | Path, kind: str) -> list[Dialogue] | list[ParallelEx
     """
     if kind not in ("dialogues", "parallel"):
         raise ValueError(f"unknown corpus kind {kind!r}")
-    records: list = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecordError(line_number, "record is not an object")
-            if kind == "dialogues":
-                records.append(_dialogue_from_obj(obj, line_number))
-            else:
-                records.append(_example_from_obj(obj, line_number))
-    return records
+    parse = dialogue_from_obj if kind == "dialogues" else _example_from_obj
+    return [parse(obj, line_number) for line_number, obj in jsonl.read(path)]
 
 
 def save_corpus(records: Iterable[Dialogue | ParallelExample], path: str | Path) -> int:
     """Write records to ``path``, one JSON object per line. Returns the count written.
 
     Output bytes are a pure function of the records: field order and JSON
-    formatting are fixed.
+    formatting are fixed. ``path`` is replaced only after the last record.
     """
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+    return jsonl.write(path, map(record_to_obj, records))
 
 
 def corpus_manifest(name: str, records: Sequence[Dialogue | ParallelExample],

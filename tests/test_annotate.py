@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import random
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialoprep.annotate import (
     AnnotationJob,
@@ -183,6 +188,30 @@ def test_resume_skips_completed(tmp_path):
     assert counting.calls == 3
     assert sorted(report.skipped_existing) == sorted(d.id for d in dialogues[:3])
     assert existing_annotated_ids(out) == {d.id for d in dialogues}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resume_after_torn_output_matches_one_shot(tmp_path_factory, data):
+    rng = random.Random(11)
+    dialogues = [make_dialogue(rng, f"d{i}") for i in range(8)]
+    work = tmp_path_factory.mktemp("torn")
+    one_shot, resumed = work / "one_shot.plx", work / "resumed.plx"
+    annotate_batch(dialogues, JOB, MockEndpoint("digest:12"), one_shot, NO_BACKOFF)
+    annotate_batch(dialogues, dataclasses.replace(JOB, budget=5),
+                   MockEndpoint("digest:12"), resumed, NO_BACKOFF)
+    written = resumed.read_bytes()
+    cut = data.draw(st.integers(0, len(written)), label="cut")
+    resumed.write_bytes(written[:cut])
+    dropped = cut - (written.rfind(b"\n", 0, cut) + 1)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        annotate_batch(dialogues, JOB, MockEndpoint("digest:12"), resumed, NO_BACKOFF)
+    assert resumed.read_bytes() == one_shot.read_bytes()
+    if dropped:
+        assert f"dropped {dropped} bytes" in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 class GatingEndpoint:

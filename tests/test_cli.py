@@ -126,6 +126,29 @@ def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
                                                           "pairs.jsonl.manifest.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["noise", "--in", "{empty}", "--out", "{out}", "--count", "3", "--seed", "1"],
+    ["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+     "--mix", "{negative_mix}"],
+    ["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:12",
+     "--max-in-flight", "0"],
+    ["clean", "--in", "{named}", "--out", "{out}", "--jaccard-threshold", "2"],
+], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
+        "clean-threshold-2"])
+def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.dlg"
+    empty.write_text("")
+    negative_mix = tmp_path / "mix.json"
+    negative_mix.write_text(json.dumps({"weights": {"token_mask": 1, "uttr_mask": -1}}))
+    out = tmp_path / "out"
+    paths = {"empty": empty, "negative_mix": negative_mix, "out": out,
+             "named": SAMPLE / "golden" / "named.dlg"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.dlg", "mix.json"]
+
+
 def test_roles_cli_uses_bundled_pool(tmp_path):
     rng = random.Random(2)
     corpus = tmp_path / "in.dlg"
@@ -254,3 +277,27 @@ def test_eval_select_train_ref_accepts_dialogue_records(tmp_path):
                  "--out", str(out), "--select-train-ref"]) == 0
     report = json.loads(out.read_text())
     assert report["per_example"][d.id]["selected_reference"] == 0
+
+
+def test_eval_truncated_line_exits_1(tmp_path, capsys):
+    cands = tmp_path / "c.jsonl"
+    refs = tmp_path / "r.jsonl"
+    cands.write_text('{"id": "1", "text": "alpha"}\n{"id":"2",\n')
+    _write_jsonl(refs, [{"id": "1", "text": "alpha"}, {"id": "2", "text": "beta"}])
+    out = tmp_path / "report.json"
+    assert main(["eval", "--candidates", str(cands), "--references", str(refs),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+    assert not out.exists()
+
+
+def test_eval_line_without_id_exits_1(tmp_path, capsys):
+    cands = tmp_path / "c.jsonl"
+    refs = tmp_path / "r.jsonl"
+    _write_jsonl(cands, [{"id": "1", "text": "alpha"}])
+    refs.write_text('{"id": "1", "text": "alpha"}\n\n{"text": "beta"}\n')
+    out = tmp_path / "report.json"
+    assert main(["eval", "--candidates", str(cands), "--references", str(refs),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 3: record missing 'id' field\n"
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dialoprep.errors import UnmappedFieldError
+from dialoprep.errors import MalformedRecordError, UnmappedFieldError
 from dialoprep.ingest import IngestSpec, ingest, merge_same_speaker, normalize_text
 from dialoprep.records import Dialogue, Turn, validate_dialogue
 
@@ -160,6 +160,20 @@ def test_ingest_unmapped_field(tmp_path):
     with pytest.raises(UnmappedFieldError) as err:
         ingest(raw, SPEC)
     assert err.value.name == "text"
+
+
+def test_ingest_rejects_reappearing_raw_id(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    _write_raw(raw, [
+        {"conv": "a", "speaker": "x", "text": "one"},
+        {"conv": "a", "speaker": "y", "text": "two"},
+        {"conv": "b", "speaker": "x", "text": "three"},
+        {"conv": "a", "speaker": "x", "text": "four"},
+    ])
+    with pytest.raises(MalformedRecordError) as err:
+        ingest(raw, SPEC)
+    assert err.value.line_number == 4
+    assert "'a'" in err.value.reason
 
 
 def test_spec_requires_mapping():

@@ -1,0 +1,85 @@
+from __future__ import annotations
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dialoprep import jsonl
+from dialoprep.errors import MalformedRecordError
+from dialoprep.records import save_corpus
+
+from conftest import make_dialogue
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dialoprep"
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(objs=st.lists(st.dictionaries(_TEXT, _TEXT | st.integers() | st.lists(_TEXT),
+                                     max_size=4), max_size=6))
+def test_write_read_round_trip(tmp_path_factory, objs):
+    objs = [{**obj, "note": "naïve — 日本語 ✓"} for obj in objs]
+    path = tmp_path_factory.mktemp("round") / "records.jsonl"
+    assert jsonl.write(path, iter(objs)) == len(objs)
+    data = path.read_bytes()
+    assert data == "".join(jsonl.line(obj) for obj in objs).encode("utf-8")
+    assert data.count("日本語".encode("utf-8")) == len(objs)
+    assert list(jsonl.read(path)) == list(enumerate(objs, start=1))
+
+
+def test_blank_lines_skipped_and_counted(tmp_path):
+    path = tmp_path / "blanks.jsonl"
+    path.write_text('\n{"a": 1}\n   \n\t\n{"b": 2}\n\n')
+    assert list(jsonl.read(path)) == [(2, {"a": 1}), (5, {"b": 2})]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"a": 1}\n{"id":"2",\n', "line 2: invalid JSON: "),
+    ('\n[1, 2]\n', "line 2: record is not an object"),
+    ('"text"\n', "line 1: record is not an object"),
+])
+def test_error_messages(tmp_path, text, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    with pytest.raises(MalformedRecordError) as err:
+        list(jsonl.read(path))
+    assert str(err.value).startswith(message)
+
+
+def _interrupted(items):
+    yield from items
+    raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: jsonl.write(path, _interrupted([{"a": 1}, {"b": "ü"}])),
+    lambda path: jsonl.write_json(path, {"a": 1, "b": object()}),
+    lambda path: save_corpus(_interrupted(
+        [make_dialogue(random.Random(i), f"d{i}") for i in range(3)]), path),
+], ids=["write", "write_json", "save_corpus"])
+def test_interrupted_write_leaves_earlier_file(tmp_path, write):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b'{"earlier": true}\n')
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert path.read_bytes() == b'{"earlier": true}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_only_jsonl_parses_or_formats_json():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "jsonl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("loads", "dumps", "dump")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                offenders.append(f"{path.name}:{node.lineno} json.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                offenders.append(f"{path.name}:{node.lineno} from json import ...")
+    assert offenders == []
