@@ -18,14 +18,14 @@ import os
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
-
-import requests
 
 from . import jsonl
 from .errors import BudgetExhaustedError, EndpointError
@@ -106,7 +106,12 @@ class AnnotationEndpoint(Protocol):
 
 
 class HttpEndpoint:
-    """Live chat-completion-compatible endpoint."""
+    """Live chat-completion-compatible endpoint.
+
+    Every HTTP status comes back as ``(status, body)``; a refused connection
+    or a timeout raises. HTTPS checks certificates against the system trust
+    store (``ssl``'s default context).
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
@@ -117,12 +122,20 @@ class HttpEndpoint:
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        response = requests.post(f"{self.base_url}/chat/completions",
-                                 json=payload, headers=headers, timeout=self.timeout)
+        request = urllib.request.Request(f"{self.base_url}/chat/completions",
+                                         data=jsonl.encode(payload), headers=headers,
+                                         method="POST")
         try:
-            return response.status_code, response.json()
+            response = urllib.request.urlopen(request, timeout=self.timeout)
+        except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply is still a reply
+            response = exc
+        with response:
+            charset = response.headers.get_content_charset() or "utf-8"
+            text = response.read().decode(charset, errors="replace")
+        try:
+            return response.status, jsonl.decode(text)
         except ValueError:
-            return response.status_code, response.text
+            return response.status, text
 
 
 class MockEndpoint:

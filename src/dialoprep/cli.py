@@ -187,14 +187,9 @@ def _cmd_annotate(args) -> int:
 def _cmd_noise(args) -> int:
     cfg = (noising.NoisingConfig.from_file(args.config) if args.config
            else noising.NoisingConfig())
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.mix:
-        mix = noising.TaskMix.from_file(args.mix)
-        if args.seed is not None:
-            mix = noising.TaskMix(weights=mix.weights, seed=args.seed)
-    else:
-        mix = noising.TaskMix.equal_reconstruction(seed=cfg.seed)
+    cfg = dataclasses.replace(cfg, seed=args.seed)
+    mix = (dataclasses.replace(noising.TaskMix.from_file(args.mix), seed=args.seed)
+           if args.mix else noising.TaskMix.equal_reconstruction(seed=args.seed))
     if args.count < 0:
         raise PipelineError("--count must be >= 0")
     kind = args.kind or _sniff_kind(args.input)
@@ -232,24 +227,31 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_keyed(path: str) -> dict[str, dict]:
-    entries: dict[str, dict] = {}
+def _load_keyed(path: str) -> dict[str, tuple[int, dict]]:
+    """Records by id, each with its line number."""
+    entries: dict[str, tuple[int, dict]] = {}
     for line_number, obj in jsonl.read(path):
         if "id" not in obj:
             raise MalformedRecordError(line_number, "record missing 'id' field")
-        entries[str(obj["id"])] = obj
+        entries[str(obj["id"])] = line_number, obj
     return entries
 
 
-def _entry_text(obj: dict) -> str:
+def _entry_text(entry: tuple[int, dict]) -> str:
+    line_number, obj = entry
     if "turns" in obj:  # a dialogue record: use its rendered text
-        return records.render_dialogue_text(records.dialogue_from_obj(obj))
+        return records.render_dialogue_text(records.dialogue_from_obj(obj, line_number))
+    if "text" not in obj:
+        raise MalformedRecordError(line_number, "record missing 'text' field")
     return str(obj["text"])
 
 
-def _entry_references(obj: dict) -> list[str]:
+def _entry_references(entry: tuple[int, dict]) -> list[str]:
+    line_number, obj = entry
     if "texts" in obj:
         return [str(t) for t in obj["texts"]]
+    if "text" not in obj:
+        raise MalformedRecordError(line_number, "record missing 'text' field")
     return [str(obj["text"])]
 
 

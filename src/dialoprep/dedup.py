@@ -13,9 +13,8 @@ that cannot reach the threshold, so the result is the brute-force scan's.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,9 +40,8 @@ class DedupConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DedupConfig":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(**obj)
+        """Fields from a JSON object; each value has its default's type."""
+        return cls(**jsonl.read_object(path, {f.name: type(f.default) for f in fields(cls)}))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ statistics are reproducible.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -77,8 +76,10 @@ class IngestSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "IngestSpec":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = jsonl.read_object(path, {"speaker_field": str, "utterance_field": str,
+                                       "id_field": str, "dataset_tag": str, "aliases": dict})
+        if not all(isinstance(alias, str) for alias in obj.get("aliases", {}).values()):
+            raise ValueError(f"{path}: every alias must be a string")
         return cls(
             speaker_field=obj.get("speaker_field", ""),
             utterance_field=obj.get("utterance_field", ""),

@@ -1,8 +1,10 @@
-"""Record files: the one parser and the one writer of line-delimited JSON.
+"""The one parser and the one formatter of JSON: record files, config files, HTTP bodies.
 
 Each stage hands its work to the next as a UTF-8 file of one JSON object per
 line. Whole files are written to a temporary file beside the target that
 replaces it only after the last byte, so a failure leaves any earlier file.
+A config file holds one JSON object; the annotation endpoint exchanges JSON
+bodies.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import MalformedRecordError
 
@@ -33,6 +35,46 @@ def read(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise MalformedRecordError(line_number, "record is not an object")
             yield line_number, obj
+
+
+_JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer", float: "a number"}
+
+
+def read_object(path: str | Path, fields: Mapping[str, type] | None = None) -> dict:
+    """The one JSON object a whole file holds, such as a config file.
+
+    With ``fields``, every key must be one of them and its value of that type
+    (``float`` accepts any JSON number). Invalid JSON, a document that is not
+    an object, an unknown key or a mistyped value raise ValueError naming the
+    file and the field.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the file does not hold a JSON object")
+    if fields is None:
+        return obj
+    for key, value in obj.items():
+        if key not in fields:
+            raise ValueError(f"{path}: unknown field {key!r}")
+        expected = fields[key]
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if expected is float else expected):
+            raise ValueError(f"{path}: field {key!r} must be {_JSON_TYPE_NAMES[expected]}")
+    return obj
+
+
+def encode(obj) -> bytes:
+    """A request body: compact ASCII JSON, with NaN and infinities refused (ValueError)."""
+    return json.dumps(obj, allow_nan=False).encode("ascii")
+
+
+def decode(text: str):
+    """The JSON value ``text`` holds; ValueError when it holds none."""
+    return json.loads(text)
 
 
 def line(obj: dict) -> str:

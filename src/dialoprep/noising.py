@@ -16,11 +16,10 @@ ordinal), so generation order never depends on scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -65,8 +64,8 @@ class NoisingConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "NoisingConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        """Fields from a JSON object; each value has its default's type."""
+        return cls(**jsonl.read_object(path, {f.name: type(f.default) for f in fields(cls)}))
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,13 @@ class TaskMix:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskMix":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(weights=dict(obj["weights"]), seed=obj.get("seed", 0))
+        obj = jsonl.read_object(path, {"weights": dict, "seed": int})
+        if "weights" not in obj:
+            raise ValueError(f"{path}: missing field 'weights'")
+        for task, weight in obj["weights"].items():
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ValueError(f"{path}: the weight of {task!r} must be a number")
+        return cls(weights=obj["weights"], seed=obj.get("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,12 @@ def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
 # Corruption tasks
 # ---------------------------------------------------------------------------
 
+def _reconstruction_pair(task: str, d: Dialogue, source: SerializedInput) -> NoisedPair:
+    """A corrupted source whose target is the clean serialization of ``d``."""
+    return NoisedPair(task=task, source=source, target_tokens=serialize_dialogue(d).tokens,
+                      dialogue_id=d.id)
+
+
 def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
     """Replace round(rate * n) tokens of each utterance with ``<mask>``.
 
@@ -221,8 +230,7 @@ def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noised
         for position in rng.sample(range(n), k):
             masked[position] = MASK
         groups.append((role_tokens, masked))
-    return NoisedPair(task="token_mask", source=_build_serialized(groups),
-                      target_tokens=serialize_dialogue(d).tokens, dialogue_id=d.id)
+    return _reconstruction_pair("token_mask", d, _build_serialized(groups))
 
 
 def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -241,8 +249,7 @@ def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noise
         kept = [tok for j, tok in enumerate(utterance_tokens) if offset + j not in doomed]
         offset += len(utterance_tokens)
         corrupted.append((role_tokens, kept))
-    return NoisedPair(task="token_delete", source=_build_serialized(corrupted),
-                      target_tokens=serialize_dialogue(d).tokens, dialogue_id=d.id)
+    return _reconstruction_pair("token_delete", d, _build_serialized(corrupted))
 
 
 def sample_poisson(lam: float, rng: random.Random) -> int:
@@ -323,8 +330,7 @@ def _apply_infill(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int
             i += 1
     for _ in range(insertions):
         groups.insert(rng.randrange(len(groups) + 1), _MaskGroup)
-    return NoisedPair(task="uttr_infill", source=_build_serialized(groups),
-                      target_tokens=serialize_dialogue(d).tokens, dialogue_id=d.id)
+    return _reconstruction_pair("uttr_infill", d, _build_serialized(groups))
 
 
 def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -336,8 +342,7 @@ def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> 
     """
     budget = round_half_up(cfg.infill_utterance_budget_rate * len(d.turns))
     if budget == 0:
-        return NoisedPair(task="uttr_infill", source=serialize_dialogue(d),
-                          target_tokens=serialize_dialogue(d).tokens, dialogue_id=d.id)
+        return _reconstruction_pair("uttr_infill", d, serialize_dialogue(d))
     spans, insertions = _plan_infill(len(d.turns), budget, cfg.infill_lambda, rng)
     return _apply_infill(d, spans, insertions, rng)
 
@@ -349,8 +354,7 @@ def utterance_permutation(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -
     utterances = [utterance for _, utterance in turn_groups]
     rng.shuffle(utterances)
     groups = [(role, utterance) for (role, _), utterance in zip(turn_groups, utterances)]
-    return NoisedPair(task="uttr_permute", source=_build_serialized(groups),
-                      target_tokens=serialize_dialogue(d).tokens, dialogue_id=d.id)
+    return _reconstruction_pair("uttr_permute", d, _build_serialized(groups))
 
 
 def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
@@ -422,20 +426,17 @@ def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
     return sorted(selected)
 
 
-def utterance_masking(d: Dialogue, cfg: NoisingConfig,
-                      rng: random.Random | None = None) -> NoisedPair:
+def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
     """Replace the max(1, round(rate * turns)) principal gap-utterances with
     ``<uttr-mask>``, keeping each slot's role and markers.
 
-    Selection is greedy, not random; ``rng`` is accepted for dispatch
-    uniformity but never consumed.
+    Selection is greedy, not random, so it takes no generator.
     """
     k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
     chosen = set(select_gap_utterances(d, k))
     groups = [(role, [UTTR_MASK] if i in chosen else utterance)
               for i, (role, utterance) in enumerate(_turn_groups(d))]
-    return NoisedPair(task="uttr_mask", source=_build_serialized(groups),
-                      target_tokens=serialize_dialogue(d).tokens, dialogue_id=d.id)
+    return _reconstruction_pair("uttr_mask", d, _build_serialized(groups))
 
 
 def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
@@ -459,7 +460,7 @@ _TASK_FUNCTIONS = {
     "token_delete": token_deletion,
     "uttr_infill": utterance_infilling,
     "uttr_permute": utterance_permutation,
-    "uttr_mask": utterance_masking,
+    "uttr_mask": lambda d, cfg, rng: utterance_masking(d, cfg),
 }
 
 

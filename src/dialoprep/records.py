@@ -50,9 +50,6 @@ class Dialogue:
         object.__setattr__(self, "roles", tuple(self.roles))
         object.__setattr__(self, "turns", tuple(self.turns))
 
-    def role_of(self, turn: Turn) -> str:
-        return self.roles[turn.role_index]
-
 
 @dataclass(frozen=True)
 class SummaryRecord:
@@ -219,13 +216,24 @@ def _example_from_obj(obj: dict, line_number: int) -> ParallelExample:
 def load_corpus(path: str | Path, kind: str) -> list[Dialogue] | list[ParallelExample]:
     """Load a corpus file; ``kind`` is ``"dialogues"`` or ``"parallel"``.
 
-    Every returned record is fully validated; the first bad line raises
+    Every returned record is fully validated, and dialogue ids are unique;
+    the first bad line, or the second line with an id, raises
     :class:`MalformedRecordError` with its 1-based line number.
     """
     if kind not in ("dialogues", "parallel"):
         raise ValueError(f"unknown corpus kind {kind!r}")
     parse = dialogue_from_obj if kind == "dialogues" else _example_from_obj
-    return [parse(obj, line_number) for line_number, obj in jsonl.read(path)]
+    loaded = []
+    first_lines: dict[str, int] = {}
+    for line_number, obj in jsonl.read(path):
+        record = parse(obj, line_number)
+        dialogue_id = record.id if kind == "dialogues" else record.dialogue.id
+        first = first_lines.setdefault(dialogue_id, line_number)
+        if first != line_number:
+            raise MalformedRecordError(
+                line_number, f"dialogue id {dialogue_id!r} reappears (first at line {first})")
+        loaded.append(record)
+    return loaded
 
 
 def save_corpus(records: Iterable[Dialogue | ParallelExample], path: str | Path) -> int:

@@ -13,12 +13,12 @@ rewritten.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import jsonl
 from .errors import AmbiguousMapError, PoolTooSmallError
 from .records import (
     RESERVED_MARKERS,
@@ -104,9 +104,11 @@ class RoleMap:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RoleMap":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(pairs=dict(obj))
+        obj = jsonl.read_object(path)
+        for old, new in obj.items():
+            if not isinstance(new, str):
+                raise ValueError(f"{path}: the new name for {old!r} must be a string")
+        return cls(pairs=obj)
 
 
 def _word_pattern(name: str) -> re.Pattern:

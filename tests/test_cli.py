@@ -126,27 +126,76 @@ def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
                                                           "pairs.jsonl.manifest.json"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["noise", "--in", "{empty}", "--out", "{out}", "--count", "3", "--seed", "1"],
-    ["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
-     "--mix", "{negative_mix}"],
-    ["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:12",
-     "--max-in-flight", "0"],
-    ["clean", "--in", "{named}", "--out", "{out}", "--jaccard-threshold", "2"],
+_NAMED = (SAMPLE / "golden" / "named.dlg").read_text(encoding="utf-8").splitlines(True)
+_INPUT_FILES = {
+    "empty.dlg": "",
+    "mix.json": json.dumps({"weights": {"token_mask": 1, "uttr_mask": -1}}),
+    "dedup.json": json.dumps({"jaccard_threshold": 0.8, "shingle": 2}),
+    "dedup.txt": "jaccard_threshold = 0.8\n",
+    "empty_mix.json": "{}",
+    "string_mix.json": json.dumps({"weights": {"token_mask": "1"}}),
+    "array.json": "[1]",
+    "repeated.dlg": _NAMED[0] + _NAMED[1] + _NAMED[0],
+    "texts.jsonl": '{"id": "0", "text": "b"}\n{"id": "1", "text": "a"}\n',
+    "no_text.jsonl": '{"id": "0", "text": "b"}\n{"id": "1", "txt": "a"}\n',
+    "dialogues.jsonl": _NAMED[0] + '{"id": "2", "turns": []}\n',
+    "references.jsonl": ('{"id": "sample:c000", "texts": ["a", "b"]}\n'
+                         '{"id": "2", "texts": ["c"]}\n'),
+}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["noise", "--in", "{tmp}/empty.dlg", "--out", "{out}", "--count", "3", "--seed", "1"],
+     "empty corpus"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--mix", "{tmp}/mix.json"], "weights"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:12",
+      "--max-in-flight", "0"], "max_in_flight"),
+    (["clean", "--in", "{named}", "--out", "{out}", "--jaccard-threshold", "2"],
+     "jaccard_threshold"),
+    (["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/dedup.json"],
+     "dedup.json: unknown field 'shingle'"),
+    (["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/dedup.txt"],
+     "dedup.txt: invalid JSON"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--mix", "{tmp}/empty_mix.json"], "empty_mix.json: missing field 'weights'"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--mix", "{tmp}/string_mix.json"], "string_mix.json: the weight of 'token_mask'"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--config", "{tmp}/array.json"], "array.json"),
+    (["augment", "--in", "{annotated}", "--map", "{tmp}/array.json", "--out", "{out}"],
+     "array.json"),
+    (["ingest", "--in", "{raw}", "--spec", "{tmp}/array.json", "--out", "{out}"],
+     "array.json"),
+    (["eval", "--candidates", "{tmp}/no_text.jsonl", "--references", "{tmp}/texts.jsonl",
+      "--out", "{out}"], "line 2: record missing 'text' field"),
+    (["eval", "--candidates", "{tmp}/texts.jsonl", "--references", "{tmp}/no_text.jsonl",
+      "--out", "{out}"], "line 2: record missing 'text' field"),
+    (["eval", "--candidates", "{tmp}/dialogues.jsonl",
+      "--references", "{tmp}/references.jsonl", "--out", "{out}", "--select-train-ref"],
+     "line 2: record missing 'schema_version' field"),
+    (["roles", "--in", "{tmp}/repeated.dlg", "--out", "{out}", "--seed", "1"],
+     "line 3: dialogue id 'sample:c000' reappears (first at line 1)"),
+    (["annotate", "--in", "{tmp}/repeated.dlg", "--out", "{out}", "--mock", "digest:12"],
+     "line 3: dialogue id 'sample:c000' reappears (first at line 1)"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
-        "clean-threshold-2"])
-def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv):
-    empty = tmp_path / "empty.dlg"
-    empty.write_text("")
-    negative_mix = tmp_path / "mix.json"
-    negative_mix.write_text(json.dumps({"weights": {"token_mask": 1, "uttr_mask": -1}}))
-    out = tmp_path / "out"
-    paths = {"empty": empty, "negative_mix": negative_mix, "out": out,
-             "named": SAMPLE / "golden" / "named.dlg"}
+        "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
+        "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
+        "augment-map-array", "ingest-spec-array", "eval-candidate-without-text",
+        "eval-reference-without-text", "eval-select-ref-bad-dialogue",
+        "roles-repeated-id", "annotate-repeated-id"])
+def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
+    for name, text in _INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {"out": tmp_path / "out", "tmp": tmp_path,
+             "named": SAMPLE / "golden" / "named.dlg",
+             "annotated": SAMPLE / "golden" / "annotated.plx",
+             "raw": SAMPLE / "raw_sample.jsonl"}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.dlg", "mix.json"]
+    assert len(err.splitlines()) == 1 and named in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_INPUT_FILES)
 
 
 def test_roles_cli_uses_bundled_pool(tmp_path):
@@ -301,3 +350,4 @@ def test_eval_line_without_id_exits_1(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: line 3: record missing 'id' field\n"
     assert not out.exists()
+

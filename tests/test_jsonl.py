@@ -77,7 +77,7 @@ def test_only_jsonl_parses_or_formats_json():
         if path.name == "jsonl.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr in ("loads", "dumps", "dump")
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads", "dumps", "dump")
                     and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 offenders.append(f"{path.name}:{node.lineno} json.{node.attr}")
             if isinstance(node, ast.ImportFrom) and node.module == "json":

@@ -155,6 +155,19 @@ def test_bad_json_line_number(tmp_path):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("kind", ["dialogues", "parallel"])
+def test_repeated_id_on_load(tmp_path, kind):
+    rng = random.Random(4)
+    make = make_dialogue if kind == "dialogues" else make_example
+    first, second = make(rng, "d1"), make(rng, "d2")
+    path = tmp_path / "repeated"
+    save_corpus([first, second, first], path)
+    with pytest.raises(MalformedRecordError) as err:
+        load_corpus(path, kind)
+    assert err.value.line_number == 3
+    assert err.value.reason == "dialogue id 'd1' reappears (first at line 1)"
+
+
 def test_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         load_corpus(tmp_path / "nope", "bogus")
