@@ -228,12 +228,16 @@ def _cmd_stats(args) -> int:
 
 
 def _load_keyed(path: str) -> dict[str, tuple[int, dict]]:
-    """Records by id, each with its line number."""
+    """Records by id, each with its line number. An id may appear once."""
     entries: dict[str, tuple[int, dict]] = {}
     for line_number, obj in jsonl.read(path):
         if "id" not in obj:
             raise MalformedRecordError(line_number, "record missing 'id' field")
-        entries[str(obj["id"])] = line_number, obj
+        record_id = str(obj["id"])
+        first = entries.setdefault(record_id, (line_number, obj))[0]
+        if first != line_number:
+            raise MalformedRecordError(
+                line_number, f"id {record_id!r} reappears (first at line {first})")
     return entries
 
 
@@ -249,7 +253,12 @@ def _entry_text(entry: tuple[int, dict]) -> str:
 def _entry_references(entry: tuple[int, dict]) -> list[str]:
     line_number, obj = entry
     if "texts" in obj:
-        return [str(t) for t in obj["texts"]]
+        texts = obj["texts"]
+        if (not isinstance(texts, list) or not texts
+                or not all(isinstance(t, str) for t in texts)):
+            raise MalformedRecordError(line_number,
+                                       "'texts' must be a non-empty list of strings")
+        return texts
     if "text" not in obj:
         raise MalformedRecordError(line_number, "record missing 'text' field")
     return [str(obj["text"])]

@@ -6,6 +6,12 @@ ROUGE conventions are total: both sides empty scores 1.0, exactly one side
 empty scores 0.0 (packages differ here; ours is fixed so golden files are
 stable).
 
+ROUGE-L's longest common subsequence is exact and bit-parallel: match masks
+(token -> int) over the longer text, one word-parallel step per token of the
+shorter. ROUGE-N's clipped overlap is symmetric and walks the side with fewer
+n-gram types. The evaluation protocols tokenize and count each text once, and
+a dialogue's masks are reused for every reference it is scored against.
+
 Corpus statistics follow the per-example-average convention: every corpus
 field is the unweighted mean of per-example values, never a ratio of corpus
 totals. Per-example dialogue text is the rendered ``role: utterance`` form,
@@ -70,6 +76,21 @@ def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
+def _overlap_score(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
+    """Precision and recall of ``overlap`` matched units out of each side's total."""
+    if not cand_total and not ref_total:
+        return RougeScore(1.0, 1.0, 1.0)
+    if not cand_total or not ref_total:
+        return RougeScore(0.0, 0.0, 0.0)
+    return _score(overlap / cand_total, overlap / ref_total)
+
+
+def _clipped_overlap(a: Counter, b: Counter) -> int:
+    """Sum over shared n-grams of the smaller count. Symmetric; the key
+    intersection walks the smaller side."""
+    return sum(min(a[g], b[g]) for g in a.keys() & b.keys())
+
+
 def rouge_n(candidate: str | Sequence[str], reference: str | Sequence[str], n: int,
             unique_ngrams: bool = False) -> RougeScore:
     """Clipped n-gram overlap ROUGE. ``unique_ngrams`` counts each n-gram type once
@@ -78,55 +99,90 @@ def rouge_n(candidate: str | Sequence[str], reference: str | Sequence[str], n: i
         raise ValueError("n must be >= 1")
     cand = _ngrams(_as_tokens(candidate), n)
     ref = _ngrams(_as_tokens(reference), n)
-    if not cand and not ref:
-        return RougeScore(1.0, 1.0, 1.0)
-    if not cand or not ref:
-        return RougeScore(0.0, 0.0, 0.0)
     if unique_ngrams:
         cand_set, ref_set = set(cand), set(ref)
-        overlap = len(cand_set & ref_set)
-        return _score(overlap / len(cand_set), overlap / len(ref_set))
-    cand_counts, ref_counts = Counter(cand), Counter(ref)
-    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-    return _score(overlap / len(cand), overlap / len(ref))
+        return _overlap_score(len(cand_set & ref_set), len(cand_set), len(ref_set))
+    return _overlap_score(_clipped_overlap(Counter(cand), Counter(ref)), len(cand), len(ref))
+
+
+def _match_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Token -> int whose bit i is set where ``tokens[i]`` is that token."""
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def _lcs_bits(masks: dict[str, int], n: int, other: Sequence[str]) -> int:
+    """LCS length of the ``n`` tokens that ``masks`` was built over and ``other``.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): after a prefix of
+    ``other`` has been read, bit i of ``v`` is 0 exactly where the LCS of that
+    prefix with the first i + 1 tokens exceeds the LCS with the first i, so
+    the LCS is the count of zero bits."""
+    full = (1 << n) - 1
+    v = full
+    get = masks.get
+    for tok in other:
+        m = get(tok)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+    if len(a) < len(b):
+        a, b = b, a
+    return _lcs_bits(_match_masks(a), len(a), b)
 
 
 def rouge_l(candidate: str | Sequence[str], reference: str | Sequence[str]) -> RougeScore:
     """Longest-common-subsequence ROUGE over metric tokens."""
     cand = _as_tokens(candidate)
     ref = _as_tokens(reference)
-    if not cand and not ref:
-        return RougeScore(1.0, 1.0, 1.0)
-    if not cand or not ref:
-        return RougeScore(0.0, 0.0, 0.0)
-    lcs = _lcs_length(cand, ref)
-    return _score(lcs / len(cand), lcs / len(ref))
+    return _overlap_score(_lcs_length(cand, ref), len(cand), len(ref))
+
+
+class _Text:
+    """One text's metric tokens, unigram and bigram counts, and (built on
+    first use) its LCS match masks: everything ``score_pair`` needs, computed
+    once however many texts it is scored against."""
+
+    __slots__ = ("tokens", "unigrams", "bigrams", "_masks")
+
+    def __init__(self, text_or_tokens: str | Sequence[str]):
+        self.tokens = _as_tokens(text_or_tokens)
+        self.unigrams = Counter(self.tokens)
+        self.bigrams = Counter(zip(self.tokens, self.tokens[1:]))
+        self._masks: dict[str, int] | None = None
+
+    def masks(self) -> dict[str, int]:
+        if self._masks is None:
+            self._masks = _match_masks(self.tokens)
+        return self._masks
+
+
+def _lcs_texts(a: _Text, b: _Text) -> int:
+    """``_lcs_length`` of two texts, reusing the longer one's masks."""
+    if len(a.tokens) < len(b.tokens):
+        a, b = b, a
+    return _lcs_bits(a.masks(), len(a.tokens), b.tokens)
+
+
+def _score_texts(cand: _Text, ref: _Text) -> EvalScores:
+    m, n = len(cand.tokens), len(ref.tokens)
+    return EvalScores(
+        rouge1=_overlap_score(_clipped_overlap(cand.unigrams, ref.unigrams), m, n),
+        rouge2=_overlap_score(_clipped_overlap(cand.bigrams, ref.bigrams),
+                              max(m - 1, 0), max(n - 1, 0)),
+        rougeL=_overlap_score(_lcs_texts(cand, ref), m, n),
+    )
 
 
 def score_pair(candidate: str | Sequence[str], reference: str | Sequence[str]) -> EvalScores:
     """R-1, R-2 and R-L for one candidate/reference pair."""
-    cand = _as_tokens(candidate)
-    ref = _as_tokens(reference)
-    return EvalScores(
-        rouge1=rouge_n(cand, ref, 1),
-        rouge2=rouge_n(cand, ref, 2),
-        rougeL=rouge_l(cand, ref),
-    )
+    return _score_texts(_Text(candidate), _Text(reference))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +402,8 @@ def multi_reference_rouge(candidate: str | Sequence[str],
     """Arithmetic mean of each metric (P, R and F1 componentwise) over all references."""
     if not references:
         raise ValueError("at least one reference is required")
-    scored = [score_pair(candidate, ref) for ref in references]
+    cand = _Text(candidate)
+    scored = [_score_texts(cand, _Text(ref)) for ref in references]
 
     def mean_score(pick) -> RougeScore:
         n = len(scored)
@@ -371,10 +428,11 @@ def select_training_reference(dialogue: str | Dialogue,
         raise ValueError("at least one reference is required")
     if isinstance(dialogue, Dialogue):
         dialogue = render_dialogue_text(dialogue)
+    text = _Text(dialogue)
     best_index = 0
     best_score = -1.0
     for i, ref in enumerate(references):
-        avg = score_pair(dialogue, ref).rouge_avg()
+        avg = _score_texts(text, _Text(ref)).rouge_avg()
         if avg > best_score:
             best_score = avg
             best_index = i

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 from dialoprep.dedup import RemovalRecord, _jaccard_sets, dialogue_shingles
-from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
+from dialoprep.metrics import EvalScores, RougeScore, tokenize_for_metrics
+from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn, render_dialogue_text
 
 WORDS = [
     "alice", "books", "weather", "today", "meeting", "coffee", "train", "ticket",
@@ -78,3 +81,91 @@ def brute_force_eval_overlap(dialogues, eval_sets, cfg):
     """Reference for ``remove_eval_overlap``."""
     return _brute_force_first_match(dialogues, [d for s in eval_sets for d in s],
                                     cfg, "eval_overlap")
+
+
+# ---------------------------------------------------------------------------
+# ROUGE oracles: the quadratic LCS dynamic program and the Counter-based
+# clipped overlap, with the scoring conventions of ``dialoprep.metrics``
+# rebuilt on top of them. The fast paths must equal these exactly.
+# ---------------------------------------------------------------------------
+
+def lcs_dp_oracle(a, b) -> int:
+    """O(mn) longest-common-subsequence length."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr.append(prev[j - 1] + 1)
+            else:
+                curr.append(max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[-1]
+
+
+def clipped_overlap_oracle(cand_counts: Counter, ref_counts: Counter) -> int:
+    """Clipped n-gram overlap, walking the candidate's counts."""
+    return sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+
+
+def _oracle_score(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
+    if not cand_total and not ref_total:
+        return RougeScore(1.0, 1.0, 1.0)
+    if not cand_total or not ref_total:
+        return RougeScore(0.0, 0.0, 0.0)
+    precision, recall = overlap / cand_total, overlap / ref_total
+    if precision + recall == 0.0:
+        return RougeScore(precision, recall, 0.0)
+    return RougeScore(precision, recall, 2.0 * precision * recall / (precision + recall))
+
+
+def _oracle_tokens(text_or_tokens) -> list:
+    if isinstance(text_or_tokens, str):
+        return tokenize_for_metrics(text_or_tokens)
+    return list(text_or_tokens)
+
+
+def oracle_rouge_n(candidate, reference, n: int) -> RougeScore:
+    cand, ref = _oracle_tokens(candidate), _oracle_tokens(reference)
+    cand_grams = [tuple(cand[i:i + n]) for i in range(len(cand) - n + 1)]
+    ref_grams = [tuple(ref[i:i + n]) for i in range(len(ref) - n + 1)]
+    overlap = clipped_overlap_oracle(Counter(cand_grams), Counter(ref_grams))
+    return _oracle_score(overlap, len(cand_grams), len(ref_grams))
+
+
+def oracle_rouge_l(candidate, reference) -> RougeScore:
+    cand, ref = _oracle_tokens(candidate), _oracle_tokens(reference)
+    return _oracle_score(lcs_dp_oracle(cand, ref), len(cand), len(ref))
+
+
+def oracle_score_pair(candidate, reference) -> EvalScores:
+    return EvalScores(rouge1=oracle_rouge_n(candidate, reference, 1),
+                      rouge2=oracle_rouge_n(candidate, reference, 2),
+                      rougeL=oracle_rouge_l(candidate, reference))
+
+
+def oracle_multi_reference_rouge(candidate, references) -> EvalScores:
+    scored = [oracle_score_pair(candidate, ref) for ref in references]
+
+    def mean_score(pick) -> RougeScore:
+        n = len(scored)
+        return RougeScore(precision=math.fsum(pick(s).precision for s in scored) / n,
+                          recall=math.fsum(pick(s).recall for s in scored) / n,
+                          f1=math.fsum(pick(s).f1 for s in scored) / n)
+
+    return EvalScores(rouge1=mean_score(lambda s: s.rouge1),
+                      rouge2=mean_score(lambda s: s.rouge2),
+                      rougeL=mean_score(lambda s: s.rougeL))
+
+
+def oracle_select_training_reference(dialogue, references) -> int:
+    if isinstance(dialogue, Dialogue):
+        dialogue = render_dialogue_text(dialogue)
+    best_index, best_score = 0, -1.0
+    for i, ref in enumerate(references):
+        avg = oracle_score_pair(dialogue, ref).rouge_avg()
+        if avg > best_score:
+            best_index, best_score = i, avg
+    return best_index

@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from dialoprep import jsonl
 from dialoprep.cli import main
-from dialoprep.records import load_corpus, save_corpus
+from dialoprep.metrics import tokenize_for_metrics, truncate_summary
+from dialoprep.records import load_corpus, render_dialogue_text, save_corpus
 
-from conftest import make_dialogue, make_example
+from conftest import (
+    WORDS,
+    make_dialogue,
+    make_example,
+    oracle_multi_reference_rouge,
+    oracle_score_pair,
+    oracle_select_training_reference,
+)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
 
@@ -141,6 +151,10 @@ _INPUT_FILES = {
     "dialogues.jsonl": _NAMED[0] + '{"id": "2", "turns": []}\n',
     "references.jsonl": ('{"id": "sample:c000", "texts": ["a", "b"]}\n'
                          '{"id": "2", "texts": ["c"]}\n'),
+    "one_text.jsonl": '{"id": "1", "text": "a b"}\n',
+    "repeated_ids.jsonl": '{"id": "1", "text": "a b"}\n{"id": "1", "text": "c d"}\n',
+    "empty_texts.jsonl": '{"id": "1", "texts": []}\n',
+    "string_texts.jsonl": '{"id": "1", "texts": "a b"}\n',
 }
 
 
@@ -178,12 +192,32 @@ _INPUT_FILES = {
      "line 3: dialogue id 'sample:c000' reappears (first at line 1)"),
     (["annotate", "--in", "{tmp}/repeated.dlg", "--out", "{out}", "--mock", "digest:12"],
      "line 3: dialogue id 'sample:c000' reappears (first at line 1)"),
+    (["eval", "--candidates", "{tmp}/repeated_ids.jsonl",
+      "--references", "{tmp}/one_text.jsonl", "--out", "{out}"],
+     "line 2: id '1' reappears (first at line 1)"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/repeated_ids.jsonl", "--out", "{out}"],
+     "line 2: id '1' reappears (first at line 1)"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/empty_texts.jsonl", "--out", "{out}"],
+     "line 1: 'texts' must be a non-empty list of strings"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/empty_texts.jsonl", "--out", "{out}", "--multi-ref"],
+     "line 1: 'texts' must be a non-empty list of strings"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/empty_texts.jsonl", "--out", "{out}", "--select-train-ref"],
+     "line 1: 'texts' must be a non-empty list of strings"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/string_texts.jsonl", "--out", "{out}", "--multi-ref"],
+     "line 1: 'texts' must be a non-empty list of strings"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
         "augment-map-array", "ingest-spec-array", "eval-candidate-without-text",
         "eval-reference-without-text", "eval-select-ref-bad-dialogue",
-        "roles-repeated-id", "annotate-repeated-id"])
+        "roles-repeated-id", "annotate-repeated-id", "eval-repeated-candidate-id",
+        "eval-repeated-reference-id", "eval-empty-texts", "eval-multi-ref-empty-texts",
+        "eval-select-ref-empty-texts", "eval-multi-ref-string-texts"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -326,6 +360,69 @@ def test_eval_select_train_ref_accepts_dialogue_records(tmp_path):
                  "--out", str(out), "--select-train-ref"]) == 0
     report = json.loads(out.read_text())
     assert report["per_example"][d.id]["selected_reference"] == 0
+
+
+def _oracle_eval_report(candidates: dict, references: dict, multi_ref: bool,
+                        max_length: int | None) -> dict:
+    """The report ``eval`` writes, scored by the oracles in conftest."""
+    per_example = {}
+    for example_id in sorted(candidates):
+        cand = tokenize_for_metrics(candidates[example_id])
+        if max_length:
+            cand = truncate_summary(cand, max_length)
+        refs = references[example_id]
+        scores = (oracle_multi_reference_rouge(cand, refs) if multi_ref
+                  else oracle_score_pair(cand, refs[0]))
+        per_example[example_id] = {"rouge1": scores.rouge1.f1, "rouge2": scores.rouge2.f1,
+                                   "rougeL": scores.rougeL.f1}
+    mean = {key: math.fsum(e[key] for e in per_example.values()) / len(per_example)
+            for key in ("rouge1", "rouge2", "rougeL")}
+    return {"mode": "multi_ref" if multi_ref else "single_ref", "max_length": max_length,
+            "mean": mean, "per_example": per_example}
+
+
+def test_eval_outputs_equal_oracle_bytes(tmp_path):
+    rng = random.Random(60)
+    dialogues = [make_dialogue(rng, f"d{i}", n_turns=rng.randint(2, 12), max_tokens=12)
+                 for i in range(60)]
+
+    def summary(d) -> str:
+        """Dialogue words, other words, or no metric tokens at all."""
+        kind = rng.random()
+        if kind < 0.15:
+            return rng.choice(["", "...", " -- "])
+        pool = render_dialogue_text(d).split() if kind < 0.7 else WORDS
+        return " ".join(rng.choices(pool, k=rng.randint(1, 25)))
+
+    candidates = {d.id: summary(d) for d in dialogues}
+    references = {d.id: [summary(d) for _ in range(rng.randint(1, 4))] for d in dialogues}
+    save_corpus(dialogues, tmp_path / "corpus.dlg")
+    _write_jsonl(tmp_path / "c.jsonl", [{"id": i, "text": t} for i, t in candidates.items()])
+    _write_jsonl(tmp_path / "r.jsonl", [{"id": i, "texts": t} for i, t in references.items()])
+
+    expected = {
+        "select": {"mode": "select_train_ref", "per_example": {
+            d.id: {"selected_reference": oracle_select_training_reference(d, references[d.id])}
+            for d in sorted(dialogues, key=lambda d: d.id)}},
+        "single": _oracle_eval_report(candidates, references, False, None),
+        "multi": _oracle_eval_report(candidates, references, True, None),
+        "short": _oracle_eval_report(candidates, references, True, 5),
+    }
+    selected = {e["selected_reference"] for e in expected["select"]["per_example"].values()}
+    assert selected == {0, 1, 2, 3}
+    corpus, cands, refs = (str(tmp_path / name) for name in ("corpus.dlg", "c.jsonl", "r.jsonl"))
+    runs = {
+        "select": ["--candidates", corpus, "--select-train-ref"],
+        "single": ["--candidates", cands],
+        "multi": ["--candidates", cands, "--multi-ref"],
+        "short": ["--candidates", cands, "--multi-ref", "--max-length", "5"],
+    }
+    for name, args in runs.items():
+        expected_path = tmp_path / f"{name}.expected.json"
+        jsonl.write_json(expected_path, expected[name])
+        out = tmp_path / f"{name}.json"
+        assert main(["eval", *args, "--references", refs, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected_path.read_bytes(), name
 
 
 def test_eval_truncated_line_exits_1(tmp_path, capsys):

@@ -4,11 +4,19 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    lcs_dp_oracle,
+    oracle_multi_reference_rouge,
+    oracle_score_pair,
+    oracle_select_training_reference,
+)
+from dialoprep import metrics
 from dialoprep.errors import EmptyCorpusError, EmptySummaryError
 from dialoprep.metrics import (
+    _lcs_length,
     corpus_report,
     example_stats,
     extractive_fragments,
@@ -124,8 +132,92 @@ def test_rouge_l_matches_recursive_oracle(a, b):
         assert score.f1 == 0.0
         return
     lcs = _lcs_oracle(tuple(a), tuple(b))
-    assert score.precision == pytest.approx(lcs / len(a))
-    assert score.recall == pytest.approx(lcs / len(b))
+    assert _lcs_length(a, b) == lcs
+    assert score.precision == lcs / len(a)
+    assert score.recall == lcs / len(b)
+
+
+# Alphabets of one, four and 200 token types: all matches, dense partial
+# matches, and nearly disjoint sequences.
+_ALPHABETS = {size: [f"t{i}" for i in range(size)] for size in (1, 4, 200)}
+
+
+@st.composite
+def _token_lists(draw, *max_sizes: int):
+    """One token list per ``max_sizes`` entry, all over one alphabet, each
+    with a length drawn from 0 up to its entry (300 crosses the 64- and
+    256-bit mask widths)."""
+    alphabet = _ALPHABETS[draw(st.sampled_from(sorted(_ALPHABETS)))]
+    lists = []
+    for max_size in max_sizes:
+        size = draw(st.integers(0, max_size))
+        lists.append(draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
+    return lists
+
+
+@settings(deadline=None)
+@given(_token_lists(300, 300))
+def test_lcs_length_matches_dp_oracle(pair):
+    a, b = pair
+    assert _lcs_length(a, b) == lcs_dp_oracle(a, b) == _lcs_length(b, a)
+
+
+@pytest.mark.parametrize("size", sorted(_ALPHABETS))
+@pytest.mark.parametrize("len_a, len_b", [
+    (0, 300), (1, 300), (63, 64), (64, 65), (65, 64), (255, 257), (257, 256),
+    (300, 300), (300, 17),
+])
+def test_lcs_length_matches_dp_oracle_at_word_boundaries(size, len_a, len_b):
+    rng = random.Random(f"{size}:{len_a}:{len_b}")
+    a = rng.choices(_ALPHABETS[size], k=len_a)
+    b = rng.choices(_ALPHABETS[size], k=len_b)
+    assert _lcs_length(a, b) == lcs_dp_oracle(a, b) == _lcs_length(b, a)
+
+
+def test_lcs_masks_built_once_over_the_longer_side(monkeypatch):
+    built = []
+    match_masks = metrics._match_masks
+
+    def recording(tokens):
+        built.append(list(tokens))
+        return match_masks(tokens)
+
+    monkeypatch.setattr(metrics, "_match_masks", recording)
+    assert _lcs_length(["a", "b"], ["b", "a", "b"]) == 2
+    assert built == [["b", "a", "b"]]
+    built.clear()
+    dialogue = "alice went home and bob stayed at home today"
+    assert select_training_reference(dialogue, ["bob went home", "alice", "at home"]) == 0
+    assert built == [tokenize_for_metrics(dialogue)]
+    built.clear()
+    # Masks over each longer reference; the candidate's are built once.
+    multi_reference_rouge(["a", "b"], [["a", "b", "c"], ["b"], ["c", "a", "d", "e"], ["a"]])
+    assert built == [["a", "b", "c"], ["a", "b"], ["c", "a", "d", "e"]]
+
+
+@settings(deadline=None)
+@given(_token_lists(60, 60))
+def test_score_pair_equals_oracle(pair):
+    a, b = pair
+    assert score_pair(a, b) == oracle_score_pair(a, b)
+    assert score_pair(" ".join(a), " ".join(b)) == oracle_score_pair(a, b)
+
+
+@settings(deadline=None)
+@given(_token_lists(60, 60, 60, 60, 60), st.integers(1, 4))
+def test_multi_reference_rouge_equals_oracle(lists, n_refs):
+    candidate, references = lists[0], lists[1:1 + n_refs]
+    assert multi_reference_rouge(candidate, references) \
+        == oracle_multi_reference_rouge(candidate, references)
+
+
+@settings(deadline=None)
+@given(_token_lists(200, 40, 40, 40, 40), st.integers(1, 4))
+def test_select_training_reference_equals_oracle(lists, n_refs):
+    dialogue = " ".join(lists[0])
+    references = [" ".join(ref) for ref in lists[1:1 + n_refs]]
+    assert select_training_reference(dialogue, references) \
+        == oracle_select_training_reference(dialogue, references)
 
 
 @given(st.text(max_size=40), st.text(max_size=40))
