@@ -18,8 +18,6 @@ import os
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -118,6 +116,11 @@ class HttpEndpoint:
         self.timeout = timeout
 
     def complete(self, payload: dict) -> tuple[int, dict | str]:
+        # Imported here: the HTTP stack (http.client, email, ssl) would add to
+        # the cold start of every stage, and only this endpoint sends anything.
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -90,14 +91,15 @@ def _cmd_clean(args) -> int:
             min_tokens=args.min_tokens,
         )
     dialogues = records.load_corpus(args.input, "dialogues")
+    eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set or []]
+    index = dedup.ShingleIndex(itertools.chain(dialogues, *eval_sets), cfg)
     removals: list[dedup.RemovalRecord] = []
-    kept, removed = dedup.dedup_corpus(dialogues, cfg)
+    kept, removed = dedup.dedup_corpus(dialogues, cfg, index=index)
     removals.extend(removed)
-    if args.eval_set:
-        eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set]
-        kept, removed = dedup.remove_eval_overlap(kept, eval_sets, cfg)
+    if eval_sets:
+        kept, removed = dedup.remove_eval_overlap(kept, eval_sets, cfg, index=index)
         removals.extend(removed)
-    kept, removed = dedup.filter_min_size(kept, cfg)
+    kept, removed = dedup.filter_min_size(kept, cfg, index=index)
     removals.extend(removed)
     records.save_corpus(kept, args.out)
     if args.report:
@@ -245,9 +247,15 @@ def _entry_text(entry: tuple[int, dict]) -> str:
     line_number, obj = entry
     if "turns" in obj:  # a dialogue record: use its rendered text
         return records.render_dialogue_text(records.dialogue_from_obj(obj, line_number))
+    return _text_field(line_number, obj)
+
+
+def _text_field(line_number: int, obj: dict) -> str:
     if "text" not in obj:
         raise MalformedRecordError(line_number, "record missing 'text' field")
-    return str(obj["text"])
+    if not isinstance(obj["text"], str):
+        raise MalformedRecordError(line_number, "'text' must be a string")
+    return obj["text"]
 
 
 def _entry_references(entry: tuple[int, dict]) -> list[str]:
@@ -259,9 +267,7 @@ def _entry_references(entry: tuple[int, dict]) -> list[str]:
             raise MalformedRecordError(line_number,
                                        "'texts' must be a non-empty list of strings")
         return texts
-    if "text" not in obj:
-        raise MalformedRecordError(line_number, "record missing 'text' field")
-    return [str(obj["text"])]
+    return [_text_field(line_number, obj)]
 
 
 def _cmd_eval(args) -> int:

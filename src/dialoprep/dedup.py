@@ -9,12 +9,15 @@ integer ids, rarest first, each set is posted under its shortest prefix that
 any set at or above the threshold must share, and every candidate passes a
 length filter and is verified on integer bitsets. The filters only skip pairs
 that cannot reach the threshold, so the result is the brute-force scan's.
+A :class:`ShingleIndex` tokenizes each dialogue once for all three filters.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -123,36 +126,19 @@ def _size_bounds(size: int, threshold: float) -> tuple[int, int]:
 
 class _PrefixJoin:
     """Exact candidate filter for Jaccard >= threshold (AllPairs / PPJoin prefix
-    filtering) over the shingle sets it is built from.
+    filtering) over sets encoded by a :class:`ShingleIndex`.
 
-    Shingles get integer ids, rarest first, ties broken by the shingle itself; a
-    set is encoded as (size, bitset, prefix, lo, hi), where [lo, hi] are the set
-    sizes it can still reach the threshold with. Two sets at J >= threshold share
-    at least ``lo`` shingles, so their first ``size - lo + 1`` ids intersect and
-    every such pair is a candidate. Candidates pass the length filter and are
-    verified exactly in ascending row order, so the first match is the lowest
-    reference row at or above the threshold."""
+    Two sets at J >= threshold share at least ``lo`` shingles, so their first
+    ``size - lo + 1`` ids intersect under any fixed shingle order, and every such
+    pair is a candidate. Candidates pass the length filter and are verified
+    exactly in ascending row order, so the first match is the lowest reference
+    row at or above the threshold."""
 
-    def __init__(self, shingle_sets: Sequence[frozenset], threshold: float):
-        freq: Counter = Counter()
-        for s in shingle_sets:
-            freq.update(s)
-        self._ids = {g: i for i, g in enumerate(sorted(freq, key=lambda g: (freq[g], g)))}
+    def __init__(self, threshold: float):
         self._threshold = threshold
         self._postings: dict[int, list[int]] = {}
         self._sets: list[tuple[int, int]] = []
         self._first_empty: int | None = None
-
-    def encode(self, shingles: frozenset) -> tuple:
-        sorted_ids = sorted(map(self._ids.__getitem__, shingles))
-        bits = 0
-        for i in sorted_ids:
-            bits |= 1 << i
-        size = len(sorted_ids)
-        if not size:
-            return 0, 0, [], 0, 0
-        lo, hi = _size_bounds(size, self._threshold)
-        return size, bits, sorted_ids[:size - lo + 1], lo, hi
 
     def add(self, entry: tuple) -> None:
         """Index an encoded set as the next reference row."""
@@ -182,22 +168,88 @@ class _PrefixJoin:
         return None
 
 
+@dataclass(frozen=True)
+class _Profile:
+    """What the clean filters read of one dialogue, from one tokenization."""
+
+    shingles: frozenset
+    tokens: int  # utterance tokens, the count ``filter_min_size`` bounds
+
+
+def _profile(d: Dialogue, shingle_k: int) -> _Profile:
+    """Tokenizes turn by turn. Neither a token nor the context of a case
+    mapping (final sigma) crosses the space ``dialogue_text`` joins turns with,
+    so the tokens are the joined text's and the shingles ``dialogue_shingles``.
+    Tokens are interned: an index holds the sets of all dialogues at once, and
+    then holds one string per distinct token instead of one per occurrence."""
+    tokens: list[str] = []
+    for turn in d.turns:
+        tokens += map(sys.intern, tokenize_for_metrics(turn.text))
+    return _Profile(_shingles(tokens, shingle_k), len(tokens))
+
+
+class ShingleIndex:
+    """Dialogues tokenized once for the clean filters.
+
+    For each dialogue object it is built from, keyed by the object's identity,
+    it holds the utterance token count and the shingle set encoded as (size,
+    bitset, prefix, lo, hi), where [lo, hi] are the set sizes it can still
+    reach the threshold with; it keeps the objects alive so the keys stay
+    valid. All the sets are numbered together, rarest shingle first, ties
+    broken by the shingle itself, and the sets themselves are not kept. The
+    corpus operations take it as ``index=``: then each dialogue is read from
+    it, and the dedup and eval-overlap joins share one numbering, which leaves
+    their matches unchanged because prefix filtering is exact under any fixed
+    shingle order. It must be built under the ``cfg`` they are given, from
+    every dialogue they are given.
+    """
+
+    def __init__(self, dialogues: Iterable[Dialogue], cfg: DedupConfig):
+        profiles = {id(d): (d, _profile(d, cfg.shingle_k)) for d in dialogues}
+        freq: Counter = Counter()
+        for _, profile in profiles.values():
+            freq.update(profile.shingles)
+        ids = {g: i for i, g in enumerate(sorted(freq, key=lambda g: (freq[g], g)))}
+        self._rows = {key: (d, profile.tokens,
+                            _encode(profile.shingles, ids, cfg.jaccard_threshold))
+                      for key, (d, profile) in profiles.items()}
+
+    def tokens(self, d: Dialogue) -> int:
+        return self._rows[id(d)][1]
+
+    def entry(self, d: Dialogue) -> tuple:
+        return self._rows[id(d)][2]
+
+
+def _encode(shingles: frozenset, ids: dict, threshold: float) -> tuple:
+    sorted_ids = sorted(map(ids.__getitem__, shingles))
+    bits = 0
+    for i in sorted_ids:
+        bits |= 1 << i
+    size = len(sorted_ids)
+    if not size:
+        return 0, 0, [], 0, 0
+    lo, hi = _size_bounds(size, threshold)
+    return size, bits, sorted_ids[:size - lo + 1], lo, hi
+
+
 def _drop_similar(dialogues: Sequence[Dialogue], references: Sequence[Dialogue] | None,
-                  cfg: DedupConfig, reason: str) -> tuple[list[Dialogue], list[RemovalRecord]]:
+                  cfg: DedupConfig, reason: str,
+                  index: ShingleIndex | None) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop each dialogue whose Jaccard with some reference reaches the threshold,
     reporting the first such reference. ``references=None`` joins the corpus with
     itself: the references are then the dialogues kept so far."""
     refs = [] if references is None else list(references)
-    query_sets = [dialogue_shingles(d, cfg.shingle_k) for d in dialogues]
-    ref_sets = [dialogue_shingles(d, cfg.shingle_k) for d in refs]
-    join = _PrefixJoin(query_sets + ref_sets, cfg.jaccard_threshold)
-    for s in ref_sets:
-        join.add(join.encode(s))
+    if index is None:
+        index = ShingleIndex(chain(dialogues, refs), cfg)
+    join = _PrefixJoin(cfg.jaccard_threshold)
+    for r in refs:
+        join.add(index.entry(r))
 
     kept: list[Dialogue] = []
     removed: list[RemovalRecord] = []
-    for d, s in zip(dialogues, query_sets):
-        entry = join.encode(s)
+    for d in dialogues:
+        entry = index.entry(d)
         match = join.first_match(entry)
         if match is not None:
             row, score = match
@@ -215,30 +267,33 @@ def _drop_similar(dialogues: Sequence[Dialogue], references: Sequence[Dialogue] 
 # Corpus operations
 # ---------------------------------------------------------------------------
 
-def dedup_corpus(dialogues: Sequence[Dialogue],
-                 cfg: DedupConfig) -> tuple[list[Dialogue], list[RemovalRecord]]:
+def dedup_corpus(dialogues: Sequence[Dialogue], cfg: DedupConfig, *,
+                 index: ShingleIndex | None = None
+                 ) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop every dialogue similar (>= threshold) to an earlier kept one.
 
     First occurrence wins; kept order is input order. The report pairs each
     removed dialogue with the kept dialogue it matched.
     """
-    return _drop_similar(dialogues, None, cfg, "duplicate")
+    return _drop_similar(dialogues, None, cfg, "duplicate", index)
 
 
 def remove_eval_overlap(dialogues: Sequence[Dialogue],
-                        eval_sets: Sequence[Sequence[Dialogue]],
-                        cfg: DedupConfig) -> tuple[list[Dialogue], list[RemovalRecord]]:
+                        eval_sets: Sequence[Sequence[Dialogue]], cfg: DedupConfig, *,
+                        index: ShingleIndex | None = None
+                        ) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop every training dialogue similar to any evaluation dialogue.
 
     Evaluation sets are never modified; after this pass no kept dialogue is
     within the threshold of any evaluation dialogue.
     """
     return _drop_similar(dialogues, [d for eval_set in eval_sets for d in eval_set],
-                         cfg, "eval_overlap")
+                         cfg, "eval_overlap", index)
 
 
-def filter_min_size(dialogues: Sequence[Dialogue],
-                    cfg: DedupConfig) -> tuple[list[Dialogue], list[RemovalRecord]]:
+def filter_min_size(dialogues: Sequence[Dialogue], cfg: DedupConfig, *,
+                    index: ShingleIndex | None = None
+                    ) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Keep dialogues with at least ``min_turns`` turns AND ``min_tokens`` utterance
     tokens (metrics tokenizer, roles excluded). Boundaries are inclusive."""
     kept: list[Dialogue] = []
@@ -247,7 +302,8 @@ def filter_min_size(dialogues: Sequence[Dialogue],
         if len(d.turns) < cfg.min_turns:
             removed.append(RemovalRecord(removed_id=d.id, reason="too_few_turns"))
             continue
-        tokens = sum(len(tokenize_for_metrics(t.text)) for t in d.turns)
+        tokens = (sum(len(tokenize_for_metrics(t.text)) for t in d.turns)
+                  if index is None else index.tokens(d))
         if tokens < cfg.min_tokens:
             removed.append(RemovalRecord(removed_id=d.id, reason="too_few_tokens"))
             continue

@@ -7,9 +7,9 @@ adapters would all reduce to this shape, so the adapter IS the spec file.
 
 Utterances are normalized before anything else. Normalization collapses
 whitespace, strips ends, maps curly quotes / long dashes / ellipses to their
-plain ASCII forms, and removes control characters; it never case-folds
-content. The exact table lives in ``_CHAR_MAP`` and is fixed so downstream
-statistics are reproducible.
+plain ASCII forms, and removes control and format characters; it never
+case-folds content. The exact table lives in ``_CHAR_MAP`` and is fixed so
+downstream statistics are reproducible.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ _CHAR_MAP = str.maketrans({
 def normalize_text(raw: str) -> str:
     """Normalize punctuation, special characters and whitespace. Idempotent."""
     text = raw.translate(_CHAR_MAP)
-    text = "".join(
-        ch for ch in text
-        if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
+    # Printable text holds no Cc/Cf character: the filter would keep it whole.
+    if not text.isprintable():
+        text = "".join(
+            ch for ch in text
+            if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
     return " ".join(text.split())
 
 

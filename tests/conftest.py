@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
 from collections import Counter
 
-from dialoprep.dedup import RemovalRecord, _jaccard_sets, dialogue_shingles
+from dialoprep.dedup import RemovalRecord
 from dialoprep.metrics import EvalScores, RougeScore, tokenize_for_metrics
 from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn, render_dialogue_text
 
@@ -50,17 +51,29 @@ def make_example(rng: random.Random, dialogue_id: str, origin: str = "annotated"
     return ParallelExample(dialogue=d, summaries=(SummaryRecord(summary, origin),))
 
 
+def oracle_shingles(d: Dialogue, k: int) -> frozenset:
+    """Shingles of a dialogue's joined utterance text, built apart from ``dedup``."""
+    tokens = tokenize_for_metrics(" ".join(t.text for t in d.turns))
+    if k == 1:
+        return frozenset(tokens)
+    return frozenset(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
+
+
+def _oracle_jaccard(a: frozenset, b: frozenset) -> float:
+    return len(a & b) / len(a | b) if a or b else 1.0
+
+
 def _brute_force_first_match(dialogues, references, cfg, reason):
     """The O(n^2) first-match scan the dedup join must reproduce: each dialogue
     is compared with every reference in order and dropped with the first at
     Jaccard >= threshold; ``references=None`` means the dialogues kept so far."""
-    refs = [] if references is None else [(r, dialogue_shingles(r, cfg.shingle_k))
+    refs = [] if references is None else [(r, oracle_shingles(r, cfg.shingle_k))
                                            for r in references]
     kept, removed = [], []
     for d in dialogues:
-        shingles = dialogue_shingles(d, cfg.shingle_k)
+        shingles = oracle_shingles(d, cfg.shingle_k)
         for ref, ref_shingles in refs:
-            score = _jaccard_sets(shingles, ref_shingles)
+            score = _oracle_jaccard(shingles, ref_shingles)
             if score >= cfg.jaccard_threshold:
                 removed.append(RemovalRecord(removed_id=d.id, reason=reason,
                                              matched_id=ref.id, score=score))
@@ -81,6 +94,23 @@ def brute_force_eval_overlap(dialogues, eval_sets, cfg):
     """Reference for ``remove_eval_overlap``."""
     return _brute_force_first_match(dialogues, [d for s in eval_sets for d in s],
                                     cfg, "eval_overlap")
+
+
+def oracle_utterance_tokens(d: Dialogue) -> int:
+    return sum(len(tokenize_for_metrics(t.text)) for t in d.turns)
+
+
+def oracle_filter_min_size(dialogues, cfg):
+    """Reference for ``filter_min_size``."""
+    kept, removed = [], []
+    for d in dialogues:
+        if len(d.turns) < cfg.min_turns:
+            removed.append(RemovalRecord(removed_id=d.id, reason="too_few_turns"))
+        elif oracle_utterance_tokens(d) < cfg.min_tokens:
+            removed.append(RemovalRecord(removed_id=d.id, reason="too_few_tokens"))
+        else:
+            kept.append(d)
+    return kept, removed
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +199,28 @@ def oracle_select_training_reference(dialogue, references) -> int:
         if avg > best_score:
             best_index, best_score = i, avg
     return best_index
+
+
+# ---------------------------------------------------------------------------
+# Normalizer oracle: the punctuation table and a per-character Cc/Cf filter
+# run on every text. ``ingest.normalize_text`` must equal it on every input.
+# ---------------------------------------------------------------------------
+
+ORACLE_CHAR_MAP = str.maketrans({
+    "‘": "'", "’": "'", "‚": "'", "‛": "'",  # curly single quotes
+    "ʼ": "'", "´": "'", "`": "'",                 # modifier/spacing accents
+    "“": '"', "”": '"', "„": '"', "‟": '"',  # curly double quotes
+    "«": '"', "»": '"',                                # guillemets
+    "‐": "-", "‑": "-", "‒": "-", "–": "-",  # hyphens, en dash
+    "—": "-", "―": "-", "−": "-",                 # em dash, bar, minus
+    "…": "...",
+})
+
+
+def normalize_text_oracle(raw: str) -> str:
+    """Normalize punctuation, special characters and whitespace. Idempotent."""
+    text = raw.translate(ORACLE_CHAR_MAP)
+    text = "".join(
+        ch for ch in text
+        if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
+    return " ".join(text.split())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -9,13 +10,17 @@ import pytest
 
 from dialoprep import jsonl
 from dialoprep.cli import main
+from dialoprep.dedup import DedupConfig
 from dialoprep.metrics import tokenize_for_metrics, truncate_summary
 from dialoprep.records import load_corpus, render_dialogue_text, save_corpus
 
 from conftest import (
     WORDS,
+    brute_force_dedup,
+    brute_force_eval_overlap,
     make_dialogue,
     make_example,
+    oracle_filter_min_size,
     oracle_multi_reference_rouge,
     oracle_score_pair,
     oracle_select_training_reference,
@@ -155,6 +160,9 @@ _INPUT_FILES = {
     "repeated_ids.jsonl": '{"id": "1", "text": "a b"}\n{"id": "1", "text": "c d"}\n',
     "empty_texts.jsonl": '{"id": "1", "texts": []}\n',
     "string_texts.jsonl": '{"id": "1", "texts": "a b"}\n',
+    "null_text.jsonl": '{"id": "1", "text": null}\n',
+    "list_text.jsonl": '{"id": "1", "text": ["a", "b"]}\n',
+    "number_text.jsonl": '{"id": "1", "text": 1}\n',
 }
 
 
@@ -210,6 +218,24 @@ _INPUT_FILES = {
     (["eval", "--candidates", "{tmp}/one_text.jsonl",
       "--references", "{tmp}/string_texts.jsonl", "--out", "{out}", "--multi-ref"],
      "line 1: 'texts' must be a non-empty list of strings"),
+    (["eval", "--candidates", "{tmp}/null_text.jsonl",
+      "--references", "{tmp}/one_text.jsonl", "--out", "{out}"],
+     "line 1: 'text' must be a string"),
+    (["eval", "--candidates", "{tmp}/list_text.jsonl",
+      "--references", "{tmp}/one_text.jsonl", "--out", "{out}", "--multi-ref"],
+     "line 1: 'text' must be a string"),
+    (["eval", "--candidates", "{tmp}/number_text.jsonl",
+      "--references", "{tmp}/one_text.jsonl", "--out", "{out}", "--select-train-ref"],
+     "line 1: 'text' must be a string"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/null_text.jsonl", "--out", "{out}"],
+     "line 1: 'text' must be a string"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/list_text.jsonl", "--out", "{out}", "--multi-ref"],
+     "line 1: 'text' must be a string"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/number_text.jsonl", "--out", "{out}", "--select-train-ref"],
+     "line 1: 'text' must be a string"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -217,7 +243,10 @@ _INPUT_FILES = {
         "eval-reference-without-text", "eval-select-ref-bad-dialogue",
         "roles-repeated-id", "annotate-repeated-id", "eval-repeated-candidate-id",
         "eval-repeated-reference-id", "eval-empty-texts", "eval-multi-ref-empty-texts",
-        "eval-select-ref-empty-texts", "eval-multi-ref-string-texts"])
+        "eval-select-ref-empty-texts", "eval-multi-ref-string-texts",
+        "eval-null-candidate-text", "eval-multi-ref-list-candidate-text",
+        "eval-select-ref-number-candidate-text", "eval-null-reference-text",
+        "eval-multi-ref-list-reference-text", "eval-select-ref-number-reference-text"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -268,6 +297,38 @@ def test_annotate_cli_requires_endpoint_or_mock(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # eval subcommand
 # ---------------------------------------------------------------------------
+
+def test_clean_cli_matches_oracle_chain(tmp_path):
+    rng = random.Random(23)
+    corpus, eval_set = [], []
+    for i in range(160):
+        d = make_dialogue(rng, f"c{i}", max_tokens=8)
+        corpus.append(d)
+        if i % 6 == 0:  # an exact and a near copy later in the corpus
+            corpus.append(dataclasses.replace(d, id=f"c{i}-copy"))
+            turns = (*d.turns[:-1], dataclasses.replace(d.turns[-1], text=d.turns[-1].text + " zz"))
+            corpus.append(dataclasses.replace(d, id=f"c{i}-near", turns=turns))
+        if i % 7 == 0:  # an evaluation dialogue the corpus leaks
+            eval_set.append(dataclasses.replace(d, id=f"e{i}", source_dataset="eval"))
+    save_corpus(corpus, tmp_path / "corpus.dlg")
+    save_corpus(eval_set, tmp_path / "eval.dlg")
+    cfg = DedupConfig(jaccard_threshold=0.7, shingle_k=2, min_turns=3, min_tokens=14)
+    assert main(["clean", "--in", str(tmp_path / "corpus.dlg"), "--out", str(tmp_path / "out.dlg"),
+                 "--eval-set", str(tmp_path / "eval.dlg"),
+                 "--report", str(tmp_path / "removals.jsonl"),
+                 "--jaccard-threshold", "0.7", "--shingle-k", "2",
+                 "--min-turns", "3", "--min-tokens", "14"]) == 0
+
+    kept, duplicates = brute_force_dedup(corpus, cfg)
+    kept, leaks = brute_force_eval_overlap(kept, [eval_set], cfg)
+    kept, small = oracle_filter_min_size(kept, cfg)
+    assert load_corpus(tmp_path / "out.dlg", "dialogues") == kept
+    removals = [json.loads(line)
+                for line in (tmp_path / "removals.jsonl").read_text().splitlines()]
+    assert removals == [r.to_dict() for r in duplicates + leaks + small]
+    assert {r["reason"] for r in removals} == {"duplicate", "eval_overlap",
+                                               "too_few_turns", "too_few_tokens"}
+
 
 def _write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:

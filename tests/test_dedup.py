@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from dialoprep.dedup import (
     DedupConfig,
+    ShingleIndex,
+    _profile,
     dedup_corpus,
     dialogue_shingles,
     filter_min_size,
@@ -17,7 +19,14 @@ from dialoprep.dedup import (
 )
 from dialoprep.records import Dialogue, Turn
 
-from conftest import brute_force_dedup, brute_force_eval_overlap, make_dialogue
+from conftest import (
+    brute_force_dedup,
+    brute_force_eval_overlap,
+    make_dialogue,
+    oracle_filter_min_size,
+    oracle_shingles,
+    oracle_utterance_tokens,
+)
 
 
 def _dlg(dialogue_id: str, texts: list[str]) -> Dialogue:
@@ -187,6 +196,28 @@ def test_join_matches_brute_force_property(corpus, eval_corpus, threshold, shing
     assert dedup_corpus(dialogues, cfg) == brute_force_dedup(dialogues, cfg)
     assert (remove_eval_overlap(dialogues, eval_sets, cfg)
             == brute_force_eval_overlap(dialogues, eval_sets, cfg))
+    # one index, numbered over the corpus and the eval set, serves both passes
+    index = ShingleIndex([*dialogues, *eval_sets[0]], cfg)
+    kept, removed = dedup_corpus(dialogues, cfg, index=index)
+    assert (kept, removed) == brute_force_dedup(dialogues, cfg)
+    assert (remove_eval_overlap(kept, eval_sets, cfg, index=index)
+            == brute_force_eval_overlap(kept, eval_sets, cfg))
+
+
+# "Σ" lowercases by its context and "_" and "'" split tokens; "..." and " "
+# alone tokenize to nothing.
+_TURN_TEXT = (st.text(st.sampled_from(["a", "B", "Σ", "ς", "é", "1", "_", "'", ".", " "]),
+                      max_size=10)
+              | st.text(max_size=10) | st.just("..."))
+
+
+@given(texts=st.lists(_TURN_TEXT, min_size=1, max_size=5), shingle_k=st.integers(1, 3))
+def test_profile_matches_oracle(texts, shingle_k):
+    d = _dlg("d", texts)
+    profile = _profile(d, shingle_k)
+    assert profile.shingles == oracle_shingles(d, shingle_k)
+    assert profile.tokens == oracle_utterance_tokens(d)
+    assert ShingleIndex([d], DedupConfig(shingle_k=shingle_k)).tokens(d) == profile.tokens
 
 
 def _pair_at(inter: int, union: int, subset: bool) -> tuple[str, str]:
@@ -277,6 +308,7 @@ def test_filter_min_size_boundaries():
     assert [d.id for d in kept] == ["boundary"]
     reasons = {r.removed_id: r.reason for r in removed}
     assert reasons == {"few-turns": "too_few_turns", "few-tokens": "too_few_tokens"}
+    assert (kept, removed) == oracle_filter_min_size([few_turns, few_tokens, boundary], cfg)
 
 
 def test_config_validation():

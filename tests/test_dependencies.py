@@ -19,9 +19,19 @@ def test_pyproject_declares_no_runtime_dependency():
     assert project["dependencies"] == []
 
 
-def test_cli_import_loads_no_third_party_http_client():
+def _loaded_after_cli_import(modules: tuple[str, ...]) -> str:
     code = ("import sys, dialoprep.cli; "
-            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    assert _loaded_after_cli_import(("requests", "urllib3")) == "[]"
+
+
+def test_cli_import_loads_no_http_stack():
+    # Only the live annotation endpoint talks HTTP; every other stage's cold
+    # start would pay for these modules.
+    assert _loaded_after_cli_import(("urllib.request", "http.client", "ssl", "email")) == "[]"

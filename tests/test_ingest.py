@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dialoprep.errors import MalformedRecordError, UnmappedFieldError
-from dialoprep.ingest import IngestSpec, ingest, merge_same_speaker, normalize_text
+from dialoprep.ingest import _CHAR_MAP, IngestSpec, ingest, merge_same_speaker, normalize_text
 from dialoprep.records import Dialogue, Turn, validate_dialogue
+
+from conftest import normalize_text_oracle
 
 
 def test_normalize_curly_and_dash():
@@ -30,6 +33,27 @@ def test_normalize_removes_controls():
 
 def test_normalize_keeps_case():
     assert normalize_text("Hello WORLD") == "Hello WORLD"
+
+
+_SPECIAL_CHARS = st.one_of(
+    st.characters(max_codepoint=0x7F, categories=["Cc"]),
+    st.sampled_from(["\u0085", "\u200b", "\ufeff", "\U000e0001"]),
+    st.characters(categories=["Zs", "Zl", "Zp"]),
+    st.sampled_from(sorted(map(chr, _CHAR_MAP))),
+    st.characters(min_codepoint=0x10000),
+    st.characters(categories=["Cs"]),
+)
+
+
+@given(st.text(st.one_of(_SPECIAL_CHARS, st.characters()), max_size=60))
+def test_normalize_matches_oracle(text):
+    assert normalize_text(text) == normalize_text_oracle(text)
+
+
+def test_normalize_matches_oracle_on_every_code_point():
+    mismatches = [c for c in range(sys.maxunicode + 1)
+                  if normalize_text(f"a{chr(c)}b") != normalize_text_oracle(f"a{chr(c)}b")]
+    assert mismatches == []
 
 
 @given(st.text(max_size=80))
