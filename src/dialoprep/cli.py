@@ -4,6 +4,9 @@ Each stage is a subcommand so partial reruns stay cheap:
 
     ingest | clean | roles | augment | annotate | noise | stats | eval
 
+A command imports only its own layer, inside its ``_cmd_*`` function, so
+``--help`` and each stage start without loading the others.
+
 Every run writes ``<out>.manifest.json`` next to its primary output,
 recording the command, parameters, seed, and SHA-256 digests of the inputs,
 enough to re-run the stage identically. Exit codes: 0 success, 1 data error
@@ -24,7 +27,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, annotate, dedup, ingest, jsonl, metrics, noising, records, roles
+from . import __version__, jsonl, records
 from .errors import IdMismatchError, MalformedRecordError, PipelineError
 
 
@@ -65,6 +68,7 @@ def _sniff_kind(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
+    from . import ingest
     spec = ingest.IngestSpec.from_file(args.spec)
     result = ingest.ingest(args.input, spec)
     records.save_corpus(result.dialogues, args.out)
@@ -81,6 +85,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_clean(args) -> int:
+    from . import dedup
     if args.config:
         cfg = dedup.DedupConfig.from_file(args.config)
     else:
@@ -120,6 +125,7 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_roles(args) -> int:
+    from . import roles
     pool = (roles.NamePool.from_file(args.names) if args.names
             else roles.bundled_name_pool())
     dialogues = records.load_corpus(args.input, "dialogues")
@@ -137,6 +143,7 @@ def _cmd_roles(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from . import roles
     role_map = roles.RoleMap.from_file(args.map)
     examples = records.load_corpus(args.input, "parallel")
     augmented = [roles.augment_role_replace(ex, role_map) for ex in examples]
@@ -150,6 +157,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    from . import annotate
     if args.mock:
         endpoint = annotate.MockEndpoint(args.mock)
     elif args.endpoint:
@@ -187,6 +195,7 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    from . import noising
     cfg = (noising.NoisingConfig.from_file(args.config) if args.config
            else noising.NoisingConfig())
     cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -218,6 +227,7 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import metrics
     examples = records.load_corpus(args.input, "parallel")
     report = metrics.corpus_report(examples, summary_index=args.summary_index)
     jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL, **report.to_dict()})
@@ -271,6 +281,7 @@ def _entry_references(entry: tuple[int, dict]) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
+    from . import metrics
     candidates = _load_keyed(args.candidates)
     references = _load_keyed(args.references)
     only_refs = [i for i in references if i not in candidates]

@@ -168,6 +168,13 @@ def _require(obj: dict, key: str, line_number: int):
     return obj[key]
 
 
+def _require_str(obj: dict, key: str, line_number: int) -> str:
+    value = _require(obj, key, line_number)
+    if not isinstance(value, str):
+        raise MalformedRecordError(line_number, f"{key} must be a string")
+    return value
+
+
 def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
     """Parse and validate one dialogue record object (as read by load_corpus)."""
     version = _require(obj, "schema_version", line_number)
@@ -183,10 +190,15 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
     for t in raw_turns:
         if not isinstance(t, dict) or "role_index" not in t or "text" not in t:
             raise MalformedRecordError(line_number, "turn must have role_index and text")
-        turns.append(Turn(role_index=t["role_index"], text=t["text"]))
+        role_index, text = t["role_index"], t["text"]
+        if isinstance(role_index, bool) or not isinstance(role_index, int):
+            raise MalformedRecordError(line_number, "turn role_index must be an integer")
+        if not isinstance(text, str):
+            raise MalformedRecordError(line_number, "turn text must be a string")
+        turns.append(Turn(role_index=role_index, text=text))
     d = Dialogue(
-        id=str(_require(obj, "id", line_number)),
-        source_dataset=str(_require(obj, "source_dataset", line_number)),
+        id=_require_str(obj, "id", line_number),
+        source_dataset=_require_str(obj, "source_dataset", line_number),
         roles=tuple(roles),
         turns=tuple(turns),
     )
@@ -207,6 +219,8 @@ def _example_from_obj(obj: dict, line_number: int) -> ParallelExample:
             raise MalformedRecordError(line_number, "summary must have text and origin")
         if s["origin"] not in SUMMARY_ORIGINS:
             raise MalformedRecordError(line_number, f"unknown summary origin {s['origin']!r}")
+        if not isinstance(s["text"], str):
+            raise MalformedRecordError(line_number, "summary text must be a string")
         if not s["text"]:
             raise MalformedRecordError(line_number, "summary text is empty")
         summaries.append(SummaryRecord(text=s["text"], origin=s["origin"]))

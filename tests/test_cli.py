@@ -142,6 +142,16 @@ def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
 
 
 _NAMED = (SAMPLE / "golden" / "named.dlg").read_text(encoding="utf-8").splitlines(True)
+_ANNOTATED = (SAMPLE / "golden" / "annotated.plx").read_text(encoding="utf-8").splitlines(True)
+
+
+def _edited(line: str, edit) -> str:
+    """``line``'s record after ``edit`` changed it in place, as one line."""
+    obj = json.loads(line)
+    edit(obj)
+    return json.dumps(obj) + "\n"
+
+
 _INPUT_FILES = {
     "empty.dlg": "",
     "mix.json": json.dumps({"weights": {"token_mask": 1, "uttr_mask": -1}}),
@@ -163,6 +173,17 @@ _INPUT_FILES = {
     "null_text.jsonl": '{"id": "1", "text": null}\n',
     "list_text.jsonl": '{"id": "1", "text": ["a", "b"]}\n',
     "number_text.jsonl": '{"id": "1", "text": 1}\n',
+    "string_role_index.dlg": _NAMED[0] + _edited(
+        _NAMED[1], lambda o: o["turns"][1].update(role_index="1")),
+    "bool_role_index.dlg": _NAMED[0] + _edited(
+        _NAMED[1], lambda o: o["turns"][1].update(role_index=True)),
+    "number_turn_text.dlg": _NAMED[0] + _edited(
+        _NAMED[1], lambda o: o["turns"][1].update(text=5)),
+    "number_id.dlg": _NAMED[0] + _edited(_NAMED[1], lambda o: o.update(id=5)),
+    "number_summary_text.plx": _ANNOTATED[0] + _edited(
+        _ANNOTATED[1], lambda o: o["summaries"][0].update(text=5)),
+    "number_source.plx": _ANNOTATED[0] + _edited(
+        _ANNOTATED[1], lambda o: o.update(source_dataset=5)),
 }
 
 
@@ -236,6 +257,18 @@ _INPUT_FILES = {
     (["eval", "--candidates", "{tmp}/one_text.jsonl",
       "--references", "{tmp}/number_text.jsonl", "--out", "{out}", "--select-train-ref"],
      "line 1: 'text' must be a string"),
+    (["clean", "--in", "{tmp}/string_role_index.dlg", "--out", "{out}"],
+     "line 2: turn role_index must be an integer"),
+    (["roles", "--in", "{tmp}/bool_role_index.dlg", "--out", "{out}", "--seed", "1"],
+     "line 2: turn role_index must be an integer"),
+    (["noise", "--in", "{tmp}/number_turn_text.dlg", "--out", "{out}", "--count", "3",
+      "--seed", "1"], "line 2: turn text must be a string"),
+    (["annotate", "--in", "{tmp}/number_id.dlg", "--out", "{out}", "--mock", "digest:12"],
+     "line 2: id must be a string"),
+    (["stats", "--in", "{tmp}/number_summary_text.plx", "--out", "{out}"],
+     "line 2: summary text must be a string"),
+    (["stats", "--in", "{tmp}/number_source.plx", "--out", "{out}"],
+     "line 2: source_dataset must be a string"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -246,7 +279,9 @@ _INPUT_FILES = {
         "eval-select-ref-empty-texts", "eval-multi-ref-string-texts",
         "eval-null-candidate-text", "eval-multi-ref-list-candidate-text",
         "eval-select-ref-number-candidate-text", "eval-null-reference-text",
-        "eval-multi-ref-list-reference-text", "eval-select-ref-number-reference-text"])
+        "eval-multi-ref-list-reference-text", "eval-select-ref-number-reference-text",
+        "clean-string-role-index", "roles-bool-role-index", "noise-number-turn-text",
+        "annotate-number-id", "stats-number-summary-text", "stats-number-source-dataset"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
