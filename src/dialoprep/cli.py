@@ -245,7 +245,9 @@ def _load_keyed(path: str) -> dict[str, tuple[int, dict]]:
     for line_number, obj in jsonl.read(path):
         if "id" not in obj:
             raise MalformedRecordError(line_number, "record missing 'id' field")
-        record_id = str(obj["id"])
+        record_id = obj["id"]
+        if not isinstance(record_id, str):
+            raise MalformedRecordError(line_number, "id must be a string")
         first = entries.setdefault(record_id, (line_number, obj))[0]
         if first != line_number:
             raise MalformedRecordError(

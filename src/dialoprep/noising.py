@@ -12,12 +12,18 @@ serialization of the original dialogue; the task-oriented pairs map the clean
 dialogue to a summary. Corruption counts use round-half-up of rate * n.
 All sampling flows through generators derived from (seed, dialogue id,
 ordinal), so generation order never depends on scheduling.
+
+Each reconstruction pair splits its dialogue once, and builds the corrupted
+source and the clean target tokens from the same split. Utterance masking's
+greedy gap selection runs once per dialogue: it is kept, a few turn indices,
+only while the dialogue is alive, so memory stays flat at any pair count.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -211,9 +217,23 @@ def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
 # Corruption tasks
 # ---------------------------------------------------------------------------
 
-def _reconstruction_pair(task: str, d: Dialogue, source: SerializedInput) -> NoisedPair:
-    """A corrupted source whose target is the clean serialization of ``d``."""
-    return NoisedPair(task=task, source=source, target_tokens=serialize_dialogue(d).tokens,
+def _clean_tokens(turn_groups: Sequence[tuple[list[str], list[str]]]) -> tuple[str, ...]:
+    """The tokens of :func:`serialize_dialogue`, from the dialogue's turn groups."""
+    tokens = [BOS]
+    for role_tokens, utterance_tokens in turn_groups:
+        tokens += role_tokens
+        tokens.append(EOR)
+        tokens += utterance_tokens
+        tokens.append(EOU)
+    tokens.append(EOS)
+    return tuple(tokens)
+
+
+def _reconstruction_pair(task: str, d: Dialogue, turn_groups: Sequence,
+                         source: SerializedInput) -> NoisedPair:
+    """A corrupted source whose target is the clean serialization of ``d``,
+    built from the same ``turn_groups`` that the source was corrupted from."""
+    return NoisedPair(task=task, source=source, target_tokens=_clean_tokens(turn_groups),
                       dialogue_id=d.id)
 
 
@@ -222,15 +242,16 @@ def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noised
 
     Roles and structural markers are never touched.
     """
+    turn_groups = _turn_groups(d)
     groups = []
-    for role_tokens, utterance_tokens in _turn_groups(d):
+    for role_tokens, utterance_tokens in turn_groups:
         n = len(utterance_tokens)
         k = round_half_up(cfg.token_mask_rate * n)
         masked = list(utterance_tokens)
         for position in rng.sample(range(n), k):
             masked[position] = MASK
         groups.append((role_tokens, masked))
-    return _reconstruction_pair("token_mask", d, _build_serialized(groups))
+    return _reconstruction_pair("token_mask", d, turn_groups, _build_serialized(groups))
 
 
 def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -239,17 +260,17 @@ def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noise
     Surviving tokens keep their relative order; an utterance deleted to
     emptiness keeps its role and markers.
     """
-    groups = _turn_groups(d)
-    total = sum(len(utterance) for _, utterance in groups)
+    turn_groups = _turn_groups(d)
+    total = sum(len(utterance) for _, utterance in turn_groups)
     k = round_half_up(cfg.token_delete_rate * total)
     doomed = set(rng.sample(range(total), k))
     corrupted = []
     offset = 0
-    for role_tokens, utterance_tokens in groups:
+    for role_tokens, utterance_tokens in turn_groups:
         kept = [tok for j, tok in enumerate(utterance_tokens) if offset + j not in doomed]
         offset += len(utterance_tokens)
         corrupted.append((role_tokens, kept))
-    return _reconstruction_pair("token_delete", d, _build_serialized(corrupted))
+    return _reconstruction_pair("token_delete", d, turn_groups, _build_serialized(corrupted))
 
 
 def sample_poisson(lam: float, rng: random.Random) -> int:
@@ -330,7 +351,7 @@ def _apply_infill(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int
             i += 1
     for _ in range(insertions):
         groups.insert(rng.randrange(len(groups) + 1), _MaskGroup)
-    return _reconstruction_pair("uttr_infill", d, _build_serialized(groups))
+    return _reconstruction_pair("uttr_infill", d, turn_groups, _build_serialized(groups))
 
 
 def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -342,7 +363,8 @@ def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> 
     """
     budget = round_half_up(cfg.infill_utterance_budget_rate * len(d.turns))
     if budget == 0:
-        return _reconstruction_pair("uttr_infill", d, serialize_dialogue(d))
+        turn_groups = _turn_groups(d)
+        return _reconstruction_pair("uttr_infill", d, turn_groups, _build_serialized(turn_groups))
     spans, insertions = _plan_infill(len(d.turns), budget, cfg.infill_lambda, rng)
     return _apply_infill(d, spans, insertions, rng)
 
@@ -354,7 +376,7 @@ def utterance_permutation(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -
     utterances = [utterance for _, utterance in turn_groups]
     rng.shuffle(utterances)
     groups = [(role, utterance) for (role, _), utterance in zip(turn_groups, utterances)]
-    return _reconstruction_pair("uttr_permute", d, _build_serialized(groups))
+    return _reconstruction_pair("uttr_permute", d, turn_groups, _build_serialized(groups))
 
 
 def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
@@ -426,17 +448,28 @@ def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
     return sorted(selected)
 
 
+# Each live dialogue's last gap selection. A selection of k turns holds k
+# distinct indices, so its size tells which k it was made for. An entry goes
+# when its dialogue is collected, so the memo never outlives the corpus.
+_GAP_SELECTIONS: weakref.WeakKeyDictionary[Dialogue, frozenset[int]] = (
+    weakref.WeakKeyDictionary())
+
+
 def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
     """Replace the max(1, round(rate * turns)) principal gap-utterances with
     ``<uttr-mask>``, keeping each slot's role and markers.
 
-    Selection is greedy, not random, so it takes no generator.
+    Selection is greedy, not random, so it takes no generator; it runs once
+    per dialogue and k, and later draws of the same dialogue reuse it.
     """
     k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
-    chosen = set(select_gap_utterances(d, k))
+    chosen = _GAP_SELECTIONS.get(d)
+    if chosen is None or len(chosen) != k:
+        chosen = _GAP_SELECTIONS[d] = frozenset(select_gap_utterances(d, k))
+    turn_groups = _turn_groups(d)
     groups = [(role, [UTTR_MASK] if i in chosen else utterance)
-              for i, (role, utterance) in enumerate(_turn_groups(d))]
-    return _reconstruction_pair("uttr_mask", d, _build_serialized(groups))
+              for i, (role, utterance) in enumerate(turn_groups)]
+    return _reconstruction_pair("uttr_mask", d, turn_groups, _build_serialized(groups))
 
 
 def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
@@ -529,11 +562,12 @@ def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
 # ---------------------------------------------------------------------------
 
 def pair_to_obj(pair: NoisedPair) -> dict:
+    """A pair's record; its tuples are written as JSON arrays."""
     obj = {
         "task": pair.task,
-        "source_tokens": list(pair.source.tokens),
-        "source_speaker_ids": list(pair.source.speaker_ids),
-        "target_tokens": list(pair.target_tokens),
+        "source_tokens": pair.source.tokens,
+        "source_speaker_ids": pair.source.speaker_ids,
+        "target_tokens": pair.target_tokens,
         "dialogue_id": pair.dialogue_id,
     }
     if pair.target_origin is not None:

@@ -178,7 +178,7 @@ def _require_str(obj: dict, key: str, line_number: int) -> str:
 def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
     """Parse and validate one dialogue record object (as read by load_corpus)."""
     version = _require(obj, "schema_version", line_number)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
         raise MalformedRecordError(line_number, f"unsupported schema_version {version!r}")
     roles = _require(obj, "roles", line_number)
     raw_turns = _require(obj, "turns", line_number)

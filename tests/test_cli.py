@@ -173,6 +173,9 @@ _INPUT_FILES = {
     "null_text.jsonl": '{"id": "1", "text": null}\n',
     "list_text.jsonl": '{"id": "1", "text": ["a", "b"]}\n',
     "number_text.jsonl": '{"id": "1", "text": 1}\n',
+    "number_id.jsonl": '{"id": 1, "text": "a b"}\n',
+    "bool_version.dlg": _edited(_NAMED[0], lambda o: o.update(schema_version=True)) + _NAMED[1],
+    "float_version.dlg": _edited(_NAMED[0], lambda o: o.update(schema_version=1.0)) + _NAMED[1],
     "string_role_index.dlg": _NAMED[0] + _edited(
         _NAMED[1], lambda o: o["turns"][1].update(role_index="1")),
     "bool_role_index.dlg": _NAMED[0] + _edited(
@@ -269,6 +272,16 @@ _INPUT_FILES = {
      "line 2: summary text must be a string"),
     (["stats", "--in", "{tmp}/number_source.plx", "--out", "{out}"],
      "line 2: source_dataset must be a string"),
+    (["clean", "--in", "{tmp}/bool_version.dlg", "--out", "{out}"],
+     "line 1: unsupported schema_version True"),
+    (["noise", "--in", "{tmp}/float_version.dlg", "--out", "{out}", "--count", "3",
+      "--seed", "1"], "line 1: unsupported schema_version 1.0"),
+    (["eval", "--candidates", "{tmp}/number_id.jsonl",
+      "--references", "{tmp}/one_text.jsonl", "--out", "{out}"],
+     "line 1: id must be a string"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/number_id.jsonl", "--out", "{out}"],
+     "line 1: id must be a string"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -281,7 +294,9 @@ _INPUT_FILES = {
         "eval-select-ref-number-candidate-text", "eval-null-reference-text",
         "eval-multi-ref-list-reference-text", "eval-select-ref-number-reference-text",
         "clean-string-role-index", "roles-bool-role-index", "noise-number-turn-text",
-        "annotate-number-id", "stats-number-summary-text", "stats-number-source-dataset"])
+        "annotate-number-id", "stats-number-summary-text", "stats-number-source-dataset",
+        "clean-bool-schema-version", "noise-float-schema-version",
+        "eval-number-candidate-id", "eval-number-reference-id"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import copy
+import gc
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dialoprep import noising
 from dialoprep.noising import (
     BOS,
     EOR,
     EOS,
     EOU,
     MASK,
+    RECONSTRUCTION_TASKS,
     UTTR_MASK,
     NoisingConfig,
     SerializedInput,
@@ -446,6 +453,16 @@ def test_utterance_masking_keeps_roles_and_markers():
     assert pair.source.tokens.count(EOU) == 3
 
 
+def test_utterance_masking_follows_the_rate_on_a_reused_dialogue():
+    rng = random.Random(32)
+    d = make_dialogue(rng, "rate", n_turns=10)
+    for rate in (0.2, 0.5, 0.2, 1.0):
+        pair = utterance_masking(d, NoisingConfig(uttr_mask_rate=rate))
+        masked = [i for i, (g, _) in enumerate(parse_turn_groups(pair.source))
+                  if g[1] == [UTTR_MASK]]
+        assert masked == select_gap_utterances(d, round_half_up(rate * 10))
+
+
 def test_utterance_masking_single_turn_min_one():
     d = _dlg(["just one utterance"], roles=("A",), indices=[0])
     pair = utterance_masking(d, CFG)
@@ -584,3 +601,81 @@ def test_pairs_file_round_trip(tmp_path):
     path = tmp_path / "pairs.jsonl"
     assert save_pairs(pairs, path) == 4
     assert load_pairs(path) == pairs
+
+
+# ---------------------------------------------------------------------------
+# Nothing shared between pairs
+# ---------------------------------------------------------------------------
+
+_WORD = st.sampled_from(["a", "b", "c", "Cold", "tea", "x-ray"])
+
+
+@st.composite
+def _corpora(draw):
+    """Distinct-id dialogues in dual-turn form; parallel examples when ``parallel``."""
+    parallel = draw(st.booleans())
+    items = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 7))
+        turns = tuple(Turn(j % 2, " ".join(draw(st.lists(_WORD, min_size=1, max_size=5))))
+                      for j in range(n))
+        d = Dialogue(id=f"h{i}", source_dataset="h", roles=("A", "B")[:min(n, 2)],
+                     turns=turns)
+        items.append(ParallelExample(d, (SummaryRecord("a b", "annotated"),))
+                     if parallel else d)
+    return items, parallel
+
+
+_RATE = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=_corpora(), weights=st.lists(st.sampled_from([0.0, 1.0, 2.5]),
+                                           min_size=6, max_size=6),
+       rates=st.tuples(_RATE, _RATE, _RATE, _RATE), lam=st.sampled_from([0.5, 3.0]),
+       seed=st.integers(0, 2**16))
+def test_mixed_pairs_share_no_state(corpus, weights, rates, lam, seed):
+    items, parallel = corpus
+    tasks = noising.ALL_TASKS if parallel else RECONSTRUCTION_TASKS
+    weights = dict(zip(tasks, weights))
+    if not any(weights.values()):
+        weights["uttr_mask"] = 1.0
+    mix = TaskMix(weights=weights, seed=seed)
+    cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
+                        infill_lambda=lam, infill_utterance_budget_rate=rates[2],
+                        uttr_mask_rate=rates[3], seed=seed)
+    dialogues = {d.id: d for d in map(noising._dialogue_of, items)}
+    for ordinal, pair in enumerate(mix_tasks(items, mix, cfg, 12)):
+        assert pair == mixed_pair(copy.deepcopy(items), mix, cfg, ordinal)
+        if pair.task == "task_oriented":
+            continue
+        d = dialogues[pair.dialogue_id]
+        assert pair.target_tokens == serialize_dialogue(d).tokens
+        if pair.task == "uttr_mask":
+            k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
+            masked = [i for i, ((_, utterance), _) in enumerate(parse_turn_groups(pair.source))
+                      if utterance == [UTTR_MASK]]
+            assert masked == select_gap_utterances(d, k)
+
+
+def test_gap_selection_runs_once_per_dialogue(monkeypatch):
+    calls = Counter()
+    select = noising.select_gap_utterances
+
+    def counting(d, k):
+        calls[d.id] += 1
+        return select(d, k)
+
+    monkeypatch.setattr(noising, "select_gap_utterances", counting)
+    gc.collect()
+    held = len(noising._GAP_SELECTIONS)
+    rng = random.Random(31)
+    items = [make_dialogue(rng, f"memo{i}", n_turns=rng.randint(1, 8)) for i in range(6)]
+    mix = TaskMix(weights={"uttr_mask": 1.0}, seed=5)
+    pairs = list(mix_tasks(items, mix, CFG, 120))
+    assert {p.dialogue_id for p in pairs} == {d.id for d in items}
+    assert calls == Counter({d.id: 1 for d in items})
+    assert len(noising._GAP_SELECTIONS) == held + len(items)
+    del items, pairs
+    gc.collect()
+    assert len(noising._GAP_SELECTIONS) == held
