@@ -14,6 +14,7 @@ never written to config files, reports, or logs.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import threading
@@ -69,8 +70,10 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_multiplier < 1:
-            raise ValueError("backoff_multiplier must be >= 1")
+        if not (math.isfinite(self.base_backoff) and self.base_backoff >= 0):
+            raise ValueError("base_backoff must be a finite number >= 0")
+        if not (math.isfinite(self.backoff_multiplier) and self.backoff_multiplier >= 1):
+            raise ValueError("backoff_multiplier must be a finite number >= 1")
         object.__setattr__(self, "retryable_statuses", frozenset(self.retryable_statuses))
 
     def backoff(self, attempt: int) -> float:
@@ -87,8 +90,8 @@ class AnnotationJob:
     budget: int | None = None  # max requests for this run, retries included
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.budget is not None and self.budget < 0:

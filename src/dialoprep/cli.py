@@ -304,7 +304,7 @@ def _cmd_eval(args) -> int:
         f1_sums = {"rouge1": [], "rouge2": [], "rougeL": []}
         for example_id in ids:
             cand = metrics.tokenize_for_metrics(_entry_text(candidates[example_id]))
-            if args.max_length:
+            if args.max_length is not None:
                 cand = metrics.truncate_summary(cand, args.max_length)
             refs = _entry_references(references[example_id])
             if args.multi_ref:

@@ -121,7 +121,7 @@ def _build_dialogue(raw_id: str, utterances: list[tuple[str, str]],
         if not text:
             report.dropped_empty_utterances += 1
             continue
-        if any(marker in text for marker in RESERVED_MARKERS):
+        if "<" in text and any(marker in text for marker in RESERVED_MARKERS):
             report.dropped_invalid_dialogues.append(dialogue_id)
             return None
         speaker = normalize_text(spec.aliases.get(speaker, speaker))

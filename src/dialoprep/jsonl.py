@@ -77,9 +77,14 @@ def decode(text: str):
     return json.loads(text)
 
 
+# json.dumps(obj, ensure_ascii=False) builds an encoder per call; this one is
+# built once with the same settings and holds no state between calls.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def line(obj: dict) -> str:
     """One record's line: fixed JSON formatting, non-ASCII kept, newline-terminated."""
-    return json.dumps(obj, ensure_ascii=False) + "\n"
+    return _LINE_ENCODER.encode(obj) + "\n"
 
 
 @contextmanager
@@ -105,6 +110,10 @@ def write(path: str | Path, objs: Iterable[dict]) -> int:
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Replace ``path`` with one indented JSON document and a newline."""
+    """Replace ``path`` with one indented JSON document and a newline.
+
+    NaN and infinities have no JSON form: they raise ValueError, and ``path``
+    is left as it was.
+    """
     with _replacing(path) as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, allow_nan=False) + "\n")

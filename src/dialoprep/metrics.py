@@ -15,7 +15,11 @@ a dialogue's masks are reused for every reference it is scored against.
 Corpus statistics follow the per-example-average convention: every corpus
 field is the unweighted mean of per-example values, never a ratio of corpus
 totals. Per-example dialogue text is the rendered ``role: utterance`` form,
-so summaries that mention speakers by name can match.
+so summaries that mention speakers by name can match. Extractive fragments
+and instance-based novelty come from one longest-match scan of the summary
+against the dialogue: the greedy tiling walks the per-position longest
+matches, and the n-gram at a position is novel exactly when its match is
+shorter than n.
 """
 
 from __future__ import annotations
@@ -218,37 +222,55 @@ class FragmentSet:
         return sum(f.length ** 2 for f in self.fragments) / self.summary_length
 
 
+def _longest_matches(dialogue_tokens: Sequence[str],
+                     summary_tokens: Sequence[str]) -> list[tuple[int, int]]:
+    """For each summary position i, ``(length, start)`` of the longest common
+    substring that starts at i and occurs in the dialogue, with its earliest
+    dialogue start; ``(0, -1)`` where the token is not in the dialogue.
+
+    One scan from the end of the summary: a match at (i, j) is one longer
+    than the match at (i + 1, j + 1)."""
+    # Dialogue positions, in order, of the tokens the summary uses.
+    positions: dict[str, list[int]] = {tok: [] for tok in summary_tokens}
+    for j, tok in enumerate(dialogue_tokens):
+        if tok in positions:
+            positions[tok].append(j)
+    matches = [(0, -1)] * len(summary_tokens)
+    following: dict[int, int] = {}  # dialogue start -> match length at i + 1
+    for i in range(len(summary_tokens) - 1, -1, -1):
+        here: dict[int, int] = {}
+        best_len, best_j = 0, -1
+        for j in positions[summary_tokens[i]]:
+            length = here[j] = following.get(j + 1, 0) + 1
+            if length > best_len:
+                best_len, best_j = length, j
+        matches[i] = (best_len, best_j)
+        following = here
+    return matches
+
+
+def _tile(matches: Sequence[tuple[int, int]]) -> FragmentSet:
+    """The greedy walk: take the match at each position and jump past it;
+    an unmatched position advances by one with no fragment."""
+    fragments: list[Fragment] = []
+    i = 0
+    while i < len(matches):
+        length, j = matches[i]
+        if length:
+            fragments.append(Fragment(summary_start=i, dialogue_start=j, length=length))
+            i += length
+        else:
+            i += 1
+    return FragmentSet(fragments=tuple(fragments), summary_length=len(matches))
+
+
 def extractive_fragments(dialogue_tokens: Sequence[str],
                          summary_tokens: Sequence[str]) -> FragmentSet:
     """Scan the summary left to right; at each position take the longest common
     substring starting there that occurs anywhere in the dialogue (earliest
     dialogue occurrence on ties), emit it and jump past it. Unmatched tokens
     advance by one with no fragment."""
-    a = list(dialogue_tokens)
-    s = list(summary_tokens)
-    # Positions of each dialogue token, in order, for earliest-occurrence ties.
-    positions: dict[str, list[int]] = {}
-    for j, tok in enumerate(a):
-        positions.setdefault(tok, []).append(j)
-    fragments: list[Fragment] = []
-    i = 0
-    while i < len(s):
-        best_len = 0
-        best_j = -1
-        for j in positions.get(s[i], ()):
-            length = 1
-            while (i + length < len(s) and j + length < len(a)
-                   and s[i + length] == a[j + length]):
-                length += 1
-            if length > best_len:
-                best_len = length
-                best_j = j
-        if best_len > 0:
-            fragments.append(Fragment(summary_start=i, dialogue_start=best_j, length=best_len))
-            i += best_len
-        else:
-            i += 1
-    return FragmentSet(fragments=tuple(fragments), summary_length=len(s))
+    return _tile(_longest_matches(dialogue_tokens, summary_tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +319,23 @@ def novel_ngram_pct(summary_tokens: Sequence[str], dialogue_tokens: Sequence[str
     Instance-based by default (each summary occurrence counts); ``set_based``
     counts each distinct summary n-gram once.
     """
-    grams = _ngrams(list(summary_tokens), n)
-    if not grams:
+    if not set_based:
+        return _novel_instance_pct(_longest_matches(dialogue_tokens, summary_tokens), n)
+    types = set(_ngrams(list(summary_tokens), n))
+    if not types:
         return 0.0
     dialogue_grams = set(_ngrams(list(dialogue_tokens), n))
-    if set_based:
-        types = set(grams)
-        novel = sum(1 for g in types if g not in dialogue_grams)
-        return 100.0 * novel / len(types)
-    novel = sum(1 for g in grams if g not in dialogue_grams)
-    return 100.0 * novel / len(grams)
+    novel = sum(1 for g in types if g not in dialogue_grams)
+    return 100.0 * novel / len(types)
+
+
+def _novel_instance_pct(matches: Sequence[tuple[int, int]], n: int) -> float:
+    """``novel_ngram_pct`` (instance-based) from the summary's longest matches."""
+    total = len(matches) - n + 1
+    if total <= 0:
+        return 0.0
+    novel = sum(1 for length, _ in matches[:total] if length < n)
+    return 100.0 * novel / total
 
 
 def redundant_ngram_pct(summary_tokens: Sequence[str], n: int,
@@ -337,16 +366,21 @@ def example_stats(ex: ParallelExample, summary_index: int = 0,
     if not summary_tokens:
         raise EmptySummaryError(
             f"summary {summary_index} of dialogue {ex.dialogue.id!r} has no tokens")
-    frags = extractive_fragments(dialogue_tokens, summary_tokens)
+    matches = _longest_matches(dialogue_tokens, summary_tokens)
+    frags = _tile(matches)
+    if set_based_novelty:
+        novel = tuple(novel_ngram_pct(summary_tokens, dialogue_tokens, n, set_based=True)
+                      for n in (1, 2, 3))
+    else:
+        # The n-gram at i occurs in the dialogue iff the longest match there is >= n.
+        novel = tuple(_novel_instance_pct(matches, n) for n in (1, 2, 3))
     return ExampleStats(
         dialogue_tokens=len(dialogue_tokens),
         summary_tokens=len(summary_tokens),
         compression=len(dialogue_tokens) / len(summary_tokens),
         coverage=frags.coverage(),
         density=frags.density(),
-        novel_ngram_pct=tuple(
-            novel_ngram_pct(summary_tokens, dialogue_tokens, n, set_based=set_based_novelty)
-            for n in (1, 2, 3)),
+        novel_ngram_pct=novel,
         redundant_ngram_pct=tuple(redundant_ngram_pct(summary_tokens, n) for n in (1, 2, 3)),
     )
 

@@ -5,9 +5,10 @@ A corpus file holds one JSON record per line (UTF-8). Dialogue records carry
 parallel records additionally carry ``summaries``. All types here are frozen
 values: safe to share across threads, compared field-for-field.
 
-Utterance and role texts are stored whitespace-canonical (single spaces, no
-leading/trailing whitespace) and must not contain the reserved marker strings
-used by the serialization layer. Both rules are enforced by
+Utterance and role texts are stored whitespace-canonical (non-empty, equal to
+``" ".join(text.split())``: single U+0020 spaces, no other whitespace, none at
+the ends) and must not contain the reserved marker strings used by the
+serialization layer. Both rules are enforced by
 :func:`validate_dialogue` rather than escaped at write time, so corrupted
 inputs can never be confused with control tokens downstream.
 """
@@ -82,6 +83,11 @@ class CorpusManifest:
 
 
 def _is_canonical(text: str) -> bool:
+    if text.isprintable():
+        # U+0020 is the only whitespace character that is printable, so a
+        # printable text is canonical exactly when its spaces are single
+        # and inside it.
+        return text != "" and text[0] != " " and text[-1] != " " and "  " not in text
     return text == " ".join(text.split()) and text != ""
 
 
@@ -100,9 +106,10 @@ def validate_dialogue(d: Dialogue) -> list[str]:
     for i, role in enumerate(d.roles):
         if not _is_canonical(role):
             violations.append(f"role {i}: name is empty or not whitespace-canonical")
-        for marker in RESERVED_MARKERS:
-            if marker in role:
-                violations.append(f"role {i}: reserved marker {marker!r} in name")
+        if "<" in role:  # every reserved marker starts with "<"
+            for marker in RESERVED_MARKERS:
+                if marker in role:
+                    violations.append(f"role {i}: reserved marker {marker!r} in name")
         if role in seen_roles:
             violations.append(f"role {i}: duplicate role name {role!r}")
         seen_roles.add(role)
@@ -112,9 +119,10 @@ def validate_dialogue(d: Dialogue) -> list[str]:
             violations.append(f"turn {i}: role_index out of range")
         if not _is_canonical(turn.text):
             violations.append(f"turn {i}: text is empty or not whitespace-canonical")
-        for marker in RESERVED_MARKERS:
-            if marker in turn.text:
-                violations.append(f"turn {i}: reserved marker {marker!r} in text")
+        if "<" in turn.text:
+            for marker in RESERVED_MARKERS:
+                if marker in turn.text:
+                    violations.append(f"turn {i}: reserved marker {marker!r} in text")
         if prev_index is not None and turn.role_index == prev_index:
             violations.append(f"turn {i}: consecutive turns share speaker")
         prev_index = turn.role_index
@@ -195,7 +203,7 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
             raise MalformedRecordError(line_number, "turn role_index must be an integer")
         if not isinstance(text, str):
             raise MalformedRecordError(line_number, "turn text must be a string")
-        turns.append(Turn(role_index=role_index, text=text))
+        turns.append(Turn(role_index, text))
     d = Dialogue(
         id=_require_str(obj, "id", line_number),
         source_dataset=_require_str(obj, "source_dataset", line_number),

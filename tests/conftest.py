@@ -6,8 +6,15 @@ import unicodedata
 from collections import Counter
 
 from dialoprep.dedup import RemovalRecord
-from dialoprep.metrics import EvalScores, RougeScore, tokenize_for_metrics
-from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn, render_dialogue_text
+from dialoprep.metrics import EvalScores, ExampleStats, RougeScore, tokenize_for_metrics
+from dialoprep.records import (
+    RESERVED_MARKERS,
+    Dialogue,
+    ParallelExample,
+    SummaryRecord,
+    Turn,
+    render_dialogue_text,
+)
 
 WORDS = [
     "alice", "books", "weather", "today", "meeting", "coffee", "train", "ticket",
@@ -157,10 +164,13 @@ def _oracle_tokens(text_or_tokens) -> list:
     return list(text_or_tokens)
 
 
+def _oracle_grams(tokens, n: int) -> list[tuple]:
+    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+
+
 def oracle_rouge_n(candidate, reference, n: int) -> RougeScore:
     cand, ref = _oracle_tokens(candidate), _oracle_tokens(reference)
-    cand_grams = [tuple(cand[i:i + n]) for i in range(len(cand) - n + 1)]
-    ref_grams = [tuple(ref[i:i + n]) for i in range(len(ref) - n + 1)]
+    cand_grams, ref_grams = _oracle_grams(cand, n), _oracle_grams(ref, n)
     overlap = clipped_overlap_oracle(Counter(cand_grams), Counter(ref_grams))
     return _oracle_score(overlap, len(cand_grams), len(ref_grams))
 
@@ -224,3 +234,105 @@ def normalize_text_oracle(raw: str) -> str:
         ch for ch in text
         if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
     return " ".join(text.split())
+
+
+# ---------------------------------------------------------------------------
+# Validator oracle: the split/join whitespace test and the six-marker scan,
+# run on every role and utterance. ``records.validate_dialogue`` must give
+# the same violations, in the same order, on every input.
+# ---------------------------------------------------------------------------
+
+def oracle_is_canonical(text: str) -> bool:
+    return text == " ".join(text.split()) and text != ""
+
+
+def oracle_validate_dialogue(d: Dialogue) -> list[str]:
+    violations: list[str] = []
+    if not d.turns:
+        violations.append("dialogue has no turns")
+    if not d.roles:
+        violations.append("dialogue has no roles")
+    seen_roles = set()
+    for i, role in enumerate(d.roles):
+        if not oracle_is_canonical(role):
+            violations.append(f"role {i}: name is empty or not whitespace-canonical")
+        for marker in RESERVED_MARKERS:
+            if marker in role:
+                violations.append(f"role {i}: reserved marker {marker!r} in name")
+        if role in seen_roles:
+            violations.append(f"role {i}: duplicate role name {role!r}")
+        seen_roles.add(role)
+    prev_index = None
+    for i, turn in enumerate(d.turns):
+        if not 0 <= turn.role_index < len(d.roles):
+            violations.append(f"turn {i}: role_index out of range")
+        if not oracle_is_canonical(turn.text):
+            violations.append(f"turn {i}: text is empty or not whitespace-canonical")
+        for marker in RESERVED_MARKERS:
+            if marker in turn.text:
+                violations.append(f"turn {i}: reserved marker {marker!r} in text")
+        if prev_index is not None and turn.role_index == prev_index:
+            violations.append(f"turn {i}: consecutive turns share speaker")
+        prev_index = turn.role_index
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# Statistics oracles: the per-position fragment scan and tuple-set n-gram
+# novelty. ``metrics.example_stats`` must equal ``oracle_example_stats``.
+# ---------------------------------------------------------------------------
+
+def oracle_extractive_fragments(a, s) -> list[tuple[int, int, int]]:
+    """Greedy tiling: at each reached summary position, extend every dialogue
+    occurrence of its token and take the longest (earliest on ties)."""
+    positions: dict = {}
+    for j, tok in enumerate(a):
+        positions.setdefault(tok, []).append(j)
+    fragments = []
+    i = 0
+    while i < len(s):
+        best_len, best_j = 0, -1
+        for j in positions.get(s[i], ()):
+            length = 1
+            while i + length < len(s) and j + length < len(a) and s[i + length] == a[j + length]:
+                length += 1
+            if length > best_len:
+                best_len, best_j = length, j
+        if best_len > 0:
+            fragments.append((i, best_j, best_len))
+            i += best_len
+        else:
+            i += 1
+    return fragments
+
+
+def oracle_novel_ngram_pct(summary, dialogue, n: int, set_based: bool) -> float:
+    grams = _oracle_grams(summary, n)
+    if not grams:
+        return 0.0
+    dialogue_grams = set(_oracle_grams(dialogue, n))
+    if set_based:
+        types = set(grams)
+        return 100.0 * sum(1 for g in types if g not in dialogue_grams) / len(types)
+    return 100.0 * sum(1 for g in grams if g not in dialogue_grams) / len(grams)
+
+
+def _oracle_redundant_pct(summary, n: int) -> float:
+    grams = _oracle_grams(summary, n)
+    return 100.0 * (1.0 - len(set(grams)) / len(grams)) if grams else 0.0
+
+
+def oracle_example_stats(ex: ParallelExample, set_based_novelty: bool = False) -> ExampleStats:
+    dialogue = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
+    summary = tokenize_for_metrics(ex.summaries[0].text)
+    lengths = [length for _, _, length in oracle_extractive_fragments(dialogue, summary)]
+    return ExampleStats(
+        dialogue_tokens=len(dialogue),
+        summary_tokens=len(summary),
+        compression=len(dialogue) / len(summary),
+        coverage=sum(lengths) / len(summary),
+        density=sum(length ** 2 for length in lengths) / len(summary),
+        novel_ngram_pct=tuple(oracle_novel_ngram_pct(summary, dialogue, n, set_based_novelty)
+                              for n in (1, 2, 3)),
+        redundant_ngram_pct=tuple(_oracle_redundant_pct(summary, n) for n in (1, 2, 3)),
+    )

@@ -317,9 +317,23 @@ def test_failure_report_file(tmp_path):
     assert lines[0]["dialogue_id"] == "p1"
 
 
+@pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+def test_job_rejects_bad_temperature(value):
+    with pytest.raises(ValueError, match="temperature"):
+        AnnotationJob(model="m", temperature=value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_backoff", -1.0), ("base_backoff", float("nan")), ("base_backoff", float("inf")),
+    ("backoff_multiplier", 0.5), ("backoff_multiplier", float("nan")),
+    ("backoff_multiplier", float("inf")),
+])
+def test_retry_policy_rejects_bad_backoff(field, value):
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**{field: value})
+
+
 def test_job_validation():
-    with pytest.raises(ValueError):
-        AnnotationJob(model="m", temperature=-0.1)
     with pytest.raises(ValueError):
         AnnotationJob(model="m", max_in_flight=0)
     with pytest.raises(ValueError):

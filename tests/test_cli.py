@@ -282,6 +282,13 @@ _INPUT_FILES = {
     (["eval", "--candidates", "{tmp}/one_text.jsonl",
       "--references", "{tmp}/number_id.jsonl", "--out", "{out}"],
      "line 1: id must be a string"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl",
+      "--references", "{tmp}/one_text.jsonl", "--out", "{out}", "--max-length", "0"],
+     "max_length must be >= 1"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:5",
+      "--temperature", "nan"], "temperature must be a finite number >= 0"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:5",
+      "--base-backoff", "-1"], "base_backoff must be a finite number >= 0"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -296,7 +303,8 @@ _INPUT_FILES = {
         "clean-string-role-index", "roles-bool-role-index", "noise-number-turn-text",
         "annotate-number-id", "stats-number-summary-text", "stats-number-source-dataset",
         "clean-bool-schema-version", "noise-float-schema-version",
-        "eval-number-candidate-id", "eval-number-reference-id"])
+        "eval-number-candidate-id", "eval-number-reference-id", "eval-max-length-0",
+        "annotate-nan-temperature", "annotate-negative-backoff"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 from pathlib import Path
 
@@ -32,6 +33,18 @@ def test_write_read_round_trip(tmp_path_factory, objs):
     assert list(jsonl.read(path)) == list(enumerate(objs, start=1))
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.dictionaries(_TEXT, _JSON_VALUES, max_size=5))
+def test_line_is_json_dumps(obj):
+    assert jsonl.line(obj) == json.dumps(obj, ensure_ascii=False) + "\n"
+
+
 def test_blank_lines_skipped_and_counted(tmp_path):
     path = tmp_path / "blanks.jsonl"
     path.write_text('\n{"a": 1}\n   \n\t\n{"b": 2}\n\n')
@@ -59,13 +72,15 @@ def _interrupted(items):
 @pytest.mark.parametrize("write", [
     lambda path: jsonl.write(path, _interrupted([{"a": 1}, {"b": "ü"}])),
     lambda path: jsonl.write_json(path, {"a": 1, "b": object()}),
+    lambda path: jsonl.write_json(path, {"temperature": float("nan")}),
+    lambda path: jsonl.write_json(path, {"scores": [1.0, float("-inf")]}),
     lambda path: save_corpus(_interrupted(
         [make_dialogue(random.Random(i), f"d{i}") for i in range(3)]), path),
-], ids=["write", "write_json", "save_corpus"])
+], ids=["write", "write_json", "write_json-nan", "write_json-infinity", "save_corpus"])
 def test_interrupted_write_leaves_earlier_file(tmp_path, write):
     path = tmp_path / "out.jsonl"
     path.write_bytes(b'{"earlier": true}\n')
-    with pytest.raises((RuntimeError, TypeError)):
+    with pytest.raises((RuntimeError, TypeError, ValueError)):
         write(path)
     assert path.read_bytes() == b'{"earlier": true}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     lcs_dp_oracle,
+    oracle_example_stats,
+    oracle_extractive_fragments,
     oracle_multi_reference_rouge,
+    oracle_novel_ngram_pct,
     oracle_score_pair,
     oracle_select_training_reference,
 )
@@ -30,7 +33,13 @@ from dialoprep.metrics import (
     tokenize_for_metrics,
     truncate_summary,
 )
-from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
+from dialoprep.records import (
+    Dialogue,
+    ParallelExample,
+    SummaryRecord,
+    Turn,
+    render_dialogue_text,
+)
 
 
 def test_tokenize_basic():
@@ -353,6 +362,24 @@ def test_empty_summary_raises():
     ex = _example(["hello there"], "...")
     with pytest.raises(EmptySummaryError):
         example_stats(ex)
+
+
+# Few token types, so summaries repeat n-grams and match the dialogue (role
+# names "A" and "B" included) at many places.
+@settings(max_examples=300, deadline=None)
+@given(turns=st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=12).map(" ".join),
+                      min_size=1, max_size=5),
+       summary=st.lists(st.sampled_from("abcde"), min_size=1, max_size=15).map(" ".join),
+       set_based=st.booleans())
+def test_example_stats_match_oracle(turns, summary, set_based):
+    ex = _example(turns, summary)
+    assert example_stats(ex, set_based_novelty=set_based) == oracle_example_stats(ex, set_based)
+    a = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
+    s = tokenize_for_metrics(summary)
+    assert [(f.summary_start, f.dialogue_start, f.length)
+            for f in extractive_fragments(a, s).fragments] == oracle_extractive_fragments(a, s)
+    for n in (1, 2, 3, 4):
+        assert novel_ngram_pct(s, a, n, set_based) == oracle_novel_ngram_pct(s, a, n, set_based)
 
 
 def test_corpus_report_single_equals_example():

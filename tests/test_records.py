@@ -3,22 +3,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialoprep.errors import MalformedRecordError
 from dialoprep.records import (
+    RESERVED_MARKERS,
     Dialogue,
     ParallelExample,
     SummaryRecord,
     Turn,
     corpus_manifest,
+    dialogue_from_obj,
     load_corpus,
+    record_to_obj,
     render_dialogue_text,
     save_corpus,
     validate_dialogue,
     validate_example,
 )
 
-from conftest import make_dialogue, make_example
+from conftest import make_dialogue, make_example, oracle_validate_dialogue
 
 
 def two_turn():
@@ -60,6 +65,46 @@ def test_validate_reports_all_violations():
                  turns=(Turn(0, ""), Turn(0, "y <mask>")))
     violations = validate_dialogue(d)
     assert len(violations) >= 3  # duplicate role, empty text, marker, same speaker
+
+
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_u0020_is_the_only_printable_whitespace():
+    # The validator's printable fast path rests on this.
+    assert [ch for ch in _WHITESPACE if ch.isprintable()] == [" "]
+
+
+def test_every_reserved_marker_starts_with_lt():
+    # The validator and ingest search for markers only in a text holding "<".
+    assert all(marker.startswith("<") for marker in RESERVED_MARKERS)
+
+
+_FORMAT_CHARS = ["\u00ad", "\u061c", "\u200b", "\u200d", "\u2060", "\ufeff", "\U000e0001"]
+_ATOMS = (_WHITESPACE + _FORMAT_CHARS + ["\x00", "a", "b", "é", "<", ">", "/"]
+          + list(RESERVED_MARKERS) + ["<uttr", "-mask>", "</", "<eo", "s>"])
+_TEXT = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_ATOMS), st.characters(blacklist_categories=("Cs",))),
+             max_size=8).map("".join),
+    st.lists(st.sampled_from(["a", "é", " ", "<", "s>", "<eou>"]), max_size=8).map("".join),
+    st.lists(st.sampled_from(["a", "b", "é", "<", "<s", "s>", "\u00ad"]),
+             min_size=1, max_size=4).map(" ".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(roles=st.lists(_TEXT, max_size=3),
+       turns=st.lists(st.tuples(st.integers(-1, 3), _TEXT), max_size=4))
+def test_validation_matches_split_join_oracle(roles, turns):
+    d = Dialogue(id="d", source_dataset="u", roles=tuple(roles),
+                 turns=tuple(Turn(i, text) for i, text in turns))
+    expected = oracle_validate_dialogue(d)
+    assert validate_dialogue(d) == expected
+    if expected:
+        with pytest.raises(MalformedRecordError) as exc:
+            dialogue_from_obj(record_to_obj(d), 7)
+        assert str(exc.value) == "line 7: " + "; ".join(expected)
+    else:
+        assert dialogue_from_obj(record_to_obj(d), 7) == d
 
 
 def test_validate_example_requires_summary():
