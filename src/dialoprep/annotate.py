@@ -187,16 +187,6 @@ class AnnotationReport:
     budget_exhausted: bool = False
     not_attempted: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "skipped_existing": self.skipped_existing,
-            "failures": self.failures,
-            "retries": self.retries,
-            "budget_exhausted": self.budget_exhausted,
-            "not_attempted": self.not_attempted,
-        }
-
 
 def _extract_summary(body: dict | str) -> str:
     if isinstance(body, dict):

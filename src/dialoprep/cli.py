@@ -13,8 +13,8 @@ enough to re-run the stage identically. Exit codes: 0 success, 1 data error
 or invalid value (message on stderr), 2 usage error.
 
 All randomness flows from ``--seed``; no stage reads the clock or OS entropy,
-so a fixed config and seed reproduce outputs byte-for-byte at any ``--jobs``
-value.
+so a fixed config and seed reproduce outputs byte-for-byte. ``--jobs`` is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _cmd_ingest(args) -> int:
     result = ingest.ingest(args.input, spec)
     records.save_corpus(result.dialogues, args.out)
     if args.report:
-        jsonl.write_json(args.report, result.report.to_dict())
+        jsonl.write_json(args.report, dataclasses.asdict(result.report))
     _write_manifest(
         "ingest", args.out, [args.input, args.spec],
         params={"spec": Path(args.spec).name},
@@ -112,10 +112,7 @@ def _cmd_clean(args) -> int:
     _write_manifest(
         "clean", args.out, [args.input, *(args.eval_set or [])],
         params={
-            "jaccard_threshold": cfg.jaccard_threshold,
-            "shingle_k": cfg.shingle_k,
-            "min_turns": cfg.min_turns,
-            "min_tokens": cfg.min_tokens,
+            **dataclasses.asdict(cfg),
             "minhash": bool(args.minhash),  # recorded as given; the flag is a no-op
         },
         corpus=records.corpus_manifest(Path(args.out).name, kept))
@@ -198,9 +195,8 @@ def _cmd_noise(args) -> int:
     from . import noising
     cfg = (noising.NoisingConfig.from_file(args.config) if args.config
            else noising.NoisingConfig())
-    cfg = dataclasses.replace(cfg, seed=args.seed)
-    mix = (dataclasses.replace(noising.TaskMix.from_file(args.mix), seed=args.seed)
-           if args.mix else noising.TaskMix.equal_reconstruction(seed=args.seed))
+    mix = (noising.TaskMix.from_file(args.mix) if args.mix
+           else noising.TaskMix.equal_reconstruction())
     if args.count < 0:
         raise PipelineError("--count must be >= 0")
     kind = args.kind or _sniff_kind(args.input)
@@ -208,20 +204,17 @@ def _cmd_noise(args) -> int:
         raise PipelineError("the mix gives task_oriented a positive weight, which "
                             "needs a parallel corpus, but the input is a dialogue corpus")
     items = records.load_corpus(args.input, kind)
-    written = noising.save_pairs(noising.mix_tasks(items, mix, cfg, args.count), args.out)
+    written = noising.save_pairs(
+        noising.mix_tasks(items, mix, cfg, args.count, seed=args.seed), args.out)
     _write_manifest(
         "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
         params={
             "count": args.count,
             "kind": kind,
             "weights": {t: mix.weights.get(t, 0.0) for t in noising.ALL_TASKS},
-            "token_mask_rate": cfg.token_mask_rate,
-            "token_delete_rate": cfg.token_delete_rate,
-            "infill_lambda": cfg.infill_lambda,
-            "infill_utterance_budget_rate": cfg.infill_utterance_budget_rate,
-            "uttr_mask_rate": cfg.uttr_mask_rate,
+            **dataclasses.asdict(cfg),
         },
-        seed=cfg.seed)
+        seed=args.seed)
     print(f"noise: wrote {written} pairs")
     return 0
 
@@ -230,7 +223,8 @@ def _cmd_stats(args) -> int:
     from . import metrics
     examples = records.load_corpus(args.input, "parallel")
     report = metrics.corpus_report(examples, summary_index=args.summary_index)
-    jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL, **report.to_dict()})
+    jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL,
+                                **dataclasses.asdict(report)})
     _write_manifest(
         "stats", args.out, [args.input],
         params={"summary_index": args.summary_index,
@@ -284,6 +278,8 @@ def _entry_references(entry: tuple[int, dict]) -> list[str]:
 
 def _cmd_eval(args) -> int:
     from . import metrics
+    if args.max_length is not None and args.max_length < 1:
+        raise PipelineError("max_length must be >= 1")
     candidates = _load_keyed(args.candidates)
     references = _load_keyed(args.references)
     only_refs = [i for i in references if i not in candidates]
@@ -427,10 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True, help="JSONL of {id, text}")
     p.add_argument("--references", required=True, help="JSONL of {id, text | texts}")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--multi-ref", action="store_true",
-                   help="average scores over all references per example")
-    p.add_argument("--select-train-ref", action="store_true",
-                   help="pick the highest ROUGE-Avg reference per dialogue")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--multi-ref", action="store_true",
+                      help="average scores over all references per example")
+    mode.add_argument("--select-train-ref", action="store_true",
+                      help="pick the highest ROUGE-Avg reference per dialogue")
     p.add_argument("--max-length", type=int,
                    help="truncate candidates to this many tokens before scoring")
     p.set_defaults(fn=_cmd_eval)

@@ -15,7 +15,7 @@ downstream statistics are reproducible.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jsonl
@@ -99,9 +99,6 @@ class IngestReport:
     dropped_empty_utterances: int = 0
     dropped_empty_dialogues: list[str] = field(default_factory=list)
     dropped_invalid_dialogues: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ def read(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_number, obj
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 _JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer", float: "a number"}
 
 
@@ -44,13 +48,13 @@ def read_object(path: str | Path, fields: Mapping[str, type] | None = None) -> d
     """The one JSON object a whole file holds, such as a config file.
 
     With ``fields``, every key must be one of them and its value of that type
-    (``float`` accepts any JSON number). Invalid JSON, a document that is not
-    an object, an unknown key or a mistyped value raise ValueError naming the
-    file and the field.
+    (``float`` accepts any JSON number). Invalid JSON (``NaN`` and
+    ``Infinity`` included), a document that is not an object, an unknown key
+    or a mistyped value raise ValueError naming the file and the field.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_refuse_constant)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyCorpusError, EmptySummaryError
+from .errors import EmptyCorpusError, EmptySummaryError, PipelineError
 from .records import Dialogue, ParallelExample, render_dialogue_text
 
 # Unicode letters and digits; underscore excluded.
@@ -299,18 +299,6 @@ class CorpusStats:
     novel_ngram_pct: tuple[float, float, float]
     redundant_ngram_pct: tuple[float, float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_dialogues": self.n_dialogues,
-            "mean_dialogue_tokens": self.mean_dialogue_tokens,
-            "mean_summary_tokens": self.mean_summary_tokens,
-            "compression": self.compression,
-            "coverage": self.coverage,
-            "density": self.density,
-            "novel_ngram_pct": list(self.novel_ngram_pct),
-            "redundant_ngram_pct": list(self.redundant_ngram_pct),
-        }
-
 
 def novel_ngram_pct(summary_tokens: Sequence[str], dialogue_tokens: Sequence[str], n: int,
                     set_based: bool = False) -> float:
@@ -359,8 +347,12 @@ def example_stats(ex: ParallelExample, summary_index: int = 0,
     """Compression, coverage, density, novelty and redundancy for one example.
 
     The dialogue side is the rendered ``role: utterance`` text, tokenized with
-    the metrics tokenizer.
+    the metrics tokenizer. ``summary_index`` must name one of the example's
+    summaries; a negative index is refused, not counted from the end.
     """
+    if not 0 <= summary_index < len(ex.summaries):
+        raise PipelineError(f"dialogue {ex.dialogue.id!r} has no summary {summary_index} "
+                            f"(it has {len(ex.summaries)})")
     dialogue_tokens = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
     summary_tokens = tokenize_for_metrics(ex.summaries[summary_index].text)
     if not summary_tokens:

@@ -57,7 +57,6 @@ class NoisingConfig:
     infill_lambda: float = 3.0
     infill_utterance_budget_rate: float = 0.2
     uttr_mask_rate: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("token_mask_rate", "token_delete_rate",
@@ -65,8 +64,8 @@ class NoisingConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.infill_lambda <= 0:
-            raise ValueError("infill_lambda must be > 0")
+        if not (math.isfinite(self.infill_lambda) and self.infill_lambda > 0):
+            raise ValueError("infill_lambda must be a finite number > 0")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "NoisingConfig":
@@ -77,7 +76,6 @@ class NoisingConfig:
 @dataclass(frozen=True)
 class TaskMix:
     weights: dict[str, float]
-    seed: int = 0
 
     def __post_init__(self):
         unknown = set(self.weights) - set(ALL_TASKS)
@@ -89,18 +87,18 @@ class TaskMix:
             raise ValueError("at least one task weight must be positive")
 
     @classmethod
-    def equal_reconstruction(cls, seed: int = 0) -> "TaskMix":
-        return cls(weights={t: 1.0 for t in RECONSTRUCTION_TASKS}, seed=seed)
+    def equal_reconstruction(cls) -> "TaskMix":
+        return cls(weights={t: 1.0 for t in RECONSTRUCTION_TASKS})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskMix":
-        obj = jsonl.read_object(path, {"weights": dict, "seed": int})
+        obj = jsonl.read_object(path, {"weights": dict})
         if "weights" not in obj:
             raise ValueError(f"{path}: missing field 'weights'")
         for task, weight in obj["weights"].items():
             if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                 raise ValueError(f"{path}: the weight of {task!r} must be a number")
-        return cls(weights=obj["weights"], seed=obj.get("seed", 0))
+        return cls(weights=obj["weights"])
 
 
 @dataclass(frozen=True)
@@ -140,24 +138,29 @@ def _turn_groups(d: Dialogue) -> list[tuple[list[str], list[str]]]:
     return [(d.roles[t.role_index].split(), t.text.split()) for t in d.turns]
 
 
-def _build_serialized(groups: Sequence) -> SerializedInput:
-    tokens: list[str] = [BOS]
-    ids: list[int] = [0]
-    for position, group in enumerate(groups):
-        speaker = position % 2
+def _tokens(groups: Sequence) -> list[str]:
+    """The serialized tokens of ``groups``, from ``<s>`` to ``</s>``."""
+    tokens = [BOS]
+    for group in groups:
         if group is _MaskGroup:
             tokens.append(MASK)
-            ids.append(speaker)
             continue
         role_tokens, utterance_tokens = group
         tokens += role_tokens
         tokens.append(EOR)
         tokens += utterance_tokens
         tokens.append(EOU)
-        ids += [speaker] * (len(role_tokens) + len(utterance_tokens) + 2)
     tokens.append(EOS)
-    ids.append(ids[-1] if len(ids) > 1 else 0)
-    return SerializedInput(tokens=tuple(tokens), speaker_ids=tuple(ids))
+    return tokens
+
+
+def _build_serialized(groups: Sequence) -> SerializedInput:
+    ids = [0]
+    for position, group in enumerate(groups):
+        width = 1 if group is _MaskGroup else len(group[0]) + len(group[1]) + 2
+        ids += [position % 2] * width
+    ids.append(ids[-1])
+    return SerializedInput(tokens=_tokens(groups), speaker_ids=ids)
 
 
 def assign_speaker_ids(d: Dialogue) -> list[int]:
@@ -217,23 +220,11 @@ def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
 # Corruption tasks
 # ---------------------------------------------------------------------------
 
-def _clean_tokens(turn_groups: Sequence[tuple[list[str], list[str]]]) -> tuple[str, ...]:
-    """The tokens of :func:`serialize_dialogue`, from the dialogue's turn groups."""
-    tokens = [BOS]
-    for role_tokens, utterance_tokens in turn_groups:
-        tokens += role_tokens
-        tokens.append(EOR)
-        tokens += utterance_tokens
-        tokens.append(EOU)
-    tokens.append(EOS)
-    return tuple(tokens)
-
-
 def _reconstruction_pair(task: str, d: Dialogue, turn_groups: Sequence,
                          source: SerializedInput) -> NoisedPair:
     """A corrupted source whose target is the clean serialization of ``d``,
     built from the same ``turn_groups`` that the source was corrupted from."""
-    return NoisedPair(task=task, source=source, target_tokens=_clean_tokens(turn_groups),
+    return NoisedPair(task=task, source=source, target_tokens=_tokens(turn_groups),
                       dialogue_id=d.id)
 
 
@@ -275,7 +266,7 @@ def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noise
 
 def sample_poisson(lam: float, rng: random.Random) -> int:
     """Exact Poisson draw (Knuth's product-of-uniforms method)."""
-    if lam <= 0:
+    if not lam > 0:  # also refuses NaN, for which the loop below never ends
         raise ValueError("lambda must be > 0")
     threshold = math.exp(-lam)
     k = 0
@@ -362,9 +353,6 @@ def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> 
     boundary without removing anything.
     """
     budget = round_half_up(cfg.infill_utterance_budget_rate * len(d.turns))
-    if budget == 0:
-        turn_groups = _turn_groups(d)
-        return _reconstruction_pair("uttr_infill", d, turn_groups, _build_serialized(turn_groups))
     spans, insertions = _plan_infill(len(d.turns), budget, cfg.infill_lambda, rng)
     return _apply_infill(d, spans, insertions, rng)
 
@@ -516,20 +504,20 @@ def _dialogue_of(item: Dialogue | ParallelExample) -> Dialogue:
 
 
 def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-               cfg: NoisingConfig, ordinal: int) -> NoisedPair:
+               cfg: NoisingConfig, ordinal: int, *, seed: int) -> NoisedPair:
     """The pair at position ``ordinal`` of the mixed stream.
 
-    Task and dialogue are drawn from a generator derived from (mix seed,
-    ordinal); corruption uses a generator derived from (config seed, dialogue
-    id, ordinal). Both depend only on their inputs, so any scheduling of
-    ordinals yields the same stream.
+    Task and dialogue are drawn from a generator derived from (seed,
+    "select", ordinal); corruption uses a generator derived from (seed,
+    "pair", dialogue id, ordinal). Both depend only on their inputs, so any
+    scheduling of ordinals yields the same stream.
     """
     if not items:
         raise ValueError("cannot mix over an empty corpus")
     active = [(task, mix.weights[task]) for task in ALL_TASKS
               if mix.weights.get(task, 0.0) > 0.0]
     total = sum(w for _, w in active)
-    selector = derive_rng(mix.seed, "select", ordinal)
+    selector = derive_rng(seed, "select", ordinal)
     draw = selector.random() * total
     cumulative = 0.0
     task = active[-1][0]
@@ -544,17 +532,17 @@ def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
             raise ValueError("task_oriented requires parallel examples")
         return make_task_oriented_pair(item)
     dialogue = _dialogue_of(item)
-    pair_rng = derive_rng(cfg.seed, "pair", dialogue.id, ordinal)
+    pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
     return noise_dialogue(dialogue, task, cfg, pair_rng)
 
 
 def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-              cfg: NoisingConfig, count: int) -> Iterator[NoisedPair]:
+              cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[NoisedPair]:
     """Stream ``count`` pairs with tasks drawn proportionally to mix weights."""
     if count < 0:
         raise ValueError("count must be >= 0")
     for ordinal in range(count):
-        yield mixed_pair(items, mix, cfg, ordinal)
+        yield mixed_pair(items, mix, cfg, ordinal, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -40,6 +41,16 @@ def test_no_subcommand_exits_2(capsys):
 
 def test_missing_required_flag_exits_2(capsys):
     assert main(["stats", "--in", "x.plx"]) == 2
+
+
+def test_eval_modes_are_exclusive_exits_2(tmp_path, capsys):
+    texts = tmp_path / "texts.jsonl"
+    texts.write_text('{"id": "1", "texts": ["a b", "c"]}\n')
+    assert main(["eval", "--candidates", str(texts), "--references", str(texts),
+                 "--out", str(tmp_path / "report.json"),
+                 "--select-train-ref", "--multi-ref"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["texts.jsonl"]
 
 
 def test_data_error_exits_1(tmp_path, capsys):
@@ -118,6 +129,23 @@ def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [mix]
 
 
+# pairs.jsonl's SHA-256 over the golden parallel corpus with all six tasks
+# weighted equally. No golden holds task_oriented pairs, so this pins them.
+@pytest.mark.parametrize("seed, digest", [
+    (3442, "3eee90513f318f5a3af95e1ba25af73615bf2dce4fc59e8599f0cde33463089b"),
+    (7, "1ad5f4f2f7881176be50ad164a59d1aef13965650eabc3a47f55e8326b486d95"),
+], ids=["seed-3442", "seed-7"])
+def test_noise_all_tasks_digest(tmp_path, seed, digest):
+    from dialoprep.noising import ALL_TASKS
+
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"weights": {task: 1 for task in ALL_TASKS}}))
+    out = tmp_path / "pairs.jsonl"
+    assert main(["noise", "--in", str(SAMPLE / "golden" / "annotated.plx"), "--out", str(out),
+                 "--count", "300", "--seed", str(seed), "--mix", str(mix)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
     from dialoprep import noising
 
@@ -128,10 +156,10 @@ def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
     earlier = out.read_bytes()
     original = noising.mixed_pair
 
-    def failing(items, mix, cfg, ordinal):
+    def failing(items, mix, cfg, ordinal, *, seed):
         if ordinal == 25:
             raise RuntimeError("interrupted")
-        return original(items, mix, cfg, ordinal)
+        return original(items, mix, cfg, ordinal, seed=seed)
 
     monkeypatch.setattr(noising, "mixed_pair", failing)
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -160,6 +188,10 @@ _INPUT_FILES = {
     "empty_mix.json": "{}",
     "string_mix.json": json.dumps({"weights": {"token_mask": "1"}}),
     "array.json": "[1]",
+    "nan_config.json": '{"infill_lambda": NaN}',
+    "infinite_config.json": '{"infill_lambda": Infinity}',
+    "seed_config.json": json.dumps({"seed": 3}),
+    "seed_mix.json": json.dumps({"weights": {"token_mask": 1}, "seed": 3}),
     "repeated.dlg": _NAMED[0] + _NAMED[1] + _NAMED[0],
     "texts.jsonl": '{"id": "0", "text": "b"}\n{"id": "1", "text": "a"}\n',
     "no_text.jsonl": '{"id": "0", "text": "b"}\n{"id": "1", "txt": "a"}\n',
@@ -289,6 +321,21 @@ _INPUT_FILES = {
       "--temperature", "nan"], "temperature must be a finite number >= 0"),
     (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:5",
       "--base-backoff", "-1"], "base_backoff must be a finite number >= 0"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "0", "--seed", "1",
+      "--config", "{tmp}/nan_config.json"], "nan_config.json: invalid JSON"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "0", "--seed", "1",
+      "--config", "{tmp}/infinite_config.json"], "infinite_config.json: invalid JSON"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--config", "{tmp}/seed_config.json"], "seed_config.json: unknown field 'seed'"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--mix", "{tmp}/seed_mix.json"], "seed_mix.json: unknown field 'seed'"),
+    (["stats", "--in", "{annotated}", "--out", "{out}", "--summary-index", "3"],
+     "dialogue 'sample:c000' has no summary 3"),
+    (["stats", "--in", "{annotated}", "--out", "{out}", "--summary-index", "-1"],
+     "dialogue 'sample:c000' has no summary -1"),
+    (["eval", "--candidates", "{tmp}/one_text.jsonl", "--references", "{tmp}/one_text.jsonl",
+      "--out", "{out}", "--select-train-ref", "--max-length", "-5"],
+     "max_length must be >= 1"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -304,7 +351,10 @@ _INPUT_FILES = {
         "annotate-number-id", "stats-number-summary-text", "stats-number-source-dataset",
         "clean-bool-schema-version", "noise-float-schema-version",
         "eval-number-candidate-id", "eval-number-reference-id", "eval-max-length-0",
-        "annotate-nan-temperature", "annotate-negative-backoff"])
+        "annotate-nan-temperature", "annotate-negative-backoff", "noise-config-nan",
+        "noise-config-infinity", "noise-config-seed", "noise-mix-seed",
+        "stats-summary-index-past-end", "stats-summary-index-negative",
+        "eval-select-ref-negative-max-length"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -4,6 +4,7 @@ import copy
 import gc
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,7 @@ from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
 
 from conftest import make_dialogue, make_example
 
-CFG = NoisingConfig(seed=3442)
+CFG = NoisingConfig()
 MARKERS = (BOS, EOS, EOR, EOU, MASK, UTTR_MASK)
 
 
@@ -251,6 +252,19 @@ def test_poisson_sanity():
 def test_poisson_invalid_lambda():
     with pytest.raises(ValueError):
         sample_poisson(0.0, random.Random(0))
+
+
+def test_poisson_refuses_nan_lambda_before_drawing():
+    # A sampler that accepted NaN would draw forever; this generator fails instead.
+    never_drawn = SimpleNamespace(random=lambda: pytest.fail("drew with lambda NaN"))
+    with pytest.raises(ValueError):
+        sample_poisson(float("nan"), never_drawn)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_requires_finite_positive_lambda(lam):
+    with pytest.raises(ValueError, match="infill_lambda"):
+        NoisingConfig(infill_lambda=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +562,8 @@ def test_all_tasks_target_is_original_serialization():
 def test_mix_degenerate_weights():
     rng = random.Random(21)
     items = [make_dialogue(rng, f"d{i}") for i in range(5)]
-    mix = TaskMix(weights={"token_mask": 1.0}, seed=7)
-    pairs = list(mix_tasks(items, mix, CFG, 50))
+    mix = TaskMix(weights={"token_mask": 1.0})
+    pairs = list(mix_tasks(items, mix, CFG, 50, seed=7))
     assert len(pairs) == 50
     assert all(p.task == "token_mask" for p in pairs)
 
@@ -559,10 +573,10 @@ def test_mix_same_seed_identical_streams(tmp_path):
     items = [make_example(rng, f"e{i}") for i in range(6)]
     mix = TaskMix(weights={t: 1.0 for t in
                            ("token_mask", "token_delete", "uttr_infill",
-                            "uttr_permute", "uttr_mask", "task_oriented")}, seed=3442)
+                            "uttr_permute", "uttr_mask", "task_oriented")})
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_pairs(mix_tasks(items, mix, CFG, 200), first)
-    save_pairs(mix_tasks(items, mix, CFG, 200), second)
+    save_pairs(mix_tasks(items, mix, CFG, 200, seed=3442), first)
+    save_pairs(mix_tasks(items, mix, CFG, 200, seed=3442), second)
     assert first.read_bytes() == second.read_bytes()
     assert load_pairs(first) == load_pairs(second)
 
@@ -570,18 +584,18 @@ def test_mix_same_seed_identical_streams(tmp_path):
 def test_mix_scheduling_independent():
     rng = random.Random(23)
     items = [make_dialogue(rng, f"d{i}") for i in range(4)]
-    mix = TaskMix.equal_reconstruction(seed=1)
-    in_order = [mixed_pair(items, mix, CFG, i) for i in range(30)]
-    reversed_order = [mixed_pair(items, mix, CFG, i) for i in reversed(range(30))]
+    mix = TaskMix.equal_reconstruction()
+    in_order = [mixed_pair(items, mix, CFG, i, seed=1) for i in range(30)]
+    reversed_order = [mixed_pair(items, mix, CFG, i, seed=1) for i in reversed(range(30))]
     assert in_order == list(reversed(reversed_order))
 
 
 def test_mix_task_oriented_requires_parallel():
     rng = random.Random(24)
     items = [make_dialogue(rng, "d0")]
-    mix = TaskMix(weights={"task_oriented": 1.0}, seed=0)
+    mix = TaskMix(weights={"task_oriented": 1.0})
     with pytest.raises(ValueError):
-        list(mix_tasks(items, mix, CFG, 1))
+        list(mix_tasks(items, mix, CFG, 1, seed=0))
 
 
 def test_mix_weight_validation():
@@ -640,13 +654,13 @@ def test_mixed_pairs_share_no_state(corpus, weights, rates, lam, seed):
     weights = dict(zip(tasks, weights))
     if not any(weights.values()):
         weights["uttr_mask"] = 1.0
-    mix = TaskMix(weights=weights, seed=seed)
+    mix = TaskMix(weights=weights)
     cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
                         infill_lambda=lam, infill_utterance_budget_rate=rates[2],
-                        uttr_mask_rate=rates[3], seed=seed)
+                        uttr_mask_rate=rates[3])
     dialogues = {d.id: d for d in map(noising._dialogue_of, items)}
-    for ordinal, pair in enumerate(mix_tasks(items, mix, cfg, 12)):
-        assert pair == mixed_pair(copy.deepcopy(items), mix, cfg, ordinal)
+    for ordinal, pair in enumerate(mix_tasks(items, mix, cfg, 12, seed=seed)):
+        assert pair == mixed_pair(copy.deepcopy(items), mix, cfg, ordinal, seed=seed)
         if pair.task == "task_oriented":
             continue
         d = dialogues[pair.dialogue_id]
@@ -671,8 +685,8 @@ def test_gap_selection_runs_once_per_dialogue(monkeypatch):
     held = len(noising._GAP_SELECTIONS)
     rng = random.Random(31)
     items = [make_dialogue(rng, f"memo{i}", n_turns=rng.randint(1, 8)) for i in range(6)]
-    mix = TaskMix(weights={"uttr_mask": 1.0}, seed=5)
-    pairs = list(mix_tasks(items, mix, CFG, 120))
+    mix = TaskMix(weights={"uttr_mask": 1.0})
+    pairs = list(mix_tasks(items, mix, CFG, 120, seed=5))
     assert {p.dialogue_id for p in pairs} == {d.id for d in items}
     assert calls == Counter({d.id: 1 for d in items})
     assert len(noising._GAP_SELECTIONS) == held + len(items)
