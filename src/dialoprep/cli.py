@@ -204,8 +204,9 @@ def _cmd_noise(args) -> int:
         raise PipelineError("the mix gives task_oriented a positive weight, which "
                             "needs a parallel corpus, but the input is a dialogue corpus")
     items = records.load_corpus(args.input, kind)
-    written = noising.save_pairs(
-        noising.mix_tasks(items, mix, cfg, args.count, seed=args.seed), args.out)
+    written = jsonl.write_lines(args.out, (
+        noising.pair_line(items, mix, cfg, ordinal, seed=args.seed)
+        for ordinal in range(args.count)))
     _write_manifest(
         "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
         params={
@@ -280,6 +281,8 @@ def _cmd_eval(args) -> int:
     from . import metrics
     if args.max_length is not None and args.max_length < 1:
         raise PipelineError("max_length must be >= 1")
+    if args.max_length is not None and args.select_train_ref:
+        raise PipelineError("--max-length does not apply to --select-train-ref")
     candidates = _load_keyed(args.candidates)
     references = _load_keyed(args.references)
     only_refs = [i for i in references if i not in candidates]
@@ -429,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--select-train-ref", action="store_true",
                       help="pick the highest ROUGE-Avg reference per dialogue")
     p.add_argument("--max-length", type=int,
-                   help="truncate candidates to this many tokens before scoring")
+                   help="truncate candidates to this many tokens before plain or "
+                        "--multi-ref scoring")
     p.set_defaults(fn=_cmd_eval)
     return parser
 

@@ -91,6 +91,13 @@ def line(obj: dict) -> str:
     return _LINE_ENCODER.encode(obj) + "\n"
 
 
+#: ``text`` as the JSON string that :func:`line` writes for it: quoted, with
+#: ``"``, ``\\`` and U+0000-U+001F escaped and everything else kept. The line
+#: encoder calls this very function for every string, so a line assembled
+#: from its results is byte-identical to :func:`line`'s.
+string = json.encoder.encode_basestring
+
+
 @contextmanager
 def _replacing(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
@@ -104,13 +111,19 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write(path: str | Path, objs: Iterable[dict]) -> int:
-    """Replace ``path`` with one line per object, written as drawn from ``objs``; the count."""
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Replace ``path`` with ``lines``, each ending in a newline, written as
+    drawn; the count."""
     count = 0
     with _replacing(path) as fh:
-        for count, obj in enumerate(objs, start=1):
-            fh.write(line(obj))
+        for count, text in enumerate(lines, start=1):
+            fh.write(text)
     return count
+
+
+def write(path: str | Path, objs: Iterable[dict]) -> int:
+    """Replace ``path`` with one line per object, written as drawn from ``objs``; the count."""
+    return write_lines(path, map(line, objs))
 
 
 def write_json(path: str | Path, obj) -> None:

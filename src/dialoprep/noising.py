@@ -13,10 +13,18 @@ dialogue to a summary. Corruption counts use round-half-up of rate * n.
 All sampling flows through generators derived from (seed, dialogue id,
 ordinal), so generation order never depends on scheduling.
 
-Each reconstruction pair splits its dialogue once, and builds the corrupted
-source and the clean target tokens from the same split. Utterance masking's
-greedy gap selection runs once per dialogue: it is kept, a few turn indices,
-only while the dialogue is alive, so memory stays flat at any pair count.
+Each task draws a plan: the groups of its source, most of them intact turns
+of the dialogue. A plan renders twice. ``mixed_pair`` and the task functions
+render it as a NoisedPair of token tuples; ``pair_line``, which ``noise``
+writes through, renders it straight to the pair's JSON line, from the
+dialogue's text. Role and utterance texts are whitespace-canonical (records
+guarantee it on load), so a text's tokens are its space-separated pieces and
+its token array is one JSON-escaped string with each space closed and
+reopened as ``", "``. Both renderings give the same bytes on disk.
+
+Utterance masking's greedy gap selection runs once per dialogue: it is kept,
+a few turn indices, only while the dialogue is alive. Nothing else outlives
+a pair, so memory stays flat at any pair count.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import jsonl
 from .metrics import tokenize_for_metrics
-from .records import Dialogue, ParallelExample, Turn
+from .records import Dialogue, ParallelExample, SummaryRecord
 from .seeding import derive_rng
 
 BOS = "<s>"
@@ -134,10 +142,6 @@ class NoisedPair:
 _MaskGroup = object()
 
 
-def _turn_groups(d: Dialogue) -> list[tuple[list[str], list[str]]]:
-    return [(d.roles[t.role_index].split(), t.text.split()) for t in d.turns]
-
-
 def _tokens(groups: Sequence) -> list[str]:
     """The serialized tokens of ``groups``, from ``<s>`` to ``</s>``."""
     tokens = [BOS]
@@ -163,105 +167,50 @@ def _build_serialized(groups: Sequence) -> SerializedInput:
     return SerializedInput(tokens=_tokens(groups), speaker_ids=ids)
 
 
-def assign_speaker_ids(d: Dialogue) -> list[int]:
-    """Per-turn speaker ids: turn 0 gets 0, then flip at every turn boundary.
-
-    In dual-turn form every boundary is a role transition, so ids stay in
-    {0, 1} for any number of roles.
-    """
-    return [i % 2 for i in range(len(d.turns))]
-
-
 def serialize_dialogue(d: Dialogue) -> SerializedInput:
     """Clean serialization of a dialogue with markers and speaker ids."""
-    return _build_serialized(_turn_groups(d))
-
-
-def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
-                         source_dataset: str = "") -> Dialogue:
-    """Parse a clean serialization back into a Dialogue.
-
-    The role table is rebuilt in order of first appearance, which matches how
-    every pipeline stage constructs dialogues. Corrupted sequences (stray
-    masks, unterminated groups) raise ValueError.
-    """
-    tokens = list(s.tokens)
-    if len(tokens) < 2 or tokens[0] != BOS or tokens[-1] != EOS:
-        raise ValueError("serialization must start with <s> and end with </s>")
-    roles: list[str] = []
-    turns: list[Turn] = []
-    i = 1
-    end = len(tokens) - 1
-    while i < end:
-        try:
-            eor = tokens.index(EOR, i, end)
-            eou = tokens.index(EOU, eor + 1, end)
-        except ValueError:
-            raise ValueError("unterminated role or utterance group") from None
-        role_tokens = tokens[i:eor]
-        utterance_tokens = tokens[eor + 1:eou]
-        group_tokens = role_tokens + utterance_tokens
-        if not role_tokens or not utterance_tokens:
-            raise ValueError("empty role or utterance group")
-        if any(t in (BOS, EOS, EOR, EOU, MASK, UTTR_MASK) for t in group_tokens):
-            raise ValueError("marker token inside a content group")
-        role = " ".join(role_tokens)
-        if role not in roles:
-            roles.append(role)
-        turns.append(Turn(role_index=roles.index(role), text=" ".join(utterance_tokens)))
-        i = eou + 1
-    if not turns:
-        raise ValueError("serialization contains no turns")
-    return Dialogue(id=dialogue_id, source_dataset=source_dataset,
-                    roles=tuple(roles), turns=tuple(turns))
+    return _build_serialized([(d.roles[t.role_index].split(), t.text.split())
+                              for t in d.turns])
 
 
 # ---------------------------------------------------------------------------
-# Corruption tasks
+# Corruption plans
 # ---------------------------------------------------------------------------
+#
+# A task's plan is the list of groups its source serializes: a turn index
+# (that turn, intact), ``_MaskGroup``, or ``(role index, text)`` for an
+# utterance the task changed or moved, whitespace-canonical or empty. The
+# same plan renders to a NoisedPair (``_reconstruction_pair``) and to its
+# output line (``_render_line``). Plans take the dialogue's texts to be
+# whitespace-canonical, as ``records.validate_dialogue`` requires, so a
+# text's tokens are its U+0020-separated pieces.
 
-def _reconstruction_pair(task: str, d: Dialogue, turn_groups: Sequence,
-                         source: SerializedInput) -> NoisedPair:
-    """A corrupted source whose target is the clean serialization of ``d``,
-    built from the same ``turn_groups`` that the source was corrupted from."""
-    return NoisedPair(task=task, source=source, target_tokens=_tokens(turn_groups),
-                      dialogue_id=d.id)
-
-
-def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Replace round(rate * n) tokens of each utterance with ``<mask>``.
-
-    Roles and structural markers are never touched.
-    """
-    turn_groups = _turn_groups(d)
+def _plan_token_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
     groups = []
-    for role_tokens, utterance_tokens in turn_groups:
-        n = len(utterance_tokens)
+    for i, turn in enumerate(d.turns):
+        n = turn.text.count(" ") + 1
         k = round_half_up(cfg.token_mask_rate * n)
-        masked = list(utterance_tokens)
+        if not k:  # sample(range(n), 0) draws nothing
+            groups.append(i)
+            continue
+        tokens = turn.text.split(" ")
         for position in rng.sample(range(n), k):
-            masked[position] = MASK
-        groups.append((role_tokens, masked))
-    return _reconstruction_pair("token_mask", d, turn_groups, _build_serialized(groups))
+            tokens[position] = MASK
+        groups.append((turn.role_index, " ".join(tokens)))
+    return groups
 
 
-def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Delete round(rate * N) utterance tokens across the whole dialogue.
-
-    Surviving tokens keep their relative order; an utterance deleted to
-    emptiness keeps its role and markers.
-    """
-    turn_groups = _turn_groups(d)
-    total = sum(len(utterance) for _, utterance in turn_groups)
-    k = round_half_up(cfg.token_delete_rate * total)
-    doomed = set(rng.sample(range(total), k))
-    corrupted = []
+def _plan_token_delete(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
+    total = sum(turn.text.count(" ") + 1 for turn in d.turns)
+    doomed = set(rng.sample(range(total), round_half_up(cfg.token_delete_rate * total)))
+    groups = []
     offset = 0
-    for role_tokens, utterance_tokens in turn_groups:
-        kept = [tok for j, tok in enumerate(utterance_tokens) if offset + j not in doomed]
-        offset += len(utterance_tokens)
-        corrupted.append((role_tokens, kept))
-    return _reconstruction_pair("token_delete", d, turn_groups, _build_serialized(corrupted))
+    for i, turn in enumerate(d.turns):
+        tokens = turn.text.split(" ")
+        kept = [token for j, token in enumerate(tokens, offset) if j not in doomed]
+        groups.append(i if len(kept) == len(tokens) else (turn.role_index, " ".join(kept)))
+        offset += len(tokens)
+    return groups
 
 
 def sample_poisson(lam: float, rng: random.Random) -> int:
@@ -325,46 +274,37 @@ def _plan_infill(n_turns: int, budget: int, lam: float,
     return spans, insertions
 
 
-def _apply_infill(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int,
-                  rng: random.Random) -> NoisedPair:
-    """Collapse each span's turn groups to one ``<mask>`` and insert
-    ``insertions`` bare masks at sampled gaps of the collapsed sequence."""
-    turn_groups = _turn_groups(d)
+def _infill_groups(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int,
+                   rng: random.Random) -> list:
+    """Collapse each span's turns to one ``<mask>`` and insert ``insertions``
+    bare masks at sampled gaps of the collapsed sequence."""
     groups: list = []
     starts = {start: length for start, length in spans}
     i = 0
-    while i < len(turn_groups):
+    while i < len(d.turns):
         if i in starts:
             groups.append(_MaskGroup)
             i += starts[i]
         else:
-            groups.append(turn_groups[i])
+            groups.append(i)
             i += 1
     for _ in range(insertions):
         groups.insert(rng.randrange(len(groups) + 1), _MaskGroup)
-    return _reconstruction_pair("uttr_infill", d, turn_groups, _build_serialized(groups))
+    return groups
 
 
-def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Replace sampled spans of consecutive turns with single ``<mask>`` tokens.
-
-    The total replaced-turn budget is round(budget_rate * turns); span lengths
-    are Poisson(lambda) draws, and a 0-length draw inserts a mask at a turn
-    boundary without removing anything.
-    """
+def _plan_uttr_infill(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
     budget = round_half_up(cfg.infill_utterance_budget_rate * len(d.turns))
     spans, insertions = _plan_infill(len(d.turns), budget, cfg.infill_lambda, rng)
-    return _apply_infill(d, spans, insertions, rng)
+    return _infill_groups(d, spans, insertions, rng)
 
 
-def utterance_permutation(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Shuffle utterances across turn slots while the role sequence stays fixed,
-    so utterances may sit next to the wrong role."""
-    turn_groups = _turn_groups(d)
-    utterances = [utterance for _, utterance in turn_groups]
-    rng.shuffle(utterances)
-    groups = [(role, utterance) for (role, _), utterance in zip(turn_groups, utterances)]
-    return _reconstruction_pair("uttr_permute", d, turn_groups, _build_serialized(groups))
+def _plan_uttr_permute(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
+    order = list(range(len(d.turns)))
+    rng.shuffle(order)  # its draws depend only on the length
+    turns = d.turns
+    return [i if turns[i].role_index == turn.role_index else (turn.role_index, turns[i].text)
+            for turn, i in zip(turns, order)]
 
 
 def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
@@ -443,6 +383,81 @@ _GAP_SELECTIONS: weakref.WeakKeyDictionary[Dialogue, frozenset[int]] = (
     weakref.WeakKeyDictionary())
 
 
+def _plan_uttr_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
+    """Greedy, not random: it draws nothing from ``rng``. Selection runs once
+    per dialogue and k; later draws of the same dialogue reuse it."""
+    k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
+    chosen = _GAP_SELECTIONS.get(d)
+    if chosen is None or len(chosen) != k:
+        chosen = _GAP_SELECTIONS[d] = frozenset(select_gap_utterances(d, k))
+    return [(turn.role_index, UTTR_MASK) if i in chosen else i
+            for i, turn in enumerate(d.turns)]
+
+
+_PLANS = {
+    "token_mask": _plan_token_mask,
+    "token_delete": _plan_token_delete,
+    "uttr_infill": _plan_uttr_infill,
+    "uttr_permute": _plan_uttr_permute,
+    "uttr_mask": _plan_uttr_mask,
+}
+
+
+# ---------------------------------------------------------------------------
+# Corruption tasks: plans rendered as pairs
+# ---------------------------------------------------------------------------
+
+def _reconstruction_pair(task: str, d: Dialogue, groups: Sequence) -> NoisedPair:
+    """``groups`` serialized as the source; the target is the clean
+    serialization of ``d``, from the same split of each turn."""
+    roles = [role.split() for role in d.roles]
+    target = [(roles[turn.role_index], turn.text.split()) for turn in d.turns]
+    source = [target[group] if type(group) is int else
+              group if group is _MaskGroup else
+              (roles[group[0]], group[1].split())
+              for group in groups]
+    return NoisedPair(task=task, source=_build_serialized(source),
+                      target_tokens=_tokens(target), dialogue_id=d.id)
+
+
+def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
+    """Replace round(rate * n) tokens of each utterance with ``<mask>``.
+
+    Roles and structural markers are never touched.
+    """
+    return _reconstruction_pair("token_mask", d, _plan_token_mask(d, cfg, rng))
+
+
+def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
+    """Delete round(rate * N) utterance tokens across the whole dialogue.
+
+    Surviving tokens keep their relative order; an utterance deleted to
+    emptiness keeps its role and markers.
+    """
+    return _reconstruction_pair("token_delete", d, _plan_token_delete(d, cfg, rng))
+
+
+def _apply_infill(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int,
+                  rng: random.Random) -> NoisedPair:
+    return _reconstruction_pair("uttr_infill", d, _infill_groups(d, spans, insertions, rng))
+
+
+def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
+    """Replace sampled spans of consecutive turns with single ``<mask>`` tokens.
+
+    The total replaced-turn budget is round(budget_rate * turns); span lengths
+    are Poisson(lambda) draws, and a 0-length draw inserts a mask at a turn
+    boundary without removing anything.
+    """
+    return _reconstruction_pair("uttr_infill", d, _plan_uttr_infill(d, cfg, rng))
+
+
+def utterance_permutation(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
+    """Shuffle utterances across turn slots while the role sequence stays fixed,
+    so utterances may sit next to the wrong role."""
+    return _reconstruction_pair("uttr_permute", d, _plan_uttr_permute(d, cfg, rng))
+
+
 def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
     """Replace the max(1, round(rate * turns)) principal gap-utterances with
     ``<uttr-mask>``, keeping each slot's role and markers.
@@ -450,14 +465,12 @@ def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
     Selection is greedy, not random, so it takes no generator; it runs once
     per dialogue and k, and later draws of the same dialogue reuse it.
     """
-    k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
-    chosen = _GAP_SELECTIONS.get(d)
-    if chosen is None or len(chosen) != k:
-        chosen = _GAP_SELECTIONS[d] = frozenset(select_gap_utterances(d, k))
-    turn_groups = _turn_groups(d)
-    groups = [(role, [UTTR_MASK] if i in chosen else utterance)
-              for i, (role, utterance) in enumerate(turn_groups)]
-    return _reconstruction_pair("uttr_mask", d, turn_groups, _build_serialized(groups))
+    return _reconstruction_pair("uttr_mask", d, _plan_uttr_mask(d, cfg, None))
+
+
+def _summary(ex: ParallelExample) -> SummaryRecord:
+    """The first summary with origin ``annotated``, else the first summary."""
+    return next((s for s in ex.summaries if s.origin == "annotated"), ex.summaries[0])
 
 
 def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
@@ -466,7 +479,7 @@ def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
     Uses the first summary with origin ``annotated``; falls back to the first
     summary otherwise and flags the fallback origin in the pair.
     """
-    summary = next((s for s in ex.summaries if s.origin == "annotated"), ex.summaries[0])
+    summary = _summary(ex)
     return NoisedPair(
         task="task_oriented",
         source=serialize_dialogue(ex.dialogue),
@@ -476,23 +489,66 @@ def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
     )
 
 
-_TASK_FUNCTIONS = {
-    "token_mask": token_masking,
-    "token_delete": token_deletion,
-    "uttr_infill": utterance_infilling,
-    "uttr_permute": utterance_permutation,
-    "uttr_mask": lambda d, cfg, rng: utterance_masking(d, cfg),
-}
-
-
 def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
                    rng: random.Random) -> NoisedPair:
     """Apply one reconstruction task to a dialogue."""
     try:
-        fn = _TASK_FUNCTIONS[task]
+        plan = _PLANS[task]
     except KeyError:
         raise ValueError(f"unknown reconstruction task {task!r}") from None
-    return fn(d, cfg, rng)
+    return _reconstruction_pair(task, d, plan(d, cfg, rng))
+
+
+# ---------------------------------------------------------------------------
+# Corruption tasks: plans rendered as output lines
+# ---------------------------------------------------------------------------
+#
+# A pair's line is what ``jsonl.line(pair_to_obj(pair))`` writes, assembled
+# from its dialogue's text. Role and utterance texts are whitespace-canonical
+# (``records.validate_dialogue``) and markers hold no space, so a serialized
+# sequence joined by single spaces is a canonical text whose tokens are its
+# space-separated pieces. JSON escaping neither makes nor removes a U+0020, so
+# the sequence's token array is that text's one JSON string with each space
+# closed and reopened as ``", "``.
+
+_SPEAKER_IDS = ("0, ", "1, ")
+
+
+def _group_text(role: str, text: str) -> str:
+    """A turn group's tokens joined by spaces; ``text`` may be empty."""
+    return f"{role} {EOR} {text} {EOU}" if text else f"{role} {EOR} {EOU}"
+
+
+def _token_array(groups: list[str]) -> str:
+    """The JSON array body of ``<s>``, the tokens of ``groups``, ``</s>``."""
+    return jsonl.string(f"{BOS} {' '.join(groups)} {EOS}").replace(" ", '", "')
+
+
+def _render_line(task: str, d: Dialogue, groups: Sequence | None,
+                 summary: SummaryRecord | None = None) -> str:
+    """The line of the pair whose source serializes ``groups``, or the clean
+    dialogue when ``groups`` is None, and whose target is the clean
+    serialization of ``d``, or ``summary``'s tokens when it is given."""
+    turns = [_group_text(d.roles[turn.role_index], turn.text) for turn in d.turns]
+    if groups is None:
+        source = turns
+    else:
+        source = [turns[group] if type(group) is int else
+                  MASK if group is _MaskGroup else
+                  _group_text(d.roles[group[0]], group[1])
+                  for group in groups]
+    ids = "0, " + "".join([_SPEAKER_IDS[position & 1] * (text.count(" ") + 1)
+                           for position, text in enumerate(source)])
+    ids += ids[-3]  # </s> repeats the last group's id
+    if summary is None:
+        target = _token_array(turns)
+        tail = ""
+    else:
+        target = ", ".join(map(jsonl.string, summary.text.split()))
+        tail = f', "target_origin": {jsonl.string(summary.origin)}'
+    return (f'{{"task": "{task}", "source_tokens": [{_token_array(source)}], '
+            f'"source_speaker_ids": [{ids}], "target_tokens": [{target}], '
+            f'"dialogue_id": {jsonl.string(d.id)}{tail}}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +559,10 @@ def _dialogue_of(item: Dialogue | ParallelExample) -> Dialogue:
     return item.dialogue if isinstance(item, ParallelExample) else item
 
 
-def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-               cfg: NoisingConfig, ordinal: int, *, seed: int) -> NoisedPair:
-    """The pair at position ``ordinal`` of the mixed stream.
-
-    Task and dialogue are drawn from a generator derived from (seed,
-    "select", ordinal); corruption uses a generator derived from (seed,
-    "pair", dialogue id, ordinal). Both depend only on their inputs, so any
-    scheduling of ordinals yields the same stream.
-    """
+def _draw(items: Sequence[Dialogue | ParallelExample], mix: TaskMix, ordinal: int,
+          seed: int) -> tuple[str, Dialogue | ParallelExample]:
+    """The task and the item of the pair at ``ordinal``, from a generator
+    derived from (seed, "select", ordinal)."""
     if not items:
         raise ValueError("cannot mix over an empty corpus")
     active = [(task, mix.weights[task]) for task in ALL_TASKS
@@ -527,9 +578,22 @@ def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
             task = name
             break
     item = items[selector.randrange(len(items))]
+    if task == "task_oriented" and not isinstance(item, ParallelExample):
+        raise ValueError("task_oriented requires parallel examples")
+    return task, item
+
+
+def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+               cfg: NoisingConfig, ordinal: int, *, seed: int) -> NoisedPair:
+    """The pair at position ``ordinal`` of the mixed stream.
+
+    Task and dialogue are drawn from a generator derived from (seed,
+    "select", ordinal); corruption uses a generator derived from (seed,
+    "pair", dialogue id, ordinal). Both depend only on their inputs, so any
+    scheduling of ordinals yields the same stream.
+    """
+    task, item = _draw(items, mix, ordinal, seed)
     if task == "task_oriented":
-        if not isinstance(item, ParallelExample):
-            raise ValueError("task_oriented requires parallel examples")
         return make_task_oriented_pair(item)
     dialogue = _dialogue_of(item)
     pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
@@ -543,6 +607,18 @@ def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
         raise ValueError("count must be >= 0")
     for ordinal in range(count):
         yield mixed_pair(items, mix, cfg, ordinal, seed=seed)
+
+
+def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+              cfg: NoisingConfig, ordinal: int, *, seed: int) -> str:
+    """The line of ``mixed_pair(items, mix, cfg, ordinal, seed=seed)``, as
+    :func:`save_pairs` writes it, rendered from the same draws and plan."""
+    task, item = _draw(items, mix, ordinal, seed)
+    if task == "task_oriented":
+        return _render_line(task, item.dialogue, None, _summary(item))
+    dialogue = _dialogue_of(item)
+    pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
+    return _render_line(task, dialogue, _PLANS[task](dialogue, cfg, pair_rng))
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +645,3 @@ def save_pairs(pairs: Iterable[NoisedPair], path: str | Path) -> int:
     ``path`` is replaced only after the last pair (see :func:`jsonl.write`).
     """
     return jsonl.write(path, map(pair_to_obj, pairs))
-
-
-def load_pairs(path: str | Path) -> list[NoisedPair]:
-    return [NoisedPair(
-        task=obj["task"],
-        source=SerializedInput(tokens=tuple(obj["source_tokens"]),
-                               speaker_ids=tuple(obj["source_speaker_ids"])),
-        target_tokens=tuple(obj["target_tokens"]),
-        dialogue_id=obj["dialogue_id"],
-        target_origin=obj.get("target_origin"),
-    ) for _, obj in jsonl.read(path)]

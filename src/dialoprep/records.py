@@ -129,19 +129,6 @@ def validate_dialogue(d: Dialogue) -> list[str]:
     return violations
 
 
-def validate_example(ex: ParallelExample) -> list[str]:
-    """Violations of a parallel example: dialogue invariants plus summary rules."""
-    violations = validate_dialogue(ex.dialogue)
-    if not ex.summaries:
-        violations.append("example has no summaries")
-    for i, s in enumerate(ex.summaries):
-        if not s.text:
-            violations.append(f"summary {i}: empty text")
-        if s.origin not in SUMMARY_ORIGINS:
-            violations.append(f"summary {i}: unknown origin {s.origin!r}")
-    return violations
-
-
 def render_dialogue_text(d: Dialogue) -> str:
     """Render a dialogue as one ``role: utterance`` line per turn."""
     return "\n".join(f"{d.roles[t.role_index]}: {t.text}" for t in d.turns)

@@ -5,15 +5,21 @@ import random
 import unicodedata
 from collections import Counter
 
+from pathlib import Path
+
+from dialoprep import jsonl
 from dialoprep.dedup import RemovalRecord
 from dialoprep.metrics import EvalScores, ExampleStats, RougeScore, tokenize_for_metrics
+from dialoprep.noising import BOS, EOR, EOS, EOU, MASK, UTTR_MASK, NoisedPair, SerializedInput
 from dialoprep.records import (
     RESERVED_MARKERS,
+    SUMMARY_ORIGINS,
     Dialogue,
     ParallelExample,
     SummaryRecord,
     Turn,
     render_dialogue_text,
+    validate_dialogue,
 )
 
 WORDS = [
@@ -56,6 +62,84 @@ def make_example(rng: random.Random, dialogue_id: str, origin: str = "annotated"
     d = make_dialogue(rng, dialogue_id, **kwargs)
     summary = " ".join(rng.choices(WORDS, k=rng.randint(3, 8)))
     return ParallelExample(dialogue=d, summaries=(SummaryRecord(summary, origin),))
+
+
+def validate_example(ex: ParallelExample) -> list[str]:
+    """Violations of a parallel example: dialogue invariants plus summary rules."""
+    violations = validate_dialogue(ex.dialogue)
+    if not ex.summaries:
+        violations.append("example has no summaries")
+    for i, s in enumerate(ex.summaries):
+        if not s.text:
+            violations.append(f"summary {i}: empty text")
+        if s.origin not in SUMMARY_ORIGINS:
+            violations.append(f"summary {i}: unknown origin {s.origin!r}")
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# Serialization inverses: parse what ``dialoprep.noising`` writes back into
+# dialogues and pairs.
+# ---------------------------------------------------------------------------
+
+def assign_speaker_ids(d: Dialogue) -> list[int]:
+    """Per-turn speaker ids: turn 0 gets 0, then flip at every turn boundary.
+
+    In dual-turn form every boundary is a role transition, so ids stay in
+    {0, 1} for any number of roles.
+    """
+    return [i % 2 for i in range(len(d.turns))]
+
+
+def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
+                         source_dataset: str = "") -> Dialogue:
+    """Parse a clean serialization back into a Dialogue.
+
+    The role table is rebuilt in order of first appearance, which matches how
+    every pipeline stage constructs dialogues. Corrupted sequences (stray
+    masks, unterminated groups) raise ValueError.
+    """
+    tokens = list(s.tokens)
+    if len(tokens) < 2 or tokens[0] != BOS or tokens[-1] != EOS:
+        raise ValueError("serialization must start with <s> and end with </s>")
+    roles: list[str] = []
+    turns: list[Turn] = []
+    i = 1
+    end = len(tokens) - 1
+    while i < end:
+        try:
+            eor = tokens.index(EOR, i, end)
+            eou = tokens.index(EOU, eor + 1, end)
+        except ValueError:
+            raise ValueError("unterminated role or utterance group") from None
+        role_tokens = tokens[i:eor]
+        utterance_tokens = tokens[eor + 1:eou]
+        group_tokens = role_tokens + utterance_tokens
+        if not role_tokens or not utterance_tokens:
+            raise ValueError("empty role or utterance group")
+        if any(t in (BOS, EOS, EOR, EOU, MASK, UTTR_MASK) for t in group_tokens):
+            raise ValueError("marker token inside a content group")
+        role = " ".join(role_tokens)
+        if role not in roles:
+            roles.append(role)
+        turns.append(Turn(role_index=roles.index(role), text=" ".join(utterance_tokens)))
+        i = eou + 1
+    if not turns:
+        raise ValueError("serialization contains no turns")
+    return Dialogue(id=dialogue_id, source_dataset=source_dataset,
+                    roles=tuple(roles), turns=tuple(turns))
+
+
+def load_pairs(path: str | Path) -> list[NoisedPair]:
+    """The pairs of a file written by ``noising.save_pairs`` or ``noise``."""
+    return [NoisedPair(
+        task=obj["task"],
+        source=SerializedInput(tokens=tuple(obj["source_tokens"]),
+                               speaker_ids=tuple(obj["source_speaker_ids"])),
+        target_tokens=tuple(obj["target_tokens"]),
+        dialogue_id=obj["dialogue_id"],
+        target_origin=obj.get("target_origin"),
+    ) for _, obj in jsonl.read(path)]
 
 
 def oracle_shingles(d: Dialogue, k: int) -> frozenset:

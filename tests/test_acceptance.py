@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_force_dedup, brute_force_eval_overlap, make_dialogue
+from conftest import (brute_force_dedup, brute_force_eval_overlap, deserialize_dialogue,
+                      make_dialogue)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "data" / "sample"
@@ -139,7 +140,7 @@ def test_c04_noising_invariants():
     from dialoprep.noising import (
         BOS, EOR, EOS, EOU, MASK, UTTR_MASK,
         NoisingConfig, SerializedInput, _apply_infill,
-        deserialize_dialogue, round_half_up, serialize_dialogue,
+        round_half_up, serialize_dialogue,
         token_deletion, token_masking, utterance_infilling,
         utterance_masking, utterance_permutation,
     )

@@ -154,16 +154,19 @@ def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
     argv = ["noise", "--in", str(corpus), "--out", str(out), "--count", "40", "--seed"]
     assert main(argv + ["5"]) == 0
     earlier = out.read_bytes()
-    original = noising.mixed_pair
+    original = noising.pair_line
+    reached = []
 
     def failing(items, mix, cfg, ordinal, *, seed):
         if ordinal == 25:
+            reached.append(ordinal)
             raise RuntimeError("interrupted")
         return original(items, mix, cfg, ordinal, seed=seed)
 
-    monkeypatch.setattr(noising, "mixed_pair", failing)
+    monkeypatch.setattr(noising, "pair_line", failing)
     with pytest.raises(RuntimeError, match="interrupted"):
         main(argv + ["6"])
+    assert reached == [25]
     assert out.read_bytes() == earlier
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.jsonl",
                                                           "pairs.jsonl.manifest.json"]
@@ -206,6 +209,8 @@ _INPUT_FILES = {
     "list_text.jsonl": '{"id": "1", "text": ["a", "b"]}\n',
     "number_text.jsonl": '{"id": "1", "text": 1}\n',
     "number_id.jsonl": '{"id": 1, "text": "a b"}\n',
+    "four_tokens.jsonl": '{"id": "1", "text": "d e f g"}\n',
+    "two_references.jsonl": '{"id": "1", "texts": ["a b c", "d e"]}\n',
     "bool_version.dlg": _edited(_NAMED[0], lambda o: o.update(schema_version=True)) + _NAMED[1],
     "float_version.dlg": _edited(_NAMED[0], lambda o: o.update(schema_version=1.0)) + _NAMED[1],
     "string_role_index.dlg": _NAMED[0] + _edited(
@@ -336,6 +341,9 @@ _INPUT_FILES = {
     (["eval", "--candidates", "{tmp}/one_text.jsonl", "--references", "{tmp}/one_text.jsonl",
       "--out", "{out}", "--select-train-ref", "--max-length", "-5"],
      "max_length must be >= 1"),
+    (["eval", "--candidates", "{tmp}/four_tokens.jsonl",
+      "--references", "{tmp}/two_references.jsonl", "--out", "{out}", "--select-train-ref",
+      "--max-length", "1"], "--max-length does not apply to --select-train-ref"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -354,7 +362,7 @@ _INPUT_FILES = {
         "annotate-nan-temperature", "annotate-negative-backoff", "noise-config-nan",
         "noise-config-infinity", "noise-config-seed", "noise-mix-seed",
         "stats-summary-index-past-end", "stats-summary-index-negative",
-        "eval-select-ref-negative-max-length"])
+        "eval-select-ref-negative-max-length", "eval-select-ref-max-length"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialoprep import noising
+from dialoprep import jsonl, noising
 from dialoprep.noising import (
     BOS,
     EOR,
@@ -24,12 +24,11 @@ from dialoprep.noising import (
     TaskMix,
     _apply_infill,
     _plan_infill,
-    assign_speaker_ids,
-    deserialize_dialogue,
-    load_pairs,
     make_task_oriented_pair,
     mix_tasks,
     mixed_pair,
+    pair_line,
+    pair_to_obj,
     round_half_up,
     sample_poisson,
     save_pairs,
@@ -41,9 +40,11 @@ from dialoprep.noising import (
     utterance_masking,
     utterance_permutation,
 )
-from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
+from dialoprep.records import (RESERVED_MARKERS, Dialogue, ParallelExample, SummaryRecord, Turn,
+                               validate_dialogue)
 
-from conftest import make_dialogue, make_example
+from conftest import (assign_speaker_ids, deserialize_dialogue, load_pairs, make_dialogue,
+                      make_example)
 
 CFG = NoisingConfig()
 MARKERS = (BOS, EOS, EOR, EOU, MASK, UTTR_MASK)
@@ -693,3 +694,72 @@ def test_gap_selection_runs_once_per_dialogue(monkeypatch):
     del items, pairs
     gc.collect()
     assert len(noising._GAP_SELECTIONS) == held
+
+
+# ---------------------------------------------------------------------------
+# Lines rendered from text equal the encoded pairs
+# ---------------------------------------------------------------------------
+
+# Characters JSON escapes (", \\ and the controls that are not whitespace),
+# characters it keeps (U+007F, non-ASCII, astral) and "<" of the markers.
+_TRICKY = ['"', "\\", "\x01", "\x08", "\x0e", "\x1b", "\x7f", "é", "中", "\U0001f600",
+           "<", ">", "/", "a", "b"]
+_CHAR = st.one_of(st.sampled_from(_TRICKY),
+                  st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs"))
+                  .filter(lambda c: not c.isspace()))
+_TOKEN = st.text(_CHAR, min_size=1, max_size=3).filter(
+    lambda t: not any(marker in t for marker in RESERVED_MARKERS))
+_TEXT = st.lists(_TOKEN, min_size=1, max_size=4).map(" ".join)
+# Summaries carry no whitespace rule: tabs, newlines, runs and edge spaces.
+_SUMMARY = st.lists(st.one_of(st.sampled_from([" ", "  ", "\t", "\n", "\u3000"]), _TOKEN),
+                   min_size=1, max_size=6).map("".join)
+
+
+@st.composite
+def _canonical_items(draw):
+    """Valid dialogues (one or more turns, one or two roles) or parallel examples."""
+    parallel = draw(st.booleans())
+    items = []
+    for i in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 5))
+        roles = tuple(draw(st.lists(_TEXT, min_size=min(n, 2), max_size=min(n, 2),
+                                    unique=True)))
+        turns = tuple(Turn(j % 2, draw(_TEXT)) for j in range(n))
+        d = Dialogue(id=f"{draw(_TEXT)}#{i}", source_dataset="h", roles=roles, turns=turns)
+        assert validate_dialogue(d) == []
+        if parallel:
+            origins = st.sampled_from(["annotated", "reference", "augmented"])
+            summaries = draw(st.lists(st.builds(SummaryRecord, _SUMMARY, origins),
+                                      min_size=1, max_size=2))
+            items.append(ParallelExample(d, tuple(summaries)))
+        else:
+            items.append(d)
+    return items, parallel
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=_canonical_items(), task=st.sampled_from(noising.ALL_TASKS),
+       rates=st.tuples(_RATE, _RATE, _RATE, _RATE), lam=st.sampled_from([0.5, 3.0, 50.0]),
+       seed=st.integers(0, 2**32), ordinal=st.integers(0, 10**6))
+def test_pair_line_is_the_encoded_pair(corpus, task, rates, lam, seed, ordinal):
+    items, parallel = corpus
+    if task == "task_oriented" and not parallel:
+        task = "token_mask"
+    mix = TaskMix(weights={task: 1.0})
+    # A budget rate of 1 with a large lambda collapses every turn to one mask.
+    cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
+                        infill_lambda=lam, infill_utterance_budget_rate=rates[2],
+                        uttr_mask_rate=rates[3])
+    pair = mixed_pair(items, mix, cfg, ordinal, seed=seed)
+    assert pair.task == task
+    assert pair_line(items, mix, cfg, ordinal, seed=seed) == jsonl.line(pair_to_obj(pair))
+
+
+def test_pair_lines_are_the_saved_pairs(tmp_path):
+    rng = random.Random(33)
+    items = [make_example(rng, f"l{i}", n_turns=rng.randint(1, 8)) for i in range(5)]
+    mix = TaskMix(weights={task: 1.0 for task in noising.ALL_TASKS})
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(mix_tasks(items, mix, CFG, 200, seed=9), path)
+    lines = [pair_line(items, mix, CFG, ordinal, seed=9) for ordinal in range(200)]
+    assert "".join(lines) == path.read_text(encoding="utf-8")

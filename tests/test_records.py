@@ -20,10 +20,9 @@ from dialoprep.records import (
     render_dialogue_text,
     save_corpus,
     validate_dialogue,
-    validate_example,
 )
 
-from conftest import make_dialogue, make_example, oracle_validate_dialogue
+from conftest import make_dialogue, make_example, oracle_validate_dialogue, validate_example
 
 
 def two_turn():
