@@ -73,31 +73,13 @@ def _shingles(tokens: Sequence[str], k: int) -> frozenset:
     return frozenset(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
 
 
-def text_shingles(text: str, shingle_k: int = 1) -> frozenset:
-    return _shingles(tokenize_for_metrics(text), shingle_k)
-
-
 def dialogue_text(d: Dialogue) -> str:
     """Utterance text of a dialogue, roles excluded."""
     return " ".join(t.text for t in d.turns)
 
 
 def dialogue_shingles(d: Dialogue, shingle_k: int = 1) -> frozenset:
-    return text_shingles(dialogue_text(d), shingle_k)
-
-
-def jaccard_similarity(a: str, b: str, shingle_k: int = 1) -> float:
-    """|Sa ∩ Sb| / |Sa ∪ Sb| over shingle sets; 1.0 when both sets are empty."""
-    return _jaccard_sets(text_shingles(a, shingle_k), text_shingles(b, shingle_k))
-
-
-def _jaccard_sets(sa: frozenset, sb: frozenset) -> float:
-    if not sa and not sb:
-        return 1.0
-    union = len(sa | sb)
-    if union == 0:
-        return 1.0
-    return len(sa & sb) / union
+    return _shingles(tokenize_for_metrics(dialogue_text(d)), shingle_k)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ All sampling flows through generators derived from (seed, dialogue id,
 ordinal), so generation order never depends on scheduling.
 
 Each task draws a plan: the groups of its source, most of them intact turns
-of the dialogue. A plan renders twice. ``mixed_pair`` and the task functions
-render it as a NoisedPair of token tuples; ``pair_line``, which ``noise``
-writes through, renders it straight to the pair's JSON line, from the
-dialogue's text. Role and utterance texts are whitespace-canonical (records
-guarantee it on load), so a text's tokens are its space-separated pieces and
-its token array is one JSON-escaped string with each space closed and
-reopened as ``", "``. Both renderings give the same bytes on disk.
+of the dialogue. A plan renders once, straight to the pair's JSON line, from
+the dialogue's text: ``pair_line``, which ``noise`` writes through, returns
+that line, and ``mixed_pair``, the task functions and ``serialize_dialogue``
+return it decoded into token tuples. Role and utterance texts are
+whitespace-canonical (records guarantee it on load), so a text's tokens are
+its space-separated pieces and its token array is one JSON-escaped string
+with each space closed and reopened as ``", "``.
 
 Utterance masking's greedy gap selection runs once per dialogue: it is kept,
 a few turn indices, only while the dialogue is alive. Nothing else outlives
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -89,10 +90,15 @@ class TaskMix:
         unknown = set(self.weights) - set(ALL_TASKS)
         if unknown:
             raise ValueError(f"unknown tasks in mix: {sorted(unknown)}")
-        if any(w < 0 for w in self.weights.values()):
+        weights = self.weights.values()
+        if any(w < 0 for w in weights):
             raise ValueError("task weights must be non-negative")
-        if not any(w > 0 for w in self.weights.values()):
+        if not all(w <= sys.float_info.max for w in weights):  # NaN compares false
+            raise ValueError("task weights must be finite and within float range")
+        if not any(w > 0 for w in weights):
             raise ValueError("at least one task weight must be positive")
+        if not sum(map(float, weights)) <= sys.float_info.max:  # _draw scales by the sum
+            raise ValueError("task weights must sum to a finite number")
 
     @classmethod
     def equal_reconstruction(cls) -> "TaskMix":
@@ -137,53 +143,78 @@ class NoisedPair:
 # Serialization
 # ---------------------------------------------------------------------------
 
-# A group is one top-level unit of the serialized sequence: a (role tokens,
-# utterance tokens) turn, or a bare mask produced by infilling.
+# A pair renders once, from its dialogue's text, to the line that
+# ``jsonl.line(pair_to_obj(pair))`` writes. Role and utterance texts are
+# whitespace-canonical (``records.validate_dialogue``) and markers hold no
+# space, so a serialized sequence joined by single spaces has its tokens as
+# space-separated pieces; JSON escaping neither makes nor removes a U+0020.
+
+# A group is one top-level unit of the serialized sequence: a turn, or a bare
+# mask produced by infilling.
 _MaskGroup = object()
 
-
-def _tokens(groups: Sequence) -> list[str]:
-    """The serialized tokens of ``groups``, from ``<s>`` to ``</s>``."""
-    tokens = [BOS]
-    for group in groups:
-        if group is _MaskGroup:
-            tokens.append(MASK)
-            continue
-        role_tokens, utterance_tokens = group
-        tokens += role_tokens
-        tokens.append(EOR)
-        tokens += utterance_tokens
-        tokens.append(EOU)
-    tokens.append(EOS)
-    return tokens
+_SPEAKER_IDS = ("0, ", "1, ")
 
 
-def _build_serialized(groups: Sequence) -> SerializedInput:
-    ids = [0]
-    for position, group in enumerate(groups):
-        width = 1 if group is _MaskGroup else len(group[0]) + len(group[1]) + 2
-        ids += [position % 2] * width
-    ids.append(ids[-1])
-    return SerializedInput(tokens=_tokens(groups), speaker_ids=ids)
+def _group_text(role: str, text: str) -> str:
+    """A turn group's tokens joined by spaces; ``text`` may be empty."""
+    return f"{role} {EOR} {text} {EOU}" if text else f"{role} {EOR} {EOU}"
+
+
+def _token_array(groups: list[str]) -> str:
+    """The JSON array body of ``<s>``, the tokens of ``groups``, ``</s>``."""
+    return jsonl.string(f"{BOS} {' '.join(groups)} {EOS}").replace(" ", '", "')
+
+
+def _render_line(task: str, d: Dialogue, groups: Sequence | None,
+                 summary: SummaryRecord | None = None) -> str:
+    """The line of the pair whose source serializes the plan ``groups``, or
+    the clean dialogue when ``groups`` is None, and whose target is the clean
+    serialization of ``d``, or ``summary``'s tokens when it is given."""
+    turns = [_group_text(d.roles[turn.role_index], turn.text) for turn in d.turns]
+    if groups is None:
+        source = turns
+    else:
+        source = [turns[group] if type(group) is int else
+                  MASK if group is _MaskGroup else
+                  _group_text(d.roles[group[0]], group[1])
+                  for group in groups]
+    ids = "0, " + "".join([_SPEAKER_IDS[position & 1] * (text.count(" ") + 1)
+                           for position, text in enumerate(source)])
+    ids += ids[-3]  # </s> repeats the last group's id
+    if summary is None:
+        target = _token_array(turns)
+        tail = ""
+    else:
+        target = ", ".join(map(jsonl.string, summary.text.split()))
+        tail = f', "target_origin": {jsonl.string(summary.origin)}'
+    return (f'{{"task": "{task}", "source_tokens": [{_token_array(source)}], '
+            f'"source_speaker_ids": [{ids}], "target_tokens": [{target}], '
+            f'"dialogue_id": {jsonl.string(d.id)}{tail}}}\n')
+
+
+def _pair_of_line(line: str) -> NoisedPair:
+    """The pair a line of :func:`_render_line` or :func:`save_pairs` holds."""
+    obj = jsonl.decode(line)
+    return NoisedPair(task=obj["task"],
+                      source=SerializedInput(obj["source_tokens"], obj["source_speaker_ids"]),
+                      target_tokens=obj["target_tokens"], dialogue_id=obj["dialogue_id"],
+                      target_origin=obj.get("target_origin"))
 
 
 def serialize_dialogue(d: Dialogue) -> SerializedInput:
     """Clean serialization of a dialogue with markers and speaker ids."""
-    return _build_serialized([(d.roles[t.role_index].split(), t.text.split())
-                              for t in d.turns])
+    return _pair_of_line(_render_line("", d, None)).source
 
 
 # ---------------------------------------------------------------------------
 # Corruption plans
 # ---------------------------------------------------------------------------
 #
-# A task's plan is the list of groups its source serializes: a turn index
-# (that turn, intact), ``_MaskGroup``, or ``(role index, text)`` for an
-# utterance the task changed or moved, whitespace-canonical or empty. The
-# same plan renders to a NoisedPair (``_reconstruction_pair``) and to its
-# output line (``_render_line``). Plans take the dialogue's texts to be
-# whitespace-canonical, as ``records.validate_dialogue`` requires, so a
-# text's tokens are its U+0020-separated pieces.
+# A task's plan is the list of groups its source serializes, which
+# ``_render_line`` renders: a turn index (that turn, intact), ``_MaskGroup``,
+# or ``(role index, text)`` for an utterance the task changed or moved,
+# whitespace-canonical (as the dialogue's own texts are) or empty.
 
 def _plan_token_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
     groups = []
@@ -408,16 +439,8 @@ _PLANS = {
 # ---------------------------------------------------------------------------
 
 def _reconstruction_pair(task: str, d: Dialogue, groups: Sequence) -> NoisedPair:
-    """``groups`` serialized as the source; the target is the clean
-    serialization of ``d``, from the same split of each turn."""
-    roles = [role.split() for role in d.roles]
-    target = [(roles[turn.role_index], turn.text.split()) for turn in d.turns]
-    source = [target[group] if type(group) is int else
-              group if group is _MaskGroup else
-              (roles[group[0]], group[1].split())
-              for group in groups]
-    return NoisedPair(task=task, source=_build_serialized(source),
-                      target_tokens=_tokens(target), dialogue_id=d.id)
+    """``groups`` serialized as the source; the target is ``d`` clean."""
+    return _pair_of_line(_render_line(task, d, groups))
 
 
 def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -479,76 +502,15 @@ def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
     Uses the first summary with origin ``annotated``; falls back to the first
     summary otherwise and flags the fallback origin in the pair.
     """
-    summary = _summary(ex)
-    return NoisedPair(
-        task="task_oriented",
-        source=serialize_dialogue(ex.dialogue),
-        target_tokens=tuple(summary.text.split()),
-        dialogue_id=ex.dialogue.id,
-        target_origin=summary.origin,
-    )
+    return _pair_of_line(_render_line("task_oriented", ex.dialogue, None, _summary(ex)))
 
 
 def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
                    rng: random.Random) -> NoisedPair:
     """Apply one reconstruction task to a dialogue."""
-    try:
-        plan = _PLANS[task]
-    except KeyError:
-        raise ValueError(f"unknown reconstruction task {task!r}") from None
-    return _reconstruction_pair(task, d, plan(d, cfg, rng))
-
-
-# ---------------------------------------------------------------------------
-# Corruption tasks: plans rendered as output lines
-# ---------------------------------------------------------------------------
-#
-# A pair's line is what ``jsonl.line(pair_to_obj(pair))`` writes, assembled
-# from its dialogue's text. Role and utterance texts are whitespace-canonical
-# (``records.validate_dialogue``) and markers hold no space, so a serialized
-# sequence joined by single spaces is a canonical text whose tokens are its
-# space-separated pieces. JSON escaping neither makes nor removes a U+0020, so
-# the sequence's token array is that text's one JSON string with each space
-# closed and reopened as ``", "``.
-
-_SPEAKER_IDS = ("0, ", "1, ")
-
-
-def _group_text(role: str, text: str) -> str:
-    """A turn group's tokens joined by spaces; ``text`` may be empty."""
-    return f"{role} {EOR} {text} {EOU}" if text else f"{role} {EOR} {EOU}"
-
-
-def _token_array(groups: list[str]) -> str:
-    """The JSON array body of ``<s>``, the tokens of ``groups``, ``</s>``."""
-    return jsonl.string(f"{BOS} {' '.join(groups)} {EOS}").replace(" ", '", "')
-
-
-def _render_line(task: str, d: Dialogue, groups: Sequence | None,
-                 summary: SummaryRecord | None = None) -> str:
-    """The line of the pair whose source serializes ``groups``, or the clean
-    dialogue when ``groups`` is None, and whose target is the clean
-    serialization of ``d``, or ``summary``'s tokens when it is given."""
-    turns = [_group_text(d.roles[turn.role_index], turn.text) for turn in d.turns]
-    if groups is None:
-        source = turns
-    else:
-        source = [turns[group] if type(group) is int else
-                  MASK if group is _MaskGroup else
-                  _group_text(d.roles[group[0]], group[1])
-                  for group in groups]
-    ids = "0, " + "".join([_SPEAKER_IDS[position & 1] * (text.count(" ") + 1)
-                           for position, text in enumerate(source)])
-    ids += ids[-3]  # </s> repeats the last group's id
-    if summary is None:
-        target = _token_array(turns)
-        tail = ""
-    else:
-        target = ", ".join(map(jsonl.string, summary.text.split()))
-        tail = f', "target_origin": {jsonl.string(summary.origin)}'
-    return (f'{{"task": "{task}", "source_tokens": [{_token_array(source)}], '
-            f'"source_speaker_ids": [{ids}], "target_tokens": [{target}], '
-            f'"dialogue_id": {jsonl.string(d.id)}{tail}}}\n')
+    if task not in _PLANS:
+        raise ValueError(f"unknown reconstruction task {task!r}")
+    return _reconstruction_pair(task, d, _PLANS[task](d, cfg, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +545,10 @@ def _draw(items: Sequence[Dialogue | ParallelExample], mix: TaskMix, ordinal: in
     return task, item
 
 
-def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-               cfg: NoisingConfig, ordinal: int, *, seed: int) -> NoisedPair:
-    """The pair at position ``ordinal`` of the mixed stream.
+def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+              cfg: NoisingConfig, ordinal: int, *, seed: int) -> str:
+    """The line of the pair at position ``ordinal`` of the mixed stream, as
+    :func:`save_pairs` writes it.
 
     Task and dialogue are drawn from a generator derived from (seed,
     "select", ordinal); corruption uses a generator derived from (seed,
@@ -594,10 +557,17 @@ def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
     """
     task, item = _draw(items, mix, ordinal, seed)
     if task == "task_oriented":
-        return make_task_oriented_pair(item)
+        return _render_line(task, item.dialogue, None, _summary(item))
     dialogue = _dialogue_of(item)
     pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
-    return noise_dialogue(dialogue, task, cfg, pair_rng)
+    return _render_line(task, dialogue, _PLANS[task](dialogue, cfg, pair_rng))
+
+
+def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+               cfg: NoisingConfig, ordinal: int, *, seed: int) -> NoisedPair:
+    """The pair at position ``ordinal`` of the mixed stream: the decoded
+    :func:`pair_line`."""
+    return _pair_of_line(pair_line(items, mix, cfg, ordinal, seed=seed))
 
 
 def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
@@ -607,18 +577,6 @@ def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
         raise ValueError("count must be >= 0")
     for ordinal in range(count):
         yield mixed_pair(items, mix, cfg, ordinal, seed=seed)
-
-
-def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-              cfg: NoisingConfig, ordinal: int, *, seed: int) -> str:
-    """The line of ``mixed_pair(items, mix, cfg, ordinal, seed=seed)``, as
-    :func:`save_pairs` writes it, rendered from the same draws and plan."""
-    task, item = _draw(items, mix, ordinal, seed)
-    if task == "task_oriented":
-        return _render_line(task, item.dialogue, None, _summary(item))
-    dialogue = _dialogue_of(item)
-    pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
-    return _render_line(task, dialogue, _PLANS[task](dialogue, cfg, pair_rng))
 
 
 # ---------------------------------------------------------------------------

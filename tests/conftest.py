@@ -7,7 +7,7 @@ from collections import Counter
 
 from pathlib import Path
 
-from dialoprep import jsonl
+from dialoprep import noising
 from dialoprep.dedup import RemovalRecord
 from dialoprep.metrics import EvalScores, ExampleStats, RougeScore, tokenize_for_metrics
 from dialoprep.noising import BOS, EOR, EOS, EOU, MASK, UTTR_MASK, NoisedPair, SerializedInput
@@ -78,6 +78,44 @@ def validate_example(ex: ParallelExample) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Serializer oracle: token lists from ``str.split()`` with one speaker id per
+# token, built apart from the line that ``dialoprep.noising`` renders. Every
+# pair the noising API returns must equal it.
+# ---------------------------------------------------------------------------
+
+def oracle_serialize(groups) -> SerializedInput:
+    """``<s>``, then each group, a (role tokens, utterance tokens) turn or a
+    bare ``MASK``, then ``</s>``; ids alternate 0/1 over the groups and
+    ``</s>`` repeats the last one."""
+    tokens, ids = [BOS], [0]
+    for position, group in enumerate(groups):
+        group_tokens = [MASK] if group == MASK else [*group[0], EOR, *group[1], EOU]
+        tokens += group_tokens
+        ids += [position % 2] * len(group_tokens)
+    tokens.append(EOS)
+    ids.append(ids[-1])
+    return SerializedInput(tokens, ids)
+
+
+def oracle_pair(task: str, d: Dialogue, plan=None, summary: SummaryRecord | None = None):
+    """The pair whose source serializes ``plan``, a ``noising`` plan (turn
+    indices, ``noising._MaskGroup`` and (role index, text) groups) or the
+    clean dialogue when None, and whose target is ``d`` clean or, when given,
+    ``summary``'s tokens."""
+    roles = [role.split() for role in d.roles]
+    turns = [(roles[t.role_index], t.text.split()) for t in d.turns]
+    source = turns if plan is None else [
+        turns[group] if type(group) is int else
+        MASK if group is noising._MaskGroup else
+        (roles[group[0]], group[1].split())
+        for group in plan]
+    if summary is None:
+        return NoisedPair(task, oracle_serialize(source), oracle_serialize(turns).tokens, d.id)
+    return NoisedPair(task, oracle_serialize(source), summary.text.split(), d.id,
+                      summary.origin)
+
+
+# ---------------------------------------------------------------------------
 # Serialization inverses: parse what ``dialoprep.noising`` writes back into
 # dialogues and pairs.
 # ---------------------------------------------------------------------------
@@ -132,26 +170,31 @@ def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
 
 def load_pairs(path: str | Path) -> list[NoisedPair]:
     """The pairs of a file written by ``noising.save_pairs`` or ``noise``."""
-    return [NoisedPair(
-        task=obj["task"],
-        source=SerializedInput(tokens=tuple(obj["source_tokens"]),
-                               speaker_ids=tuple(obj["source_speaker_ids"])),
-        target_tokens=tuple(obj["target_tokens"]),
-        dialogue_id=obj["dialogue_id"],
-        target_origin=obj.get("target_origin"),
-    ) for _, obj in jsonl.read(path)]
+    with open(path, encoding="utf-8") as fh:
+        return [noising._pair_of_line(line) for line in fh]
 
 
-def oracle_shingles(d: Dialogue, k: int) -> frozenset:
-    """Shingles of a dialogue's joined utterance text, built apart from ``dedup``."""
-    tokens = tokenize_for_metrics(" ".join(t.text for t in d.turns))
+def _oracle_text_shingles(text: str, k: int) -> frozenset:
+    tokens = tokenize_for_metrics(text)
     if k == 1:
         return frozenset(tokens)
     return frozenset(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
 
 
+def oracle_shingles(d: Dialogue, k: int) -> frozenset:
+    """Shingles of a dialogue's joined utterance text, built apart from ``dedup``."""
+    return _oracle_text_shingles(" ".join(t.text for t in d.turns), k)
+
+
 def _oracle_jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b) if a or b else 1.0
+
+
+def oracle_jaccard(a: str, b: str, shingle_k: int = 1) -> float:
+    """|Sa & Sb| / |Sa | Sb| over the shingle sets of two texts; 1.0 when
+    both sets are empty."""
+    return _oracle_jaccard(_oracle_text_shingles(a, shingle_k),
+                           _oracle_text_shingles(b, shingle_k))
 
 
 def _brute_force_first_match(dialogues, references, cfg, reason):

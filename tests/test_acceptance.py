@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (brute_force_dedup, brute_force_eval_overlap, deserialize_dialogue,
-                      make_dialogue)
+                      make_dialogue, oracle_jaccard)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "data" / "sample"
@@ -255,8 +255,7 @@ def test_c05_poisson_sampler():
 
 def test_c06_dedup_and_leakage():
     from dialoprep.dedup import (
-        DedupConfig, dedup_corpus, dialogue_shingles, jaccard_similarity,
-        remove_eval_overlap,
+        DedupConfig, dedup_corpus, dialogue_shingles, remove_eval_overlap,
     )
     from dialoprep.records import Dialogue, Turn
 
@@ -274,10 +273,10 @@ def test_c06_dedup_and_leakage():
         base = dlg("base", [" ".join(tokens[:5]), " ".join(tokens[5:])])
         exact = dlg("exact", [" ".join(tokens[:5]), " ".join(tokens[5:])])
         near = dlg("near", [" ".join(changed[:5]), " ".join(changed[5:])])
-        assert jaccard_similarity(" ".join(tokens), " ".join(changed)) >= 0.8
+        assert oracle_jaccard(" ".join(tokens), " ".join(changed)) >= 0.8
         dissimilar = dlg("far", ["c1 c2 c3 a1", "a2 a3 a4"])
         other = dlg("far2", ["c1 c2 c3", "b1 b2 b3"])
-        assert jaccard_similarity(
+        assert oracle_jaccard(
             " ".join(t.text for t in dissimilar.turns),
             " ".join(t.text for t in other.turns)) == pytest.approx(0.3)
         kept, removed = dedup_corpus([base, exact, near, dissimilar, other], cfg)

