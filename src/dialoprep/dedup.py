@@ -3,23 +3,42 @@
 Similarity is Jaccard over shingle sets built from utterance text only (role
 names are randomized later and would only add noise). Decisions are exact and
 sequential in input order, first occurrence wins, so results are order-stable.
-The pair search is an exact filtered similarity join (prefix filtering as in
-AllPairs, Bayardo et al. 2007, and PPJoin, Xiao et al. 2008): shingles become
-integer ids, rarest first, each set is posted under its shortest prefix that
-any set at or above the threshold must share, and every candidate passes a
-length filter and is verified on integer bitsets. The filters only skip pairs
-that cannot reach the threshold, so the result is the brute-force scan's.
-A :class:`ShingleIndex` tokenizes each dialogue once for all three filters.
+
+Each pass first runs one exact similarity join, then decides in input order:
+a duplicate is matched with its lowest earlier dialogue that is still kept, an
+evaluation leak with its lowest evaluation dialogue. The join only finds the
+rows that have any match, which does not depend on what was kept. A row
+without one is kept as it is met; every other row is looked up among the
+references posted so far (the dialogues kept before it, or all evaluation
+dialogues), its candidates verified lowest first. The join verifies a pair
+only while its row has no match, so a cluster of k mutually similar
+dialogues costs about k verifications, not k * k / 2. It meets each distinct
+shingle set once; a later row with an equal set, and an empty set, which it
+skips, are looked up.
+
+The join is AllPairs (Bayardo et al., WWW 2007). Shingles become integer ids,
+rarest first, and the sets are swept in (size, row) order, so every set met
+before is at most as large as the one probing. The length filter is then a
+start position in that order. A set probes the postings with the prefix that
+any set at or above the threshold must share a shingle with, and is posted
+under the shorter prefix that suffices against sets no smaller than itself.
+Each candidate pair is verified at most once, on integer bitsets; where the
+postings a probe would scan outnumber the sets in its length range, the whole
+range is its candidates. The filters only skip pairs that cannot reach the
+threshold, and their bounds are tested with the verifier's own float
+division, so the result is the brute-force scan's. A :class:`ShingleIndex`
+tokenizes each dialogue once for all three filters.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import jsonl
 from .metrics import tokenize_for_metrics
@@ -83,71 +102,33 @@ def dialogue_shingles(d: Dialogue, shingle_k: int = 1) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Exact filtered similarity join
+# Shingle index
 # ---------------------------------------------------------------------------
 
-def _size_bounds(size: int, threshold: float) -> tuple[int, int]:
-    """Sizes a set may have and still reach ``threshold`` with a set of ``size``
-    shingles, since J <= min / max; tested with the verifier's own float
-    division, which ``ceil(threshold * size)`` can round away from.
-
-    The lower bound is also the fewest shingles such a pair shares: inter / size
-    >= inter / union, and correctly rounded division keeps that order."""
-    lo = max(1, int(threshold * size))
-    while lo > 1 and (lo - 1) / size >= threshold:
-        lo -= 1
-    while lo / size < threshold:
-        lo += 1
-    hi = int(size / threshold)
-    while size / (hi + 1) >= threshold:
-        hi += 1
-    while size / hi < threshold:
-        hi -= 1
-    return lo, hi
+def _fewest(accepts: Callable[[int], bool], size: int) -> int:
+    """Smallest ``a`` in [1, size] that ``accepts``, which holds at ``size`` and
+    at every ``a`` above one where it holds."""
+    lo, hi = 1, size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if accepts(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
-class _PrefixJoin:
-    """Exact candidate filter for Jaccard >= threshold (AllPairs / PPJoin prefix
-    filtering) over sets encoded by a :class:`ShingleIndex`.
+def _overlap_bounds(size: int, threshold: float) -> tuple[int, int]:
+    """The fewest shingles a set of ``size`` shares with any set it reaches
+    ``threshold`` with, and the fewest it shares with any such set at least as
+    large, each tested with the verifier's own float division.
 
-    Two sets at J >= threshold share at least ``lo`` shingles, so their first
-    ``size - lo + 1`` ids intersect under any fixed shingle order, and every such
-    pair is a candidate. Candidates pass the length filter and are verified
-    exactly in ascending row order, so the first match is the lowest reference
-    row at or above the threshold."""
-
-    def __init__(self, threshold: float):
-        self._threshold = threshold
-        self._postings: dict[int, list[int]] = {}
-        self._sets: list[tuple[int, int]] = []
-        self._first_empty: int | None = None
-
-    def add(self, entry: tuple) -> None:
-        """Index an encoded set as the next reference row."""
-        size, bits, prefix, _, _ = entry
-        row = len(self._sets)
-        self._sets.append((size, bits))
-        if size == 0 and self._first_empty is None:
-            self._first_empty = row
-        for i in prefix:
-            self._postings.setdefault(i, []).append(row)
-
-    def first_match(self, entry: tuple) -> tuple[int, float] | None:
-        """(row, score) of the lowest reference row at J >= threshold, or None."""
-        size, bits, prefix, lo, hi = entry
-        if size == 0:  # two empty sets score 1.0; an empty and a non-empty one 0.0
-            return None if self._first_empty is None else (self._first_empty, 1.0)
-        candidates: set[int] = set()
-        for i in prefix:
-            candidates.update(self._postings.get(i, ()))
-        for row in sorted(candidates):
-            other, other_bits = self._sets[row]
-            if lo <= other <= hi:
-                inter = (bits & other_bits).bit_count()
-                score = inter / (size + other - inter)
-                if score >= self._threshold:
-                    return row, score
-        return None
+    For a pair reaching the threshold, inter / size >= inter / union, and
+    inter / (2 * size - inter) >= inter / union when the other set is no
+    smaller; correctly rounded division keeps both orders. Both ratios are
+    1.0 at ``size``, so the bounds hold for any threshold in (0, 1]."""
+    return (_fewest(lambda a: a / size >= threshold, size),
+            _fewest(lambda a: a / (2 * size - a) >= threshold, size))
 
 
 @dataclass(frozen=True)
@@ -159,14 +140,13 @@ class _Profile:
 
 
 def _profile(d: Dialogue, shingle_k: int) -> _Profile:
-    """Tokenizes turn by turn. Neither a token nor the context of a case
-    mapping (final sigma) crosses the space ``dialogue_text`` joins turns with,
-    so the tokens are the joined text's and the shingles ``dialogue_shingles``.
-    Tokens are interned: an index holds the sets of all dialogues at once, and
-    then holds one string per distinct token instead of one per occurrence."""
-    tokens: list[str] = []
-    for turn in d.turns:
-        tokens += map(sys.intern, tokenize_for_metrics(turn.text))
+    """Tokenizes the joined text, as ``dialogue_shingles`` does. Neither a
+    token nor the context of a case mapping (final sigma) crosses the space
+    ``dialogue_text`` joins turns with, so the token count is also the sum over
+    the turns that ``filter_min_size`` takes without an index. Tokens are
+    interned: an index holds the sets of all dialogues at once, and then holds
+    one string per distinct token instead of one per occurrence."""
+    tokens = list(map(sys.intern, tokenize_for_metrics(dialogue_text(d))))
     return _Profile(_shingles(tokens, shingle_k), len(tokens))
 
 
@@ -175,15 +155,15 @@ class ShingleIndex:
 
     For each dialogue object it is built from, keyed by the object's identity,
     it holds the utterance token count and the shingle set encoded as (size,
-    bitset, prefix, lo, hi), where [lo, hi] are the set sizes it can still
-    reach the threshold with; it keeps the objects alive so the keys stay
-    valid. All the sets are numbered together, rarest shingle first, ties
-    broken by the shingle itself, and the sets themselves are not kept. The
-    corpus operations take it as ``index=``: then each dialogue is read from
-    it, and the dedup and eval-overlap joins share one numbering, which leaves
-    their matches unchanged because prefix filtering is exact under any fixed
-    shingle order. It must be built under the ``cfg`` they are given, from
-    every dialogue they are given.
+    bitset, probe prefix, lo, index prefix length), where lo is the fewest
+    shingles the set shares with any set it reaches the threshold with; it
+    keeps the objects alive so the keys stay valid. All the sets are numbered
+    together, rarest shingle first, ties broken by the shingle itself, and the
+    sets themselves are not kept. The corpus operations take it as ``index=``:
+    then each dialogue is read from it, and the dedup and eval-overlap joins
+    share one numbering, which leaves their matches unchanged because prefix
+    filtering is exact under any fixed shingle order. It must be built under
+    the ``cfg`` they are given, from every dialogue they are given.
     """
 
     def __init__(self, dialogues: Iterable[Dialogue], cfg: DedupConfig):
@@ -192,8 +172,9 @@ class ShingleIndex:
         for _, profile in profiles.values():
             freq.update(profile.shingles)
         ids = {g: i for i, g in enumerate(sorted(freq, key=lambda g: (freq[g], g)))}
+        bounds: dict[int, tuple[int, int]] = {}
         self._rows = {key: (d, profile.tokens,
-                            _encode(profile.shingles, ids, cfg.jaccard_threshold))
+                            _encode(profile.shingles, ids, cfg.jaccard_threshold, bounds))
                       for key, (d, profile) in profiles.items()}
 
     def tokens(self, d: Dialogue) -> int:
@@ -203,45 +184,177 @@ class ShingleIndex:
         return self._rows[id(d)][2]
 
 
-def _encode(shingles: frozenset, ids: dict, threshold: float) -> tuple:
-    sorted_ids = sorted(map(ids.__getitem__, shingles))
-    bits = 0
-    for i in sorted_ids:
-        bits |= 1 << i
-    size = len(sorted_ids)
-    if not size:
+def _encode(shingles: frozenset, ids: dict, threshold: float, bounds: dict) -> tuple:
+    if not shingles:
         return 0, 0, [], 0, 0
-    lo, hi = _size_bounds(size, threshold)
-    return size, bits, sorted_ids[:size - lo + 1], lo, hi
+    sorted_ids = sorted(map(ids.__getitem__, shingles))
+    size = len(sorted_ids)
+    if size not in bounds:
+        bounds[size] = _overlap_bounds(size, threshold)
+    lo, alpha = bounds[size]
+    buf = bytearray((sorted_ids[-1] >> 3) + 1)
+    for i in sorted_ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return (size, int.from_bytes(buf, "little"), sorted_ids[:size - lo + 1], lo,
+            size - alpha + 1)
+
+
+# ---------------------------------------------------------------------------
+# Exact similarity join
+# ---------------------------------------------------------------------------
+
+def _score(a: tuple, b: tuple) -> float:
+    """Jaccard of two encoded sets; two empty sets score 1.0."""
+    inter = (a[1] & b[1]).bit_count()
+    union = a[0] + b[0] - inter
+    return inter / union if union else 1.0
+
+
+def _flagged(flags: bytearray, start: int, stop: int) -> Iterator[int]:
+    """The positions in [start, stop) whose flag is set."""
+    pos = flags.find(1, start, stop)
+    while pos >= 0:
+        yield pos
+        pos = flags.find(1, pos + 1, stop)
+
+
+def _join(rows: dict[int, tuple], refs: dict[int, tuple] | None, threshold: float) -> set[int]:
+    """The rows that reach J >= threshold with some reference, over non-empty
+    sets encoded by a :class:`ShingleIndex` and keyed by row and by reference.
+    ``refs=None`` joins the rows with themselves: a row's references are then
+    the rows before it. A pair is verified only while its row has no match, so
+    each row passes at most one verification, however many sets it is similar
+    to."""
+    cross = refs is not None
+    # One pool per side, in sweep order: sizes, bitsets, keys, whether each is
+    # a row still without a match, and postings (shingle id -> pool
+    # positions). A set probes the other side's pool, and in a self-join the
+    # one side's.
+    pools = [([], [], [], bytearray(), {}) for _ in range(1 + cross)]
+    sides = (rows, refs) if cross else (rows,)
+    for size, side, key in sorted((e[0], side, key) for side, entries in enumerate(sides)
+                                  for key, e in entries.items()):
+        _, bits, prefix, lo, index_len = sides[side][key]
+        target = side ^ cross
+        sizes, bitsets, keys, open_, postings = pools[target]
+        start = bisect_left(sizes, lo)
+        end = len(sizes)
+        unmatched = side == 0  # the set is a row, and has no match yet
+        if start < end:
+            lists = [p for p in map(postings.get, prefix) if p is not None]
+            cuts = [bisect_left(p, start) for p in lists]
+            whole_range = sum(map(len, lists)) - sum(cuts) > end - start
+            found: Sequence[int] = (range(start, end) if whole_range else list(set(
+                chain.from_iterable(p[cut:] for p, cut in zip(lists, cuts)))))
+            # ``_score`` inlined, with the overlap bound checked first: this
+            # loop is where clean spends its time.
+            unvisited = reversed(found)
+            bound = end
+            if unmatched:
+                # The row's own pairs until one passes, largest sets first (a
+                # set of its size met before it is an earlier row), and the
+                # pairs of pool rows without a match on the way.
+                for pos in unvisited:
+                    if ((cross or open_[pos] or keys[pos] < key)
+                            and (inter := (bits & bitsets[pos]).bit_count()) >= lo
+                            and inter / (size + sizes[pos] - inter) >= threshold):
+                        if cross or keys[pos] < key:
+                            unmatched = False
+                            bound = pos
+                            break
+                        open_[pos] = 0
+                else:
+                    bound = start
+            if not target:
+                # Then only the pairs whose row is a pool row without a match.
+                for pos in (_flagged(open_, start, bound) if whole_range
+                            else (pos for pos in unvisited if open_[pos])):
+                    if ((cross or keys[pos] > key)
+                            and (inter := (bits & bitsets[pos]).bit_count()) >= lo
+                            and inter / (size + sizes[pos] - inter) >= threshold):
+                        open_[pos] = 0
+        sizes, bitsets, keys, open_, postings = pools[side]
+        pos = len(sizes)
+        sizes.append(size)
+        bitsets.append(bits)
+        keys.append(key)
+        open_.append(unmatched)
+        for g in prefix[:index_len]:
+            postings.setdefault(g, []).append(pos)
+    return {key for key, open_row in zip(pools[0][2], pools[0][3]) if not open_row}
+
+
+_EMPTY = (-1,)  # the posting key of the empty set, which shares no shingle
+
+
+def _post(postings: dict[int, list[int]], e: tuple, ref: int) -> None:
+    for g in e[2] or _EMPTY:
+        postings.setdefault(g, []).append(ref)
+
+
+def _lowest_match(e: tuple, postings: dict[int, list[int]], ref_entries: Sequence[tuple],
+                  threshold: float) -> tuple[int, float] | None:
+    """(reference, score) of the lowest posted reference that ``e`` reaches the
+    threshold with, or None. References are posted under their whole probe
+    prefix, since they may be larger or smaller than ``e``; the candidates
+    pass the length filter both ways and are verified lowest first."""
+    size, _, prefix, lo, _ = e
+    for ref in sorted(set(chain.from_iterable(map(postings.get, prefix or _EMPTY,
+                                                   repeat(()))))):
+        other = ref_entries[ref]
+        if other[0] >= lo and size >= other[3]:
+            score = _score(e, other)
+            if score >= threshold:
+                return ref, score
+    return None
+
+
+def _distinct(entries: Sequence[tuple]) -> dict[int, tuple]:
+    """The first row of each distinct encoded set, with its entry, in row order."""
+    first: dict[int, int] = {}
+    for row, e in enumerate(entries):
+        first.setdefault(e[1], row)
+    return {row: entries[row] for row in first.values()}
 
 
 def _drop_similar(dialogues: Sequence[Dialogue], references: Sequence[Dialogue] | None,
                   cfg: DedupConfig, reason: str,
                   index: ShingleIndex | None) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop each dialogue whose Jaccard with some reference reaches the threshold,
-    reporting the first such reference. ``references=None`` joins the corpus with
-    itself: the references are then the dialogues kept so far."""
-    refs = [] if references is None else list(references)
+    reporting the lowest such reference. ``references=None`` joins the corpus
+    with itself: the references are then the dialogues kept so far."""
+    threshold = cfg.jaccard_threshold
+    self_join = references is None
+    refs = dialogues if self_join else list(references)
     if index is None:
-        index = ShingleIndex(chain(dialogues, refs), cfg)
-    join = _PrefixJoin(cfg.jaccard_threshold)
-    for r in refs:
-        join.add(index.entry(r))
+        index = ShingleIndex(chain(dialogues, () if self_join else refs), cfg)
+    entries = [index.entry(d) for d in dialogues]
+    ref_entries = entries if self_join else [index.entry(r) for r in refs]
+    # The join meets each distinct non-empty set at its first row; a row it
+    # does not meet is looked up like a matched one.
+    rows = {row: e for row, e in _distinct(entries).items() if e[0]}
+    postings: dict[int, list[int]] = {}
+    if self_join:
+        matched = _join(rows, None, threshold)
+    else:
+        distinct_refs = _distinct(ref_entries)
+        matched = _join(rows, {ref: e for ref, e in distinct_refs.items() if e[0]}, threshold)
+        for ref, e in distinct_refs.items():
+            _post(postings, e, ref)
 
     kept: list[Dialogue] = []
     removed: list[RemovalRecord] = []
-    for d in dialogues:
-        entry = index.entry(d)
-        match = join.first_match(entry)
-        if match is not None:
-            row, score = match
-            removed.append(RemovalRecord(
-                removed_id=d.id, reason=reason, matched_id=refs[row].id, score=score))
-        else:
+    for row, (d, e) in enumerate(zip(dialogues, entries)):
+        match = (_lowest_match(e, postings, ref_entries, threshold)
+                 if row in matched or row not in rows else None)
+        if match is None:
             kept.append(d)
-            if references is None:
-                join.add(entry)
-                refs.append(d)
+            if self_join:
+                _post(postings, e, row)
+        else:
+            ref, score = match
+            removed.append(RemovalRecord(removed_id=d.id, reason=reason,
+                                         matched_id=refs[ref].id, score=score))
     return kept, removed
 
 

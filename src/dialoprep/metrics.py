@@ -35,14 +35,23 @@ from .records import Dialogue, ParallelExample, render_dialogue_text
 
 # Unicode letters and digits; underscore excluded.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The same split on ASCII text: every ASCII character the pattern does not
+# match becomes a space, and ``split`` drops the runs of spaces.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 #: Recorded in reports so stored statistics name the convention they used.
 TOKENIZER_LABEL = "lowercase, non-alphanumeric split, no stemming"
 
 
 def tokenize_for_metrics(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric run. Never yields empty tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split on any non-alphanumeric run. Never yields empty tokens.
+
+    The ASCII test is made after lowercasing, because some non-ASCII
+    characters lowercase to ASCII ones (U+212A KELVIN SIGN to ``k``)."""
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(lowered)
 
 
 def _as_tokens(text_or_tokens: str | Sequence[str]) -> list[str]:

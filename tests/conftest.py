@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import re
 import unicodedata
 from collections import Counter
 
 from pathlib import Path
 
+from hypothesis import settings
+
 from dialoprep import noising
 from dialoprep.dedup import RemovalRecord
-from dialoprep.metrics import EvalScores, ExampleStats, RougeScore, tokenize_for_metrics
+from dialoprep.metrics import EvalScores, ExampleStats, RougeScore
 from dialoprep.noising import BOS, EOR, EOS, EOU, MASK, UTTR_MASK, NoisedPair, SerializedInput
 from dialoprep.records import (
     RESERVED_MARKERS,
@@ -30,6 +34,12 @@ WORDS = [
 ]
 
 ROLE_NAMES = ["Ava", "Ben", "Cole", "Dana", "Eli", "Fay"]
+
+# CI searches each property deeper than a local run; a test's own
+# ``max_examples`` still wins over the profile.
+settings.register_profile("ci", max_examples=500)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_dialogue(rng: random.Random, dialogue_id: str, n_turns: int | None = None,
@@ -174,8 +184,14 @@ def load_pairs(path: str | Path) -> list[NoisedPair]:
         return [noising._pair_of_line(line) for line in fh]
 
 
+def oracle_tokenize(text: str) -> list[str]:
+    """The metrics tokenizer's definition: lowercase, then the runs of Unicode
+    letters and digits, underscore excluded."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
 def _oracle_text_shingles(text: str, k: int) -> frozenset:
-    tokens = tokenize_for_metrics(text)
+    tokens = oracle_tokenize(text)
     if k == 1:
         return frozenset(tokens)
     return frozenset(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
@@ -219,6 +235,16 @@ def _brute_force_first_match(dialogues, references, cfg, reason):
     return kept, removed
 
 
+def brute_force_matched(sets: dict, references: dict | None, threshold: float) -> set:
+    """The keys of ``sets`` whose set is at Jaccard >= threshold with some
+    reference set, compared pair by pair; ``references=None`` means the sets
+    at lower keys."""
+    return {key for key, s in sets.items()
+            if any(_oracle_jaccard(s, r) >= threshold
+                   for ref, r in (sets if references is None else references).items()
+                   if references is not None or ref < key)}
+
+
 def brute_force_dedup(dialogues, cfg):
     """Reference for ``dedup_corpus``."""
     return _brute_force_first_match(dialogues, None, cfg, "duplicate")
@@ -231,7 +257,7 @@ def brute_force_eval_overlap(dialogues, eval_sets, cfg):
 
 
 def oracle_utterance_tokens(d: Dialogue) -> int:
-    return sum(len(tokenize_for_metrics(t.text)) for t in d.turns)
+    return sum(len(oracle_tokenize(t.text)) for t in d.turns)
 
 
 def oracle_filter_min_size(dialogues, cfg):
@@ -287,7 +313,7 @@ def _oracle_score(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
 
 def _oracle_tokens(text_or_tokens) -> list:
     if isinstance(text_or_tokens, str):
-        return tokenize_for_metrics(text_or_tokens)
+        return oracle_tokenize(text_or_tokens)
     return list(text_or_tokens)
 
 
@@ -450,8 +476,8 @@ def _oracle_redundant_pct(summary, n: int) -> float:
 
 
 def oracle_example_stats(ex: ParallelExample, set_based_novelty: bool = False) -> ExampleStats:
-    dialogue = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
-    summary = tokenize_for_metrics(ex.summaries[0].text)
+    dialogue = oracle_tokenize(render_dialogue_text(ex.dialogue))
+    summary = oracle_tokenize(ex.summaries[0].text)
     lengths = [length for _, _, length in oracle_extractive_fragments(dialogue, summary)]
     return ExampleStats(
         dialogue_tokens=len(dialogue),

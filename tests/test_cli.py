@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -451,6 +454,29 @@ def test_clean_cli_matches_oracle_chain(tmp_path):
     assert removals == [r.to_dict() for r in duplicates + leaks + small]
     assert {r["reason"] for r in removals} == {"duplicate", "eval_overlap",
                                                "too_few_turns", "too_few_tokens"}
+
+
+@pytest.mark.parametrize("threshold", ["1e-300", "5e-324"])
+def test_clean_cli_tiny_threshold_matches_oracle(tmp_path, threshold):
+    # Every threshold in (0, 1] is valid, down to the smallest float: the size
+    # bounds of the join once never returned at 1e-300 and overflowed at 5e-324.
+    corpus_path = SAMPLE / "golden" / "corpus.dlg"
+    done = subprocess.run(
+        [sys.executable, "-m", "dialoprep.cli", "clean", "--in", str(corpus_path),
+         "--out", str(tmp_path / "out.dlg"), "--report", str(tmp_path / "removals.jsonl"),
+         "--jaccard-threshold", threshold],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SAMPLE.parent.parent / "src")})
+    assert done.returncode == 0, done.stderr
+
+    cfg = DedupConfig(jaccard_threshold=float(threshold))
+    kept, duplicates = brute_force_dedup(load_corpus(corpus_path, "dialogues"), cfg)
+    kept, small = oracle_filter_min_size(kept, cfg)
+    assert duplicates
+    assert load_corpus(tmp_path / "out.dlg", "dialogues") == kept
+    removals = [json.loads(line)
+                for line in (tmp_path / "removals.jsonl").read_text().splitlines()]
+    assert removals == [r.to_dict() for r in duplicates + small]
 
 
 def _write_jsonl(path, rows):

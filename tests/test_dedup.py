@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from dialoprep.dedup import (
     DedupConfig,
     ShingleIndex,
+    _join,
     _profile,
     dedup_corpus,
     dialogue_shingles,
@@ -16,11 +19,12 @@ from dialoprep.dedup import (
     remove_eval_overlap,
     save_removal_report,
 )
-from dialoprep.records import Dialogue, Turn
+from dialoprep.records import Dialogue, Turn, load_corpus
 
 from conftest import (
     brute_force_dedup,
     brute_force_eval_overlap,
+    brute_force_matched,
     make_dialogue,
     oracle_filter_min_size,
     oracle_jaccard,
@@ -145,6 +149,25 @@ def test_dedup_matches_oracle_small_corpora():
                     assert len(sa & sb) / len(sa | sb) < cfg.jaccard_threshold
 
 
+def _assert_join_exact(dialogues, references, cfg):
+    """``_join`` finds exactly the rows with a match, among the first rows of
+    the distinct non-empty shingle sets, as ``_drop_similar`` calls it."""
+    index = ShingleIndex(itertools.chain(dialogues, references or ()), cfg)
+
+    def distinct(ds):
+        first: dict = {}
+        for i, d in enumerate(ds):
+            first.setdefault(oracle_shingles(d, cfg.shingle_k), i)
+        return {i: s for s, i in first.items() if s}
+
+    rows = distinct(dialogues)
+    refs = None if references is None else distinct(references)
+    found = _join({i: index.entry(dialogues[i]) for i in rows},
+                  None if refs is None else {i: index.entry(references[i]) for i in refs},
+                  cfg.jaccard_threshold)
+    assert found == brute_force_matched(rows, refs, cfg.jaccard_threshold)
+
+
 def test_dedup_never_grows_corpus():
     rng = random.Random(31)
     ds = [make_dialogue(rng, f"d{i}") for i in range(30)]
@@ -182,6 +205,173 @@ def test_join_matches_brute_force_near_copies():
     assert sum(r.score >= CFG.jaccard_threshold + 0.05 for r in removed) > 100
 
 
+def test_join_chain_resolved_in_input_order():
+    # A~B and B~C but not A~C: B goes as A's duplicate, so C, whose only earlier
+    # match is the removed B, stays
+    words = [f"w{i}" for i in range(12)]
+    a, b, c = (_dlg(name, [" ".join(words[lo:hi])])
+               for name, lo, hi in (("a", 0, 10), ("b", 0, 11), ("c", 1, 12)))
+    assert oracle_jaccard(" ".join(words[0:10]), " ".join(words[1:12])) < CFG.jaccard_threshold
+    for order in itertools.permutations([a, b, c]):
+        assert dedup_corpus(order, CFG) == brute_force_dedup(order, CFG)
+    kept, removed = dedup_corpus([a, b, c], CFG)
+    assert [d.id for d in kept] == ["a", "c"]
+    assert [(r.removed_id, r.matched_id) for r in removed] == [("b", "a")]
+    assert (remove_eval_overlap([a, c], [[b]], CFG)
+            == brute_force_eval_overlap([a, c], [[b]], CFG))
+
+
+def test_join_equal_sizes_in_every_order():
+    # five sets of ten shingles each: the size-ordered sweep meets them in row
+    # order, whatever the input order
+    words = [f"w{i}" for i in range(14)]
+    rows = [_dlg(f"r{i}", [" ".join(words[i:i + 10])]) for i in range(5)]
+    rows.append(_dlg("r0-again", [" ".join(reversed(words[:10]))]))
+    cfg = DedupConfig(jaccard_threshold=0.6, min_turns=1, min_tokens=1)
+    for order in itertools.permutations(rows):
+        assert dedup_corpus(order, cfg) == brute_force_dedup(order, cfg)
+        assert (remove_eval_overlap(order[:3], [order[3:]], cfg)
+                == brute_force_eval_overlap(order[:3], [order[3:]], cfg))
+
+
+def test_eval_overlap_same_object_as_training_and_eval_row():
+    words = [f"w{i}" for i in range(11)]
+    shared = _dlg("shared", [" ".join(words[:10])])
+    near = _dlg("near", [" ".join(words[1:11])])  # J = 9/11 with shared
+    other = _dlg("other", ["nothing in common here"])
+    for eval_sets in ([[shared]], [[near, shared]], [[other], [shared, near]]):
+        dialogues = [other, shared, near]
+        expected = brute_force_eval_overlap(dialogues, eval_sets, CFG)
+        assert remove_eval_overlap(dialogues, eval_sets, CFG) == expected
+        index = ShingleIndex(itertools.chain(dialogues, *eval_sets), CFG)
+        assert remove_eval_overlap(dialogues, eval_sets, CFG, index=index) == expected
+    kept, removed = remove_eval_overlap([shared], [[shared]], CFG)
+    assert kept == [] and removed[0].matched_id == "shared" and removed[0].score == 1.0
+
+
+class _CountedBits(int):
+    """A bitset that counts the intersections taken of it."""
+
+    taken = 0
+
+    def __and__(self, other):
+        _CountedBits.taken += 1
+        return int.__and__(self, other)
+
+    __rand__ = __and__
+
+
+def _cluster(n: int, order: str) -> list[Dialogue]:
+    """``n`` variants of one 60-word dialogue, each with one word replaced by
+    its own and some shared words appended, so every pair is at J >= 0.8. The
+    appended words make ten size groups, whose sizes run as ``order`` says."""
+    rng = random.Random(f"cluster:{order}")
+    corpus = []
+    for i in range(n):
+        words = [f"w{j}" for j in range(60)]
+        words[rng.randrange(60)] = f"x{i}"
+        group = 0 if order == "equal" else i * 10 // n
+        words += [f"e{j}" for j in range(9 - group if order == "descending" else group)]
+        corpus.append(_dlg(f"c{i}", [" ".join(words[:30]), " ".join(words[30:])]))
+    if order == "shuffled":
+        rng.shuffle(corpus)
+    return corpus
+
+
+@pytest.mark.parametrize("order", ["equal", "ascending", "descending", "shuffled"])
+def test_cluster_costs_verifications_per_row_not_per_pair(order, monkeypatch):
+    # Joining every pair first must not verify every pair of a cluster:
+    # 300 mutually similar rows have 44,850 pairs at J >= 0.8
+    corpus = _cluster(300, order)
+    entry = ShingleIndex.entry
+
+    def counted_entry(self, d):
+        size, bits, *rest = entry(self, d)
+        return (size, _CountedBits(bits), *rest)
+
+    monkeypatch.setattr(ShingleIndex, "entry", counted_entry)
+    _CountedBits.taken = 0
+    result = dedup_corpus(corpus, CFG)
+    assert _CountedBits.taken <= 2 * len(corpus)
+    assert result == brute_force_dedup(corpus, CFG)
+    assert len(result[0]) == 1
+    _CountedBits.taken = 0
+    result = remove_eval_overlap(corpus[:150], [corpus[150:]], CFG)
+    assert _CountedBits.taken <= 2 * 150
+    assert result == brute_force_eval_overlap(corpus[:150], [corpus[150:]], CFG)
+    assert result[0] == []
+    monkeypatch.undo()
+    _assert_join_exact(corpus, None, CFG)
+    _assert_join_exact(corpus[:150], corpus[150:], CFG)
+
+
+def _edited_corpus(rng: random.Random) -> list[Dialogue]:
+    """A few rows, most of them an earlier row with one word dropped, added or
+    replaced, so similar sets come both larger and smaller than their
+    earlier matches."""
+    vocabulary = [f"w{i}" for i in range(rng.randint(8, 20))]
+    texts: list[list[str]] = []
+    for _ in range(rng.randint(4, 12)):
+        if texts and rng.random() < 0.7:
+            words = list(rng.choice(texts))
+            edit = rng.random()
+            if edit < 0.4 and len(words) > 2:
+                words.pop(rng.randrange(len(words)))
+            elif edit < 0.7:
+                words.append(rng.choice(vocabulary))
+            else:
+                words[rng.randrange(len(words))] = rng.choice(vocabulary)
+        else:
+            words = rng.sample(vocabulary, rng.randint(3, min(10, len(vocabulary))))
+        texts.append(words)
+    return [_dlg(f"d{i}", [" ".join(words)]) for i, words in enumerate(texts)]
+
+
+def test_join_finds_exactly_the_rows_with_a_match_edited_copies():
+    rng = random.Random("edited-copies")
+    for _ in range(300):
+        corpus = _edited_corpus(rng)
+        cut = rng.randrange(1, len(corpus))
+        for threshold in (0.5, 0.6, 0.7, 0.8):
+            cfg = DedupConfig(jaccard_threshold=threshold, min_turns=1, min_tokens=1)
+            _assert_join_exact(corpus, None, cfg)
+            _assert_join_exact(corpus[:cut], corpus[cut:], cfg)
+            assert dedup_corpus(corpus, cfg) == brute_force_dedup(corpus, cfg)
+
+
+_SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample" / "golden" / "corpus.dlg"
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9])
+def test_join_matches_brute_force_sample_vocabulary(threshold):
+    # The sample corpus's small vocabulary makes pairwise Jaccard high, and the
+    # sizes spread from a few shingles to about a hundred, so the length ranges
+    # and postings the probes meet are long
+    vocabulary = sorted({w for d in load_corpus(_SAMPLE_CORPUS, "dialogues")
+                         for t in d.turns for w in t.text.split()})
+    rng = random.Random(f"sample-vocabulary:{threshold}")
+    corpus = []
+    for i in range(300):
+        if corpus and rng.random() < 0.3:  # a near copy of an earlier row
+            texts = [t.text.split() for t in rng.choice(corpus).turns]
+            turn = rng.randrange(len(texts))
+            texts[turn][rng.randrange(len(texts[turn]))] = rng.choice(vocabulary)
+            texts = [" ".join(words) for words in texts]
+        else:
+            texts = [" ".join(rng.choices(vocabulary, k=rng.randint(2, 14)))
+                     for _ in range(rng.randint(1, 9))]
+        corpus.append(_dlg(f"s{i}", texts))
+    cfg = DedupConfig(jaccard_threshold=threshold, min_turns=1, min_tokens=1)
+    kept, removed = dedup_corpus(corpus, cfg)
+    assert (kept, removed) == brute_force_dedup(corpus, cfg)
+    assert len(removed) > 30
+    eval_sets = [corpus[250:], rng.sample(corpus, 20)]
+    assert (remove_eval_overlap(kept, eval_sets, cfg)
+            == brute_force_eval_overlap(kept, eval_sets, cfg))
+    _assert_join_exact(corpus, None, cfg)
+    _assert_join_exact(kept, [*eval_sets[0], *eval_sets[1]], cfg)
+
+
 _WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "..."])
 _TEXTS = st.lists(st.lists(_WORDS, max_size=8).map(" ".join), min_size=1, max_size=3)
 
@@ -202,6 +392,8 @@ def test_join_matches_brute_force_property(corpus, eval_corpus, threshold, shing
     assert (kept, removed) == brute_force_dedup(dialogues, cfg)
     assert (remove_eval_overlap(kept, eval_sets, cfg, index=index)
             == brute_force_eval_overlap(kept, eval_sets, cfg))
+    _assert_join_exact(dialogues, None, cfg)
+    _assert_join_exact(dialogues, eval_sets[0], cfg)
 
 
 # "Σ" lowercases by its context and "_" and "'" split tokens; "..." and " "

@@ -15,6 +15,7 @@ from conftest import (
     oracle_novel_ngram_pct,
     oracle_score_pair,
     oracle_select_training_reference,
+    oracle_tokenize,
 )
 from dialoprep import metrics
 from dialoprep.errors import EmptyCorpusError, EmptySummaryError
@@ -57,6 +58,30 @@ def test_tokenize_apostrophe_split():
 def test_tokenize_no_empty_tokens():
     assert tokenize_for_metrics("...!!!---") == []
     assert "" not in tokenize_for_metrics("a--b  c!")
+
+
+# ASCII text takes the fast path; the file separators U+001C-U+001F are
+# whitespace to ``str.split``, "_" is a word character to the pattern, U+212A
+# KELVIN SIGN lowercases to ASCII "k", U+0130 to "i" plus a combining dot, and
+# "Σ" lowercases to "ς" at the end of a word.
+_TOKENIZER_TEXT = (st.text(st.characters(max_codepoint=127))
+                   | st.text(st.sampled_from(["a", "Z", "7", "_", " ", "-", "'", "\x1c", "\x1d",
+                                              "\x1e", "\x1f", "\t", "\u212a", "\u0130",
+                                              "\u03a3", "\u03c2", "\u00e9"]))
+                   | st.text())
+
+
+@given(_TOKENIZER_TEXT)
+def test_tokenize_matches_oracle(text):
+    assert tokenize_for_metrics(text) == oracle_tokenize(text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("\u212aelvin_2", ["kelvin", "2"]), ("a\x1cb\x1fc", ["a", "b", "c"]),
+    ("\u03a3\u03a3 \u03a3", ["\u03c3\u03c2", "\u03c3"]),
+])
+def test_tokenize_case_mapping_and_separators(text, tokens):
+    assert tokenize_for_metrics(text) == oracle_tokenize(text) == tokens
 
 
 # ---------------------------------------------------------------------------
