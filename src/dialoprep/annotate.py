@@ -21,10 +21,9 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from . import jsonl
 from .errors import BudgetExhaustedError, EndpointError
@@ -35,6 +34,7 @@ from .records import (
     load_corpus,
     record_to_obj,
     render_dialogue_text,
+    validated,
 )
 
 API_KEY_ENV = "LLM_API_KEY"
@@ -60,36 +60,37 @@ def build_prompt(d: Dialogue, template: PromptTemplate = PromptTemplate.INSTRUCT
     return f"{dialogue}\n{_SUBSEQUENT_PROMPT}"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+@validated
+class RetryPolicy(NamedTuple):
     max_attempts: int = 3
     base_backoff: float = 1.0
     backoff_multiplier: float = 2.0
     retryable_statuses: frozenset[int] = frozenset({429, 500, 502, 503, 504})
 
-    def __post_init__(self):
+    def _check(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not (math.isfinite(self.base_backoff) and self.base_backoff >= 0):
             raise ValueError("base_backoff must be a finite number >= 0")
         if not (math.isfinite(self.backoff_multiplier) and self.backoff_multiplier >= 1):
             raise ValueError("backoff_multiplier must be a finite number >= 1")
-        object.__setattr__(self, "retryable_statuses", frozenset(self.retryable_statuses))
+        if type(self.retryable_statuses) is not frozenset:
+            return self._replace(retryable_statuses=frozenset(self.retryable_statuses))
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (1-based)."""
         return self.base_backoff * self.backoff_multiplier ** (attempt - 1)
 
 
-@dataclass(frozen=True)
-class AnnotationJob:
+@validated
+class AnnotationJob(NamedTuple):
     model: str
     temperature: float = 0.0
     template: PromptTemplate = PromptTemplate.INSTRUCT
     max_in_flight: int = 1
     budget: int | None = None  # max requests for this run, retries included
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be a finite number >= 0")
         if self.max_in_flight < 1:
@@ -178,14 +179,16 @@ class MockEndpoint:
         return 200, {"choices": [{"message": {"role": "assistant", "content": text}}]}
 
 
-@dataclass
 class AnnotationReport:
-    completed: list[str] = field(default_factory=list)
-    skipped_existing: list[str] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
-    retries: dict[str, int] = field(default_factory=dict)
-    budget_exhausted: bool = False
-    not_attempted: list[str] = field(default_factory=list)
+    """What one batch did with each dialogue, filled in as results land."""
+
+    def __init__(self):
+        self.completed: list[str] = []
+        self.skipped_existing: list[str] = []
+        self.failures: list[dict] = []
+        self.retries: dict[str, int] = {}
+        self.budget_exhausted = False
+        self.not_attempted: list[str] = []
 
 
 def _extract_summary(body: dict | str) -> str:

@@ -20,7 +20,6 @@ accepted and ignored.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -52,7 +51,7 @@ def _write_manifest(command: str, out_path: str, inputs: list[str],
         "outputs": [Path(out_path).name],
     }
     if corpus is not None:
-        manifest["corpus"] = dataclasses.asdict(corpus)
+        manifest["corpus"] = corpus._asdict()
     jsonl.write_json(f"{out_path}.manifest.json", manifest)
 
 
@@ -73,7 +72,7 @@ def _cmd_ingest(args) -> int:
     result = ingest.ingest(args.input, spec)
     records.save_corpus(result.dialogues, args.out)
     if args.report:
-        jsonl.write_json(args.report, dataclasses.asdict(result.report))
+        jsonl.write_json(args.report, vars(result.report))
     _write_manifest(
         "ingest", args.out, [args.input, args.spec],
         params={"spec": Path(args.spec).name},
@@ -112,7 +111,7 @@ def _cmd_clean(args) -> int:
     _write_manifest(
         "clean", args.out, [args.input, *(args.eval_set or [])],
         params={
-            **dataclasses.asdict(cfg),
+            **cfg._asdict(),
             "minhash": bool(args.minhash),  # recorded as given; the flag is a no-op
         },
         corpus=records.corpus_manifest(Path(args.out).name, kept))
@@ -213,7 +212,7 @@ def _cmd_noise(args) -> int:
             "count": args.count,
             "kind": kind,
             "weights": {t: mix.weights.get(t, 0.0) for t in noising.ALL_TASKS},
-            **dataclasses.asdict(cfg),
+            **cfg._asdict(),
         },
         seed=args.seed)
     print(f"noise: wrote {written} pairs")
@@ -225,7 +224,7 @@ def _cmd_stats(args) -> int:
     examples = records.load_corpus(args.input, "parallel")
     report = metrics.corpus_report(examples, summary_index=args.summary_index)
     jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL,
-                                **dataclasses.asdict(report)})
+                                **report._asdict()})
     _write_manifest(
         "stats", args.out, [args.input],
         params={"summary_index": args.summary_index,

@@ -35,24 +35,23 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
-from .metrics import tokenize_for_metrics
-from .records import Dialogue
+from .records import Dialogue, validated
+from .tokens import tokenize_for_metrics
 
 
-@dataclass(frozen=True)
-class DedupConfig:
+@validated
+class DedupConfig(NamedTuple):
     jaccard_threshold: float = 0.8
     shingle_k: int = 1  # 1 = unigram token sets; k > 1 = k-token shingles
     min_turns: int = 4
     min_tokens: int = 32
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.jaccard_threshold <= 1.0:
             raise ValueError("jaccard_threshold must be in (0, 1]")
         if self.shingle_k < 1:
@@ -63,11 +62,11 @@ class DedupConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "DedupConfig":
         """Fields from a JSON object; each value has its default's type."""
-        return cls(**jsonl.read_object(path, {f.name: type(f.default) for f in fields(cls)}))
+        return cls(**jsonl.read_object(path, {name: type(default) for name, default
+                                              in cls._field_defaults.items()}))
 
 
-@dataclass(frozen=True)
-class RemovalRecord:
+class RemovalRecord(NamedTuple):
     removed_id: str
     reason: str
     matched_id: str | None = None
@@ -131,8 +130,7 @@ def _overlap_bounds(size: int, threshold: float) -> tuple[int, int]:
             _fewest(lambda a: a / (2 * size - a) >= threshold, size))
 
 
-@dataclass(frozen=True)
-class _Profile:
+class _Profile(NamedTuple):
     """What the clean filters read of one dialogue, from one tokenization."""
 
     shingles: frozenset

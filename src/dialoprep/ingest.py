@@ -15,12 +15,13 @@ downstream statistics are reproducible.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import jsonl
 from .errors import MalformedRecordError, UnmappedFieldError
-from .records import RESERVED_MARKERS, Dialogue, Turn, validate_dialogue
+from .records import RESERVED_MARKERS, Dialogue, Turn, validate_dialogue, validated
 
 _CHAR_MAP = str.maketrans({
     "‘": "'", "’": "'", "‚": "'", "‛": "'",  # curly single quotes
@@ -60,17 +61,17 @@ def merge_same_speaker(d: Dialogue) -> Dialogue:
                     roles=d.roles, turns=tuple(merged))
 
 
-@dataclass(frozen=True)
-class IngestSpec:
+@validated
+class IngestSpec(NamedTuple):
     """Field mapping for one raw dataset export."""
 
     speaker_field: str
     utterance_field: str
     id_field: str
     dataset_tag: str
-    aliases: dict[str, str] = field(default_factory=dict)
+    aliases: Mapping[str, str] = MappingProxyType({})
 
-    def __post_init__(self):
+    def _check(self):
         if not self.speaker_field or not self.utterance_field:
             raise ValueError("speaker_field and utterance_field must both be mapped")
         if not self.dataset_tag:
@@ -91,18 +92,17 @@ class IngestSpec:
         )
 
 
-@dataclass
 class IngestReport:
     """What happened to the raw records that did not become dialogue content."""
 
-    dialogues: int = 0
-    dropped_empty_utterances: int = 0
-    dropped_empty_dialogues: list[str] = field(default_factory=list)
-    dropped_invalid_dialogues: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.dialogues = 0
+        self.dropped_empty_utterances = 0
+        self.dropped_empty_dialogues: list[str] = []
+        self.dropped_invalid_dialogues: list[str] = []
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     dialogues: tuple[Dialogue, ...]
     report: IngestReport
 
@@ -143,41 +143,54 @@ def _build_dialogue(raw_id: str, utterances: list[tuple[str, str]],
     return d
 
 
+def _text_of_key(value, name: str, line_number: int) -> str:
+    """A raw speaker or id as text. It must be a JSON string or integer; a
+    ``true`` passes ``isinstance(value, int)``, but its type is bool."""
+    if type(value) not in (str, int):
+        raise MalformedRecordError(line_number, f"{name!r} must be a string or an integer")
+    return str(value)
+
+
 def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
     """Read a raw export and return normalized, merged, validated dialogues.
 
     Speaker order of first appearance defines each dialogue's role table.
     Dialogues whose utterances all normalize to nothing are dropped and
-    counted in the report. A raw id that reappears after other rows would
-    make two dialogues with one id, so it raises :class:`MalformedRecordError`.
+    counted in the report. Each utterance must be a string, and each speaker
+    and raw id a string or an integer. A raw id that reappears after other
+    rows would make two dialogues with one id, and so would ``1`` after
+    ``"1"``; each of these raises :class:`MalformedRecordError` at its line.
     """
     report = IngestReport()
     dialogues: list[Dialogue] = []
-    current_id: str | None = None
+    current_raw = None  # never a raw id's value
     current: list[tuple[str, str]] = []
 
     def flush():
-        if current_id is None:
-            return
-        d = _build_dialogue(current_id, current, spec, report)
-        if d is not None:
-            dialogues.append(d)
+        if current:
+            d = _build_dialogue(str(current_raw), current, spec, report)
+            if d is not None:
+                dialogues.append(d)
 
-    seen_ids: set[str] = set()
+    first_lines: dict[str, int] = {}
     for line_number, obj in jsonl.read(path):
         for name in (spec.speaker_field, spec.utterance_field, spec.id_field):
             if name not in obj:
                 raise UnmappedFieldError(name)
-        raw_id = str(obj[spec.id_field])
-        if raw_id != current_id:
-            if raw_id in seen_ids:
+        text = obj[spec.utterance_field]
+        if type(text) is not str:
+            raise MalformedRecordError(line_number, f"{spec.utterance_field!r} must be a string")
+        speaker = _text_of_key(obj[spec.speaker_field], spec.speaker_field, line_number)
+        raw = obj[spec.id_field]
+        raw_id = _text_of_key(raw, spec.id_field, line_number)
+        if raw != current_raw:  # 1 and "1" differ here, though their ids do not
+            first = first_lines.setdefault(raw_id, line_number)
+            if first != line_number:
                 raise MalformedRecordError(
-                    line_number, f"dialogue id {raw_id!r} reappears after other rows")
-            seen_ids.add(raw_id)
+                    line_number, f"dialogue id {raw_id!r} reappears (first at line {first})")
             flush()
-            current_id = raw_id
-            current = []
-        current.append((str(obj[spec.speaker_field]), str(obj[spec.utterance_field])))
+            current_raw, current = raw, []
+        current.append((speaker, text))
     flush()
     report.dialogues = len(dialogues)
     return IngestResult(dialogues=tuple(dialogues), report=report)

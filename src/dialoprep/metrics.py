@@ -1,10 +1,11 @@
-"""Tokenizer, ROUGE-1/2/L, extractive fragments, corpus statistics, evaluation protocols.
+"""ROUGE-1/2/L, extractive fragments, corpus statistics, evaluation protocols.
 
-One tokenizer is used everywhere a statistic is computed: lowercase, split on
-runs of non-alphanumeric characters, no stemming, stopwords kept. Empty-input
-ROUGE conventions are total: both sides empty scores 1.0, exactly one side
-empty scores 0.0 (packages differ here; ours is fixed so golden files are
-stable).
+One tokenizer is used everywhere a statistic is computed,
+:func:`dialoprep.tokens.tokenize_for_metrics` (also public here): lowercase,
+split on runs of non-alphanumeric characters, no stemming, stopwords kept.
+Empty-input ROUGE conventions are total: both sides empty scores 1.0, exactly
+one side empty scores 0.0 (packages differ here; ours is fixed so golden
+files are stable).
 
 ROUGE-L's longest common subsequence is exact and bit-parallel: match masks
 (token -> int) over the longer text, one word-parallel step per token of the
@@ -25,33 +26,12 @@ shorter than n.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyCorpusError, EmptySummaryError, PipelineError
 from .records import Dialogue, ParallelExample, render_dialogue_text
-
-# Unicode letters and digits; underscore excluded.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# The same split on ASCII text: every ASCII character the pattern does not
-# match becomes a space, and ``split`` drops the runs of spaces.
-_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
-
-#: Recorded in reports so stored statistics name the convention they used.
-TOKENIZER_LABEL = "lowercase, non-alphanumeric split, no stemming"
-
-
-def tokenize_for_metrics(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric run. Never yields empty tokens.
-
-    The ASCII test is made after lowercasing, because some non-ASCII
-    characters lowercase to ASCII ones (U+212A KELVIN SIGN to ``k``)."""
-    lowered = text.lower()
-    if lowered.isascii():
-        return lowered.translate(_ASCII_SEPARATORS).split()
-    return _TOKEN_RE.findall(lowered)
+from .tokens import TOKENIZER_LABEL, tokenize_for_metrics  # both public here too
 
 
 def _as_tokens(text_or_tokens: str | Sequence[str]) -> list[str]:
@@ -60,15 +40,13 @@ def _as_tokens(text_or_tokens: str | Sequence[str]) -> list[str]:
     return list(text_or_tokens)
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class EvalScores:
+class EvalScores(NamedTuple):
     """The R-1 / R-2 / R-L triple reported by the evaluation protocols."""
 
     rouge1: RougeScore
@@ -202,15 +180,13 @@ def score_pair(candidate: str | Sequence[str], reference: str | Sequence[str]) -
 # Extractive fragments (greedy longest-match tiling of the summary)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     summary_start: int
     dialogue_start: int
     length: int
 
 
-@dataclass(frozen=True)
-class FragmentSet:
+class FragmentSet(NamedTuple):
     """Greedy extractive fragments of a summary against a dialogue.
 
     Fragments are non-overlapping in the summary and sorted by summary
@@ -286,8 +262,7 @@ def extractive_fragments(dialogue_tokens: Sequence[str],
 # Per-example and corpus statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExampleStats:
+class ExampleStats(NamedTuple):
     dialogue_tokens: int
     summary_tokens: int
     compression: float
@@ -297,8 +272,7 @@ class ExampleStats:
     redundant_ngram_pct: tuple[float, float, float]  # n = 1, 2, 3
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     n_dialogues: int
     mean_dialogue_tokens: float
     mean_summary_tokens: float

@@ -34,14 +34,13 @@ import random
 import sys
 import weakref
 from collections import Counter
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
-from .metrics import tokenize_for_metrics
-from .records import Dialogue, ParallelExample, SummaryRecord
+from .records import Dialogue, ParallelExample, SummaryRecord, validated
 from .seeding import derive_rng
+from .tokens import tokenize_for_metrics
 
 BOS = "<s>"
 EOS = "</s>"
@@ -59,15 +58,15 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass(frozen=True)
-class NoisingConfig:
+@validated
+class NoisingConfig(NamedTuple):
     token_mask_rate: float = 0.2
     token_delete_rate: float = 0.2
     infill_lambda: float = 3.0
     infill_utterance_budget_rate: float = 0.2
     uttr_mask_rate: float = 0.2
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("token_mask_rate", "token_delete_rate",
                      "infill_utterance_budget_rate", "uttr_mask_rate"):
             value = getattr(self, name)
@@ -79,14 +78,15 @@ class NoisingConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "NoisingConfig":
         """Fields from a JSON object; each value has its default's type."""
-        return cls(**jsonl.read_object(path, {f.name: type(f.default) for f in fields(cls)}))
+        return cls(**jsonl.read_object(path, {name: type(default) for name, default
+                                              in cls._field_defaults.items()}))
 
 
-@dataclass(frozen=True)
-class TaskMix:
+@validated
+class TaskMix(NamedTuple):
     weights: dict[str, float]
 
-    def __post_init__(self):
+    def _check(self):
         unknown = set(self.weights) - set(ALL_TASKS)
         if unknown:
             raise ValueError(f"unknown tasks in mix: {sorted(unknown)}")
@@ -115,28 +115,29 @@ class TaskMix:
         return cls(weights=obj["weights"])
 
 
-@dataclass(frozen=True)
-class SerializedInput:
+@validated
+class SerializedInput(NamedTuple):
     tokens: tuple[str, ...]
     speaker_ids: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "speaker_ids", tuple(self.speaker_ids))
+    def _check(self):
         if len(self.tokens) != len(self.speaker_ids):
             raise ValueError("tokens and speaker_ids must have equal length")
+        if type(self.tokens) is not tuple or type(self.speaker_ids) is not tuple:
+            return self._replace(tokens=tuple(self.tokens), speaker_ids=tuple(self.speaker_ids))
 
 
-@dataclass(frozen=True)
-class NoisedPair:
+@validated
+class NoisedPair(NamedTuple):
     task: str
     source: SerializedInput
     target_tokens: tuple[str, ...]
     dialogue_id: str
     target_origin: str | None = None  # set for task_oriented pairs only
 
-    def __post_init__(self):
-        object.__setattr__(self, "target_tokens", tuple(self.target_tokens))
+    def _check(self):
+        if type(self.target_tokens) is not tuple:
+            return self._replace(target_tokens=tuple(self.target_tokens))
 
 
 # ---------------------------------------------------------------------------

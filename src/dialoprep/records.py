@@ -2,8 +2,12 @@
 
 A corpus file holds one JSON record per line (UTF-8). Dialogue records carry
 ``schema_version``, ``id``, ``source_dataset``, ``roles`` and ``turns``;
-parallel records additionally carry ``summaries``. All types here are frozen
-values: safe to share across threads, compared field-for-field.
+parallel records additionally carry ``summaries``. The records, and the
+configs of every layer, are immutable values, safe to share across threads:
+``NamedTuple`` types, compared and hashed field for field, except
+:class:`Dialogue`, a slotted class with the same value semantics that can
+also be weakly referenced. A config type checks its fields in the
+constructor, through :func:`validated`.
 
 Utterance and role texts are stored whitespace-canonical (non-empty, equal to
 ``" ".join(text.split())``: single U+0020 spaces, no other whitespace, none at
@@ -15,9 +19,9 @@ inputs can never be confused with control tokens downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import jsonl
 from .errors import MalformedRecordError
@@ -30,56 +34,92 @@ RESERVED_MARKERS = ("<s>", "</s>", "<eor>", "<eou>", "<mask>", "<uttr-mask>")
 SUMMARY_ORIGINS = ("annotated", "reference", "augmented")
 
 
-@dataclass(frozen=True)
-class Turn:
+def validated(cls):
+    """Pass each value that the NamedTuple class ``cls`` makes, ``_replace``'s
+    too, through ``cls._check``, which raises for an invalid value and may
+    return a value to keep in its place, its fields converted. (A
+    NamedTuple's body may not define ``__new__`` or ``_make``.)"""
+    make = cls.__new__
+
+    def __new__(cls_, *args, **kwargs):
+        value = make(cls_, *args, **kwargs)
+        return value._check() or value
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls_, iterable: cls_(*iterable))
+    return cls
+
+
+class Turn(NamedTuple):
     """One utterance, owned by the role at ``role_index`` in the dialogue's role table."""
 
     role_index: int
     text: str
 
 
-@dataclass(frozen=True)
+_dialogue_fields = attrgetter("id", "source_dataset", "roles", "turns")
+
+
 class Dialogue:
-    """A multi-turn dialogue in dual-turn form (no two consecutive turns share a speaker)."""
+    """A multi-turn dialogue in dual-turn form (no two consecutive turns share a speaker).
 
-    id: str
-    source_dataset: str
-    roles: tuple[str, ...]
-    turns: tuple[Turn, ...]
+    A value like the NamedTuple records, but weakly referenceable, which a
+    tuple is not: noising keeps a selection per live dialogue."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "roles", tuple(self.roles))
-        object.__setattr__(self, "turns", tuple(self.turns))
+    __slots__ = ("id", "source_dataset", "roles", "turns", "__weakref__")
+    _fields = __slots__[:4]
+
+    def __init__(self, id: str, source_dataset: str, roles: Iterable[str],
+                 turns: Iterable[Turn]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source_dataset", source_dataset)
+        object.__setattr__(self, "roles", tuple(roles))
+        object.__setattr__(self, "turns", tuple(turns))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Dialogue:
+            return NotImplemented
+        return _dialogue_fields(self) == _dialogue_fields(other)
+
+    def __hash__(self):
+        return hash(_dialogue_fields(self))
+
+    def __repr__(self):
+        return "Dialogue(id={!r}, source_dataset={!r}, roles={!r}, turns={!r})".format(
+            *_dialogue_fields(self))
+
+    def __reduce__(self):
+        return Dialogue, _dialogue_fields(self)
+
+    def _replace(self, **changes) -> Dialogue:
+        return Dialogue(**dict(zip(self._fields, _dialogue_fields(self)), **changes))
 
 
-@dataclass(frozen=True)
-class SummaryRecord:
+class SummaryRecord(NamedTuple):
     text: str
     origin: str  # one of SUMMARY_ORIGINS
 
 
-@dataclass(frozen=True)
-class ParallelExample:
+class ParallelExample(NamedTuple):
     """A dialogue paired with at least one summary."""
 
     dialogue: Dialogue
     summaries: tuple[SummaryRecord, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "summaries", tuple(self.summaries))
 
-
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(NamedTuple):
     """Provenance sidecar for a stored corpus."""
 
     name: str
     examples: int
     created_with_seed: int | None = None
     source_datasets: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "source_datasets", tuple(self.source_datasets))
 
 
 def _is_canonical(text: str) -> bool:

@@ -14,9 +14,9 @@ rewritten.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import jsonl
 from .errors import AmbiguousMapError, PoolTooSmallError
@@ -26,23 +26,26 @@ from .records import (
     ParallelExample,
     SummaryRecord,
     Turn,
+    validated,
 )
 from .seeding import derive_rng
 
 
-@dataclass(frozen=True)
-class NamePool:
+@validated
+class NamePool(NamedTuple):
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
+    def _check(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("name pool contains duplicates")
         for name in self.names:
             if not name or any(m in name for m in RESERVED_MARKERS):
                 raise ValueError(f"invalid pool name {name!r}")
+        if type(self.names) is not tuple:
+            return self._replace(names=tuple(self.names))
 
     def __len__(self) -> int:
+        """The number of names (not of fields)."""
         return len(self.names)
 
     @classmethod
@@ -77,13 +80,13 @@ def assign_role_group(d: Dialogue, pool: NamePool, seed: int,
                     roles=new_roles, turns=d.turns)
 
 
-@dataclass(frozen=True)
-class RoleMap:
+@validated
+class RoleMap(NamedTuple):
     """Injective old-name -> new-name mapping, applied simultaneously."""
 
     pairs: dict[str, str]
 
-    def __post_init__(self):
+    def _check(self):
         old_names = list(self.pairs.keys())
         new_names = list(self.pairs.values())
         if len(set(new_names)) != len(new_names):

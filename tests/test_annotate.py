@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import random
 import threading
@@ -198,7 +197,7 @@ def test_resume_after_torn_output_matches_one_shot(tmp_path_factory, data):
     work = tmp_path_factory.mktemp("torn")
     one_shot, resumed = work / "one_shot.plx", work / "resumed.plx"
     annotate_batch(dialogues, JOB, MockEndpoint("digest:12"), one_shot, NO_BACKOFF)
-    annotate_batch(dialogues, dataclasses.replace(JOB, budget=5),
+    annotate_batch(dialogues, JOB._replace(budget=5),
                    MockEndpoint("digest:12"), resumed, NO_BACKOFF)
     written = resumed.read_bytes()
     cut = data.draw(st.integers(0, len(written)), label="cut")

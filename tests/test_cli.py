@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -229,6 +228,18 @@ _INPUT_FILES = {
         _ANNOTATED[1], lambda o: o["summaries"][0].update(text=5)),
     "number_source.plx": _ANNOTATED[0] + _edited(
         _ANNOTATED[1], lambda o: o.update(source_dataset=5)),
+    "null_utterance.jsonl": ('{"conv": "a", "speaker": "x", "text": "hi"}\n'
+                             '{"conv": "a", "speaker": "y", "text": null}\n'),
+    "object_utterance.jsonl": '{"conv": "a", "speaker": "x", "text": {"x": 1}}\n',
+    "null_speaker.jsonl": ('{"conv": "a", "speaker": "x", "text": "hi"}\n'
+                           '{"conv": "a", "speaker": null, "text": "yo"}\n'),
+    "bool_conv.jsonl": '{"conv": true, "speaker": "x", "text": "hi"}\n',
+    "float_conv.jsonl": '{"conv": 1.5, "speaker": "x", "text": "hi"}\n',
+    "number_then_string_conv.jsonl": ('{"conv": 1, "speaker": "x", "text": "hi"}\n'
+                                      '{"conv": "1", "speaker": "y", "text": "yo"}\n'),
+    # true == 1: only its type tells it from the id before it.
+    "number_then_bool_conv.jsonl": ('{"conv": 1, "speaker": "x", "text": "hi"}\n'
+                                    '{"conv": true, "speaker": "y", "text": "yo"}\n'),
 }
 
 
@@ -353,6 +364,20 @@ _INPUT_FILES = {
       "--mix", "{tmp}/overflow_mix.json"], "task weights must sum to a finite number"),
     (["noise", "--in", "{named}", "--out", "{out}", "--count", "400", "--seed", "1",
       "--mix", "{tmp}/infinite_mix.json"], "task weights must be finite"),
+    (["ingest", "--in", "{tmp}/null_utterance.jsonl", "--spec", "{spec}", "--out", "{out}"],
+     "line 2: 'text' must be a string"),
+    (["ingest", "--in", "{tmp}/object_utterance.jsonl", "--spec", "{spec}", "--out", "{out}"],
+     "line 1: 'text' must be a string"),
+    (["ingest", "--in", "{tmp}/null_speaker.jsonl", "--spec", "{spec}", "--out", "{out}"],
+     "line 2: 'speaker' must be a string or an integer"),
+    (["ingest", "--in", "{tmp}/bool_conv.jsonl", "--spec", "{spec}", "--out", "{out}"],
+     "line 1: 'conv' must be a string or an integer"),
+    (["ingest", "--in", "{tmp}/float_conv.jsonl", "--spec", "{spec}", "--out", "{out}"],
+     "line 1: 'conv' must be a string or an integer"),
+    (["ingest", "--in", "{tmp}/number_then_string_conv.jsonl", "--spec", "{spec}",
+      "--out", "{out}"], "line 2: dialogue id '1' reappears (first at line 1)"),
+    (["ingest", "--in", "{tmp}/number_then_bool_conv.jsonl", "--spec", "{spec}",
+      "--out", "{out}"], "line 2: 'conv' must be a string or an integer"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -372,14 +397,17 @@ _INPUT_FILES = {
         "noise-config-infinity", "noise-config-seed", "noise-mix-seed",
         "stats-summary-index-past-end", "stats-summary-index-negative",
         "eval-select-ref-negative-max-length", "eval-select-ref-max-length",
-        "noise-mix-weight-sum-overflow", "noise-mix-infinite-weight"])
+        "noise-mix-weight-sum-overflow", "noise-mix-infinite-weight",
+        "ingest-null-utterance", "ingest-object-utterance", "ingest-null-speaker",
+        "ingest-bool-id", "ingest-float-id", "ingest-number-then-string-id",
+        "ingest-number-then-bool-id"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     paths = {"out": tmp_path / "out", "tmp": tmp_path,
              "named": SAMPLE / "golden" / "named.dlg",
              "annotated": SAMPLE / "golden" / "annotated.plx",
-             "raw": SAMPLE / "raw_sample.jsonl"}
+             "raw": SAMPLE / "raw_sample.jsonl", "spec": SAMPLE / "ingest_spec.json"}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -431,11 +459,11 @@ def test_clean_cli_matches_oracle_chain(tmp_path):
         d = make_dialogue(rng, f"c{i}", max_tokens=8)
         corpus.append(d)
         if i % 6 == 0:  # an exact and a near copy later in the corpus
-            corpus.append(dataclasses.replace(d, id=f"c{i}-copy"))
-            turns = (*d.turns[:-1], dataclasses.replace(d.turns[-1], text=d.turns[-1].text + " zz"))
-            corpus.append(dataclasses.replace(d, id=f"c{i}-near", turns=turns))
+            corpus.append(d._replace(id=f"c{i}-copy"))
+            turns = (*d.turns[:-1], d.turns[-1]._replace(text=d.turns[-1].text + " zz"))
+            corpus.append(d._replace(id=f"c{i}-near", turns=turns))
         if i % 7 == 0:  # an evaluation dialogue the corpus leaks
-            eval_set.append(dataclasses.replace(d, id=f"e{i}", source_dataset="eval"))
+            eval_set.append(d._replace(id=f"e{i}", source_dataset="eval"))
     save_corpus(corpus, tmp_path / "corpus.dlg")
     save_corpus(eval_set, tmp_path / "eval.dlg")
     cfg = DedupConfig(jaccard_threshold=0.7, shingle_k=2, min_turns=3, min_tokens=14)

@@ -15,6 +15,9 @@ SAMPLE = ROOT / "data" / "sample"
 GOLDEN = SAMPLE / "golden"
 LAYERS = tuple(f"dialoprep.{name}" for name in (
     "annotate", "dedup", "ingest", "metrics", "noising", "roles", "seeding"))
+#: Modules no stage process needs: ``dataclasses`` and the ``inspect`` it
+#: imports (with ``ast``, ``dis`` and ``tokenize``) cost every cold start.
+UNNEEDED = ("dataclasses", "inspect")
 
 
 def test_pyproject_declares_no_runtime_dependency():
@@ -50,13 +53,17 @@ def test_cli_import_loads_no_layer():
     assert _loaded(LAYERS + ("concurrent.futures", "unicodedata")) == []
 
 
+def test_cli_import_loads_no_dataclasses():
+    assert _loaded(UNNEEDED) == []
+
+
 #: Each command on the sample data, and the layers it may load: its own and
 #: the ones that layer imports.
 _STAGES = {
     "ingest": (["--in", SAMPLE / "raw_sample.jsonl", "--spec", SAMPLE / "ingest_spec.json",
                 "--out", "{tmp}/corpus.dlg"], {"ingest"}),
     "clean": (["--in", GOLDEN / "corpus.dlg", "--out", "{tmp}/cleaned.dlg"],
-              {"dedup", "metrics"}),
+              {"dedup"}),
     "roles": (["--in", GOLDEN / "cleaned.dlg", "--out", "{tmp}/named.dlg", "--seed", "3"],
               {"roles", "seeding"}),
     "augment": (["--in", GOLDEN / "annotated.plx", "--map", "{tmp}/map.json",
@@ -64,7 +71,7 @@ _STAGES = {
     "annotate": (["--in", GOLDEN / "named.dlg", "--out", "{tmp}/annotated.plx",
                   "--mock", "digest:12"], {"annotate"}),
     "noise": (["--in", GOLDEN / "named.dlg", "--out", "{tmp}/pairs.jsonl", "--count", "20",
-               "--seed", "3"], {"noising", "metrics", "seeding"}),
+               "--seed", "3"], {"noising", "seeding"}),
     "stats": (["--in", GOLDEN / "annotated.plx", "--out", "{tmp}/stats.json"], {"metrics"}),
     "eval": (["--candidates", GOLDEN / "annotated.plx", "--references", "{tmp}/references.jsonl",
               "--out", "{tmp}/eval.json", "--select-train-ref"], {"metrics"}),
@@ -73,7 +80,7 @@ _STAGES = {
 
 @pytest.mark.parametrize("command", sorted(_STAGES))
 def test_help_loads_no_layer(command):
-    assert _loaded(LAYERS, command, "--help") == []
+    assert _loaded(LAYERS + UNNEEDED, command, "--help") == []
 
 
 @pytest.mark.parametrize("command", sorted(_STAGES))
@@ -87,4 +94,5 @@ def test_command_loads_only_its_own_layers(tmp_path, command):
             out.write(json.dumps({"id": record["id"], "texts": texts}) + "\n")
     template, layers = _STAGES[command]
     argv = [str(arg).format(tmp=tmp_path) for arg in template]
-    assert _loaded(LAYERS, command, *argv) == sorted(f"dialoprep.{name}" for name in layers)
+    assert (_loaded(LAYERS + UNNEEDED, command, *argv)
+            == sorted(f"dialoprep.{name}" for name in layers))

@@ -200,6 +200,14 @@ def test_ingest_rejects_reappearing_raw_id(tmp_path):
     assert "'a'" in err.value.reason
 
 
+def test_ingest_takes_integer_speakers_and_ids(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    _write_raw(raw, [{"conv": 7, "speaker": 1, "text": "hi"},
+                     {"conv": 7, "speaker": 2, "text": "yo"}])
+    (d,) = ingest(raw, SPEC).dialogues
+    assert (d.id, d.roles) == ("demo:7", ("1", "2"))
+
+
 def test_spec_requires_mapping():
     with pytest.raises(ValueError):
         IngestSpec(speaker_field="", utterance_field="t", id_field="i", dataset_tag="x")
