@@ -24,6 +24,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from . import jsonl
 from .errors import BudgetExhaustedError, EndpointError
@@ -116,6 +117,9 @@ class HttpEndpoint:
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0):
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {base_url!r} is not an http or https URL")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
@@ -151,31 +155,32 @@ class MockEndpoint:
     ``fixed:<text>`` answers every request with the same summary;
     ``head:<k>`` echoes the first k whitespace tokens of the prompt;
     ``digest:<k>`` writes a fixed preamble plus k evenly spaced prompt tokens,
-    a cheap stand-in for an abstractive summarizer.
+    a cheap stand-in for an abstractive summarizer. k is an integer >= 1.
     """
 
     def __init__(self, behavior: str):
-        self.behavior = behavior
+        kind, colon, arg = behavior.partition(":")
+        if kind in ("head", "digest") and arg.isdecimal() and int(arg) >= 1:
+            self._k = int(arg)
+        elif kind != "fixed" or not colon:
+            raise ValueError(f"mock behavior {behavior!r} is not fixed:<text>, head:<k> "
+                             "or digest:<k> with an integer k >= 1")
+        self._kind, self._text = kind, arg
         self.calls = 0
         self._lock = threading.Lock()
 
     def complete(self, payload: dict) -> tuple[int, dict]:
         with self._lock:
             self.calls += 1
-        prompt = payload["messages"][0]["content"]
-        if self.behavior.startswith("fixed:"):
-            text = self.behavior[len("fixed:"):]
-        elif self.behavior.startswith("head:"):
-            k = int(self.behavior[len("head:"):])
-            text = " ".join(prompt.split()[:k])
-        elif self.behavior.startswith("digest:"):
-            k = int(self.behavior[len("digest:"):])
-            words = prompt.split()
-            step = max(1, len(words) // k)
-            picked = [words[i] for i in range(0, len(words), step)][:k]
-            text = "overall they discuss " + " ".join(picked)
+        words = payload["messages"][0]["content"].split()
+        if self._kind == "fixed":
+            text = self._text
+        elif self._kind == "head":
+            text = " ".join(words[:self._k])
         else:
-            raise ValueError(f"unknown mock behavior {self.behavior!r}")
+            step = max(1, len(words) // self._k)
+            picked = [words[i] for i in range(0, len(words), step)][:self._k]
+            text = "overall they discuss " + " ".join(picked)
         return 200, {"choices": [{"message": {"role": "assistant", "content": text}}]}
 
 

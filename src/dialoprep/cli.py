@@ -196,16 +196,13 @@ def _cmd_noise(args) -> int:
            else noising.NoisingConfig())
     mix = (noising.TaskMix.from_file(args.mix) if args.mix
            else noising.TaskMix.equal_reconstruction())
-    if args.count < 0:
-        raise PipelineError("--count must be >= 0")
     kind = args.kind or _sniff_kind(args.input)
     if kind == "dialogues" and mix.weights.get("task_oriented", 0.0) > 0.0:
         raise PipelineError("the mix gives task_oriented a positive weight, which "
                             "needs a parallel corpus, but the input is a dialogue corpus")
     items = records.load_corpus(args.input, kind)
-    written = jsonl.write_lines(args.out, (
-        noising.pair_line(items, mix, cfg, ordinal, seed=args.seed)
-        for ordinal in range(args.count)))
+    written = jsonl.write_lines(args.out, noising.pair_lines(items, mix, cfg, args.count,
+                                                             seed=args.seed))
     _write_manifest(
         "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
         params={

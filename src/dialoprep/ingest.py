@@ -72,8 +72,8 @@ class IngestSpec(NamedTuple):
     aliases: Mapping[str, str] = MappingProxyType({})
 
     def _check(self):
-        if not self.speaker_field or not self.utterance_field:
-            raise ValueError("speaker_field and utterance_field must both be mapped")
+        if not self.speaker_field or not self.utterance_field or not self.id_field:
+            raise ValueError("speaker_field, utterance_field and id_field must all be mapped")
         if not self.dataset_tag:
             raise ValueError("dataset_tag must be non-empty")
 

@@ -15,16 +15,17 @@ ordinal), so generation order never depends on scheduling.
 
 Each task draws a plan: the groups of its source, most of them intact turns
 of the dialogue. A plan renders once, straight to the pair's JSON line, from
-the dialogue's text: ``pair_line``, which ``noise`` writes through, returns
-that line, and ``mixed_pair``, the task functions and ``serialize_dialogue``
-return it decoded into token tuples. Role and utterance texts are
+the dialogue's text: ``pair_lines``, which ``noise`` writes, and
+``pair_line`` return such lines, and ``mixed_pair``, the task functions and
+``serialize_dialogue`` return them decoded into token tuples. Role and utterance texts are
 whitespace-canonical (records guarantee it on load), so a text's tokens are
 its space-separated pieces and its token array is one JSON-escaped string
 with each space closed and reopened as ``", "``.
 
-Utterance masking's greedy gap selection runs once per dialogue: it is kept,
-a few turn indices, only while the dialogue is alive. Nothing else outlives
-a pair, so memory stays flat at any pair count.
+Utterance masking's greedy gap selection runs once per dialogue of a
+stream: ``pair_lines`` keeps it, a few turn indices, by corpus position until
+the stream ends. Nothing else outlives a pair, so memory stays flat at any
+pair count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-import weakref
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -408,20 +408,18 @@ def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
     return sorted(selected)
 
 
-# Each live dialogue's last gap selection. A selection of k turns holds k
-# distinct indices, so its size tells which k it was made for. An entry goes
-# when its dialogue is collected, so the memo never outlives the corpus.
-_GAP_SELECTIONS: weakref.WeakKeyDictionary[Dialogue, frozenset[int]] = (
-    weakref.WeakKeyDictionary())
+def _gap_selection(d: Dialogue, cfg: NoisingConfig) -> tuple[int, ...]:
+    """The turns ``uttr_mask`` masks in ``d``."""
+    return tuple(select_gap_utterances(d, max(1, round_half_up(cfg.uttr_mask_rate
+                                                               * len(d.turns)))))
 
 
-def _plan_uttr_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
-    """Greedy, not random: it draws nothing from ``rng``. Selection runs once
-    per dialogue and k; later draws of the same dialogue reuse it."""
-    k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
-    chosen = _GAP_SELECTIONS.get(d)
-    if chosen is None or len(chosen) != k:
-        chosen = _GAP_SELECTIONS[d] = frozenset(select_gap_utterances(d, k))
+def _plan_uttr_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random | None,
+                    chosen: tuple[int, ...] | None = None) -> list:
+    """Greedy, not random: it draws nothing from ``rng``. ``chosen`` is
+    ``_gap_selection(d, cfg)``, when that is already made."""
+    if chosen is None:
+        chosen = _gap_selection(d, cfg)
     return [(turn.role_index, UTTR_MASK) if i in chosen else i
             for i, turn in enumerate(d.turns)]
 
@@ -486,8 +484,7 @@ def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
     """Replace the max(1, round(rate * turns)) principal gap-utterances with
     ``<uttr-mask>``, keeping each slot's role and markers.
 
-    Selection is greedy, not random, so it takes no generator; it runs once
-    per dialogue and k, and later draws of the same dialogue reuse it.
+    Selection is greedy, not random, so it takes no generator.
     """
     return _reconstruction_pair("uttr_mask", d, _plan_uttr_mask(d, cfg, None))
 
@@ -523,9 +520,9 @@ def _dialogue_of(item: Dialogue | ParallelExample) -> Dialogue:
 
 
 def _draw(items: Sequence[Dialogue | ParallelExample], mix: TaskMix, ordinal: int,
-          seed: int) -> tuple[str, Dialogue | ParallelExample]:
-    """The task and the item of the pair at ``ordinal``, from a generator
-    derived from (seed, "select", ordinal)."""
+          seed: int) -> tuple[str, int]:
+    """The task and the corpus position of the pair at ``ordinal``, from a
+    generator derived from (seed, "select", ordinal)."""
     if not items:
         raise ValueError("cannot mix over an empty corpus")
     active = [(task, mix.weights[task]) for task in ALL_TASKS
@@ -540,10 +537,29 @@ def _draw(items: Sequence[Dialogue | ParallelExample], mix: TaskMix, ordinal: in
         if draw < cumulative:
             task = name
             break
-    item = items[selector.randrange(len(items))]
-    if task == "task_oriented" and not isinstance(item, ParallelExample):
+    position = selector.randrange(len(items))
+    if task == "task_oriented" and not isinstance(items[position], ParallelExample):
         raise ValueError("task_oriented requires parallel examples")
-    return task, item
+    return task, position
+
+
+def _pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+               cfg: NoisingConfig, ordinal: int, seed: int,
+               gaps: dict[int, tuple[int, ...]]) -> str:
+    """:func:`pair_line`, with ``gaps`` holding the gap selections already
+    made, by corpus position; it adds the one it makes."""
+    task, position = _draw(items, mix, ordinal, seed)
+    item = items[position]
+    if task == "task_oriented":
+        return _render_line(task, item.dialogue, None, _summary(item))
+    dialogue = _dialogue_of(item)
+    if task == "uttr_mask":
+        chosen = gaps.get(position)
+        if chosen is None:
+            chosen = gaps[position] = _gap_selection(dialogue, cfg)
+        return _render_line(task, dialogue, _plan_uttr_mask(dialogue, cfg, None, chosen))
+    pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
+    return _render_line(task, dialogue, _PLANS[task](dialogue, cfg, pair_rng))
 
 
 def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
@@ -556,12 +572,18 @@ def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
     "pair", dialogue id, ordinal). Both depend only on their inputs, so any
     scheduling of ordinals yields the same stream.
     """
-    task, item = _draw(items, mix, ordinal, seed)
-    if task == "task_oriented":
-        return _render_line(task, item.dialogue, None, _summary(item))
-    dialogue = _dialogue_of(item)
-    pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
-    return _render_line(task, dialogue, _PLANS[task](dialogue, cfg, pair_rng))
+    return _pair_line(items, mix, cfg, ordinal, seed, {})
+
+
+def pair_lines(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+               cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[str]:
+    """The lines of the pairs at ordinals 0 to ``count - 1``: each
+    :func:`pair_line`, but each dialogue's gap selection made once per
+    stream."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    gaps: dict[int, tuple[int, ...]] = {}
+    return (_pair_line(items, mix, cfg, ordinal, seed, gaps) for ordinal in range(count))
 
 
 def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
@@ -573,11 +595,9 @@ def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
 
 def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
               cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[NoisedPair]:
-    """Stream ``count`` pairs with tasks drawn proportionally to mix weights."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    for ordinal in range(count):
-        yield mixed_pair(items, mix, cfg, ordinal, seed=seed)
+    """Stream ``count`` pairs with tasks drawn proportionally to mix weights:
+    the decoded :func:`pair_lines`."""
+    return map(_pair_of_line, pair_lines(items, mix, cfg, count, seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,8 @@ A corpus file holds one JSON record per line (UTF-8). Dialogue records carry
 ``schema_version``, ``id``, ``source_dataset``, ``roles`` and ``turns``;
 parallel records additionally carry ``summaries``. The records, and the
 configs of every layer, are immutable values, safe to share across threads:
-``NamedTuple`` types, compared and hashed field for field, except
-:class:`Dialogue`, a slotted class with the same value semantics that can
-also be weakly referenced. A config type checks its fields in the
-constructor, through :func:`validated`.
+``NamedTuple`` types, compared and hashed field for field. A config type
+checks its fields in the constructor, through :func:`validated`.
 
 Utterance and role texts are stored whitespace-canonical (non-empty, equal to
 ``" ".join(text.split())``: single U+0020 spaces, no other whitespace, none at
@@ -19,7 +17,6 @@ inputs can never be confused with control tokens downstream.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -57,48 +54,13 @@ class Turn(NamedTuple):
     text: str
 
 
-_dialogue_fields = attrgetter("id", "source_dataset", "roles", "turns")
+class Dialogue(NamedTuple):
+    """A multi-turn dialogue in dual-turn form (no two consecutive turns share a speaker)."""
 
-
-class Dialogue:
-    """A multi-turn dialogue in dual-turn form (no two consecutive turns share a speaker).
-
-    A value like the NamedTuple records, but weakly referenceable, which a
-    tuple is not: noising keeps a selection per live dialogue."""
-
-    __slots__ = ("id", "source_dataset", "roles", "turns", "__weakref__")
-    _fields = __slots__[:4]
-
-    def __init__(self, id: str, source_dataset: str, roles: Iterable[str],
-                 turns: Iterable[Turn]):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "source_dataset", source_dataset)
-        object.__setattr__(self, "roles", tuple(roles))
-        object.__setattr__(self, "turns", tuple(turns))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Dialogue:
-            return NotImplemented
-        return _dialogue_fields(self) == _dialogue_fields(other)
-
-    def __hash__(self):
-        return hash(_dialogue_fields(self))
-
-    def __repr__(self):
-        return "Dialogue(id={!r}, source_dataset={!r}, roles={!r}, turns={!r})".format(
-            *_dialogue_fields(self))
-
-    def __reduce__(self):
-        return Dialogue, _dialogue_fields(self)
-
-    def _replace(self, **changes) -> Dialogue:
-        return Dialogue(**dict(zip(self._fields, _dialogue_fields(self)), **changes))
+    id: str
+    source_dataset: str
+    roles: tuple[str, ...]
+    turns: tuple[Turn, ...]
 
 
 class SummaryRecord(NamedTuple):

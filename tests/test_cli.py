@@ -156,16 +156,16 @@ def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
     argv = ["noise", "--in", str(corpus), "--out", str(out), "--count", "40", "--seed"]
     assert main(argv + ["5"]) == 0
     earlier = out.read_bytes()
-    original = noising.pair_line
+    original = noising._pair_line
     reached = []
 
-    def failing(items, mix, cfg, ordinal, *, seed):
+    def failing(items, mix, cfg, ordinal, seed, gaps):
         if ordinal == 25:
             reached.append(ordinal)
             raise RuntimeError("interrupted")
-        return original(items, mix, cfg, ordinal, seed=seed)
+        return original(items, mix, cfg, ordinal, seed, gaps)
 
-    monkeypatch.setattr(noising, "pair_line", failing)
+    monkeypatch.setattr(noising, "_pair_line", failing)
     with pytest.raises(RuntimeError, match="interrupted"):
         main(argv + ["6"])
     assert reached == [25]
@@ -240,6 +240,8 @@ _INPUT_FILES = {
     # true == 1: only its type tells it from the id before it.
     "number_then_bool_conv.jsonl": ('{"conv": 1, "speaker": "x", "text": "hi"}\n'
                                     '{"conv": true, "speaker": "y", "text": "yo"}\n'),
+    "no_id_spec.json": json.dumps({"speaker_field": "speaker", "utterance_field": "text",
+                                   "dataset_tag": "sample"}),
 }
 
 
@@ -378,6 +380,18 @@ _INPUT_FILES = {
       "--out", "{out}"], "line 2: dialogue id '1' reappears (first at line 1)"),
     (["ingest", "--in", "{tmp}/number_then_bool_conv.jsonl", "--spec", "{spec}",
       "--out", "{out}"], "line 2: 'conv' must be a string or an integer"),
+    (["ingest", "--in", "{raw}", "--spec", "{tmp}/no_id_spec.json", "--out", "{out}"],
+     "id_field must all be mapped"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:x"],
+     "mock behavior 'digest:x'"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "bogus"],
+     "mock behavior 'bogus'"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "head:0"],
+     "mock behavior 'head:0'"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--endpoint", "notaurl"],
+     "endpoint 'notaurl' is not an http or https URL"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "-1", "--seed", "1"],
+     "count must be >= 0"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -400,7 +414,9 @@ _INPUT_FILES = {
         "noise-mix-weight-sum-overflow", "noise-mix-infinite-weight",
         "ingest-null-utterance", "ingest-object-utterance", "ingest-null-speaker",
         "ingest-bool-id", "ingest-float-id", "ingest-number-then-string-id",
-        "ingest-number-then-bool-id"])
+        "ingest-number-then-bool-id", "ingest-spec-without-id-field", "annotate-mock-digest-x",
+        "annotate-mock-bogus", "annotate-mock-head-0", "annotate-endpoint-not-a-url",
+        "noise-negative-count"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

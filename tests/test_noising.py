@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import gc
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -29,6 +28,7 @@ from dialoprep.noising import (
     mixed_pair,
     noise_dialogue,
     pair_line,
+    pair_lines,
     pair_to_obj,
     round_half_up,
     sample_poisson,
@@ -703,18 +703,33 @@ def test_gap_selection_runs_once_per_dialogue(monkeypatch):
         return select(d, k)
 
     monkeypatch.setattr(noising, "select_gap_utterances", counting)
-    gc.collect()
-    held = len(noising._GAP_SELECTIONS)
     rng = random.Random(31)
     items = [make_dialogue(rng, f"memo{i}", n_turns=rng.randint(1, 8)) for i in range(6)]
     mix = TaskMix(weights={"uttr_mask": 1.0})
     pairs = list(mix_tasks(items, mix, CFG, 120, seed=5))
     assert {p.dialogue_id for p in pairs} == {d.id for d in items}
     assert calls == Counter({d.id: 1 for d in items})
-    assert len(noising._GAP_SELECTIONS) == held + len(items)
-    del items, pairs
-    gc.collect()
-    assert len(noising._GAP_SELECTIONS) == held
+    # Nothing outlives a stream: a second one selects each dialogue's gaps again.
+    lines = list(pair_lines(items, mix, CFG, 120, seed=5))
+    assert [noising._pair_of_line(line) for line in lines] == pairs
+    assert calls == Counter({d.id: 2 for d in items})
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=_corpora(), weights=st.lists(st.sampled_from([0.0, 1.0, 2.5]),
+                                           min_size=6, max_size=6),
+       rates=st.tuples(_RATE, _RATE, _RATE, _RATE), lam=st.sampled_from([0.5, 3.0]),
+       seed=st.integers(0, 2**16), count=st.integers(0, 60))
+def test_pair_lines_are_each_ordinals_pair_line(corpus, weights, rates, lam, seed, count):
+    items, parallel = corpus
+    weights = dict(zip(noising.ALL_TASKS if parallel else RECONSTRUCTION_TASKS, weights))
+    weights["uttr_mask"] += 1.0
+    mix = TaskMix(weights=weights)
+    cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
+                        infill_lambda=lam, infill_utterance_budget_rate=rates[2],
+                        uttr_mask_rate=rates[3])
+    assert ("".join(pair_lines(items, mix, cfg, count, seed=seed))
+            == "".join(pair_line(items, mix, cfg, o, seed=seed) for o in range(count)))
 
 
 # ---------------------------------------------------------------------------
