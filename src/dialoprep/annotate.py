@@ -20,7 +20,6 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
@@ -33,7 +32,7 @@ from .records import (
     ParallelExample,
     SummaryRecord,
     load_corpus,
-    record_to_obj,
+    record_line,
     render_dialogue_text,
     validated,
 )
@@ -290,6 +289,10 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
     memory stays bounded for any batch size. The output file has a single
     writer, which consumes results in input order.
     """
+    # Imported here: concurrent.futures brings logging and traceback into the
+    # cold start of every process that imports this module.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     policy = policy or RetryPolicy()
     report = AnnotationReport()
     _drop_torn_tail(out_path)
@@ -337,7 +340,7 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
             example = ParallelExample(
                 dialogue=d,
                 summaries=(SummaryRecord(text=summary, origin="annotated"),))
-            out.write(jsonl.line(record_to_obj(example)))
+            out.write(record_line(example))
             out.flush()
             report.completed.append(d.id)
     return report

@@ -9,7 +9,15 @@ Utterances are normalized before anything else. Normalization collapses
 whitespace, strips ends, maps curly quotes / long dashes / ellipses to their
 plain ASCII forms, and removes control and format characters; it never
 case-folds content. The exact table lives in ``_CHAR_MAP`` and is fixed so
-downstream statistics are reproducible.
+downstream statistics are reproducible. Its one ASCII key is the backtick,
+so ASCII text takes one ``str.replace`` instead of the table; and text that
+comes out printable, with no space at an end and none doubled, is returned
+as it is, because U+0020 is the only printable whitespace character and such
+a text is already canonical.
+
+Each dialogue normalizes a raw speaker once: a dict from the raw speaker to
+its role index serves every later utterance of it, and same-speaker runs are
+merged as the turns are built.
 """
 
 from __future__ import annotations
@@ -36,9 +44,13 @@ _CHAR_MAP = str.maketrans({
 
 def normalize_text(raw: str) -> str:
     """Normalize punctuation, special characters and whitespace. Idempotent."""
-    text = raw.translate(_CHAR_MAP)
-    # Printable text holds no Cc/Cf character: the filter would keep it whole.
-    if not text.isprintable():
+    text = raw.replace("`", "'") if raw.isascii() else raw.translate(_CHAR_MAP)
+    if text.isprintable():
+        # Printable text holds no Cc/Cf character, and no whitespace but
+        # U+0020: with single spaces inside it, it is canonical already.
+        if text[:1] != " " and text[-1:] != " " and "  " not in text:
+            return text
+    else:
         text = "".join(
             ch for ch in text
             if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
@@ -111,8 +123,10 @@ def _build_dialogue(raw_id: str, utterances: list[tuple[str, str]],
                     spec: IngestSpec, report: IngestReport) -> Dialogue | None:
     """Assemble one dialogue from (speaker, text) pairs; None if nothing survives."""
     dialogue_id = f"{spec.dataset_tag}:{raw_id}"
-    roles: list[str] = []
-    turns: list[Turn] = []
+    roles: dict[str, int] = {}  # normalized name -> role index
+    role_of: dict[str, int] = {}  # raw speaker -> role index
+    indices: list[int] = []
+    texts: list[str] = []
     for speaker, text in utterances:
         text = normalize_text(text)
         if not text:
@@ -121,23 +135,27 @@ def _build_dialogue(raw_id: str, utterances: list[tuple[str, str]],
         if "<" in text and any(marker in text for marker in RESERVED_MARKERS):
             report.dropped_invalid_dialogues.append(dialogue_id)
             return None
-        speaker = normalize_text(spec.aliases.get(speaker, speaker))
-        if not speaker:
-            report.dropped_invalid_dialogues.append(dialogue_id)
-            return None
-        if speaker not in roles:
-            roles.append(speaker)
-        turns.append(Turn(role_index=roles.index(speaker), text=text))
-    if not turns:
+        index = role_of.get(speaker)
+        if index is None:
+            name = normalize_text(spec.aliases.get(speaker, speaker))
+            if not name:
+                report.dropped_invalid_dialogues.append(dialogue_id)
+                return None
+            index = role_of[speaker] = roles.setdefault(name, len(roles))
+        if indices and indices[-1] == index:  # a same-speaker run merges
+            texts[-1] += " " + text
+        else:
+            indices.append(index)
+            texts.append(text)
+    if not texts:
         report.dropped_empty_dialogues.append(dialogue_id)
         return None
-    d = merge_same_speaker(Dialogue(
-        id=dialogue_id, source_dataset=spec.dataset_tag,
-        roles=tuple(roles), turns=tuple(turns)))
-    violations = validate_dialogue(d)
-    if violations:
-        # Raw data that still breaks an invariant after normalization and
-        # merging (e.g. a marker-like speaker name) is rejected, not patched.
+    d = Dialogue(id=dialogue_id, source_dataset=spec.dataset_tag, roles=tuple(roles),
+                 turns=tuple(map(Turn, indices, texts)))
+    # Normalized texts and names are canonical and the texts hold no marker,
+    # so only a role name holding "<" can still break an invariant (e.g. a
+    # marker-like speaker name): such a dialogue is rejected, not patched.
+    if any("<" in name for name in roles) and validate_dialogue(d):
         report.dropped_invalid_dialogues.append(dialogue_id)
         return None
     return d
@@ -163,7 +181,7 @@ def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
     """
     report = IngestReport()
     dialogues: list[Dialogue] = []
-    current_raw = None  # never a raw id's value
+    current_raw = object()  # never a raw id's value
     current: list[tuple[str, str]] = []
 
     def flush():
@@ -173,17 +191,21 @@ def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
                 dialogues.append(d)
 
     first_lines: dict[str, int] = {}
+    fields = (spec.speaker_field, spec.utterance_field, spec.id_field)
     for line_number, obj in jsonl.read(path):
-        for name in (spec.speaker_field, spec.utterance_field, spec.id_field):
-            if name not in obj:
-                raise UnmappedFieldError(name)
-        text = obj[spec.utterance_field]
+        try:
+            speaker, text, raw = obj[fields[0]], obj[fields[1]], obj[fields[2]]
+        except KeyError:
+            raise UnmappedFieldError(next(name for name in fields if name not in obj)) from None
         if type(text) is not str:
             raise MalformedRecordError(line_number, f"{spec.utterance_field!r} must be a string")
-        speaker = _text_of_key(obj[spec.speaker_field], spec.speaker_field, line_number)
-        raw = obj[spec.id_field]
-        raw_id = _text_of_key(raw, spec.id_field, line_number)
-        if raw != current_raw:  # 1 and "1" differ here, though their ids do not
+        if type(speaker) is not str:
+            speaker = _text_of_key(speaker, spec.speaker_field, line_number)
+        # An id equal to the current one, and of its type, was checked at
+        # the dialogue's first row (``true`` equals 1, and 1 and "1" give
+        # one id).
+        if raw != current_raw or type(raw) is not type(current_raw):
+            raw_id = _text_of_key(raw, spec.id_field, line_number)
             first = first_lines.setdefault(raw_id, line_number)
             if first != line_number:
                 raise MalformedRecordError(

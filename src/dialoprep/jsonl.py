@@ -4,7 +4,9 @@ Each stage hands its work to the next as a UTF-8 file of one JSON object per
 line. Whole files are written to a temporary file beside the target that
 replaces it only after the last byte, so a failure leaves any earlier file.
 A config file holds one JSON object; the annotation endpoint exchanges JSON
-bodies.
+bodies. A record line is decoded where it starts, and only a line that is
+not one whole value (leading whitespace, extra data, a byte-order mark,
+invalid JSON) goes through ``json.loads`` for its result or its message.
 """
 
 from __future__ import annotations
@@ -18,20 +20,37 @@ from typing import Iterable, Iterator, Mapping, TextIO
 from .errors import MalformedRecordError
 
 
+# Decodes one value at the start of a line and says where it ends: it skips
+# the strip, the BOM test and the two whitespace scans of ``json.loads``.
+_decode_value = json.JSONDecoder().raw_decode
+
+
 def read(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, obj)`` per non-blank line; blank lines still count.
 
     Invalid JSON and a line that is not an object raise MalformedRecordError.
+
+    A line is first decoded where it stands: when it starts with a value and
+    only whitespace follows it, that value is what ``json.loads`` gives for
+    the stripped line. Any other line (leading whitespace, extra data, a
+    byte-order mark, invalid JSON) is stripped and handed to ``json.loads``,
+    so every message is the one it gives.
     """
     with open(path, encoding="utf-8") as fh:
         for line_number, text in enumerate(fh, start=1):
-            text = text.strip()
-            if not text:
-                continue
             try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}") from exc
+                obj, end = _decode_value(text)
+                whole = end == len(text) or text[end:].isspace()
+            except ValueError:  # JSONDecodeError included
+                whole = False
+            if not whole:
+                text = text.strip()
+                if not text:
+                    continue
+                try:
+                    obj = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise MalformedRecordError(line_number, "record is not an object")
             yield line_number, obj

@@ -13,6 +13,13 @@ the ends) and must not contain the reserved marker strings used by the
 serialization layer. Both rules are enforced by
 :func:`validate_dialogue` rather than escaped at write time, so corrupted
 inputs can never be confused with control tokens downstream.
+
+A record is written as :func:`record_line` assembles it from
+``jsonl.string`` of each text, the escaper the JSON encoder itself calls, so
+the line is the encoder's line for :func:`record_to_obj` without building
+the object. Loading checks a record in the pass that builds its turns and
+calls :func:`validate_dialogue` only for a record that fails a cheap check,
+so every message still comes from the validator.
 """
 
 from __future__ import annotations
@@ -159,6 +166,26 @@ def record_to_obj(record: Dialogue | ParallelExample) -> dict:
     return _dialogue_to_obj(record)
 
 
+def _dialogue_fields(d: Dialogue) -> str:
+    string = jsonl.string
+    turns = ", ".join([f'{{"role_index": {t.role_index}, "text": {string(t.text)}}}'
+                       for t in d.turns])
+    return (f'{{"schema_version": {SCHEMA_VERSION}, "id": {string(d.id)}, '
+            f'"source_dataset": {string(d.source_dataset)}, '
+            f'"roles": [{", ".join(map(string, d.roles))}], "turns": [{turns}]')
+
+
+def record_line(record: Dialogue | ParallelExample) -> str:
+    """The line save_corpus writes for one record: ``jsonl.line(record_to_obj(record))``,
+    assembled from ``jsonl.string`` of each text without building the object."""
+    if not isinstance(record, ParallelExample):
+        return _dialogue_fields(record) + "}\n"
+    string = jsonl.string
+    summaries = ", ".join([f'{{"text": {string(s.text)}, "origin": {string(s.origin)}}}'
+                           for s in record.summaries])
+    return f'{_dialogue_fields(record.dialogue)}, "summaries": [{summaries}]}}\n'
+
+
 def _require(obj: dict, key: str, line_number: int):
     if key not in obj:
         raise MalformedRecordError(line_number, f"record missing {key!r} field")
@@ -173,7 +200,17 @@ def _require_str(obj: dict, key: str, line_number: int) -> str:
 
 
 def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
-    """Parse and validate one dialogue record object (as read by load_corpus)."""
+    """Parse and validate one dialogue record object (as read by load_corpus).
+
+    The pass that builds the turns also makes the checks that a valid
+    record passes: distinct role names, each turn's role in range and unlike
+    the one before, and the names and texts, joined by single spaces,
+    canonical and free of ``<`` (so of every marker). The join is canonical
+    exactly when each of them is canonical and not empty, since an empty
+    text or an edge space would meet a joining space or an end. Only a
+    record that fails a check goes to :func:`validate_dialogue`, which words
+    every violation.
+    """
     version = _require(obj, "schema_version", line_number)
     if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
         raise MalformedRecordError(line_number, f"unsupported schema_version {version!r}")
@@ -184,6 +221,8 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
     if not isinstance(raw_turns, list):
         raise MalformedRecordError(line_number, "turns must be an array")
     turns = []
+    texts = roles[:]
+    n_roles, prev_index, alternating = len(roles), -1, True
     for t in raw_turns:
         if not isinstance(t, dict) or "role_index" not in t or "text" not in t:
             raise MalformedRecordError(line_number, "turn must have role_index and text")
@@ -192,16 +231,23 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
             raise MalformedRecordError(line_number, "turn role_index must be an integer")
         if not isinstance(text, str):
             raise MalformedRecordError(line_number, "turn text must be a string")
+        if role_index == prev_index or not 0 <= role_index < n_roles:
+            alternating = False
+        prev_index = role_index
         turns.append(Turn(role_index, text))
+        texts.append(text)
     d = Dialogue(
         id=_require_str(obj, "id", line_number),
         source_dataset=_require_str(obj, "source_dataset", line_number),
         roles=tuple(roles),
         turns=tuple(turns),
     )
-    violations = validate_dialogue(d)
-    if violations:
-        raise MalformedRecordError(line_number, "; ".join(violations))
+    joined = " ".join(texts)
+    if not (raw_turns and alternating and len(set(roles)) == n_roles
+            and "<" not in joined and _is_canonical(joined)):
+        violations = validate_dialogue(d)
+        if violations:
+            raise MalformedRecordError(line_number, "; ".join(violations))
     return d
 
 
@@ -253,7 +299,7 @@ def save_corpus(records: Iterable[Dialogue | ParallelExample], path: str | Path)
     Output bytes are a pure function of the records: field order and JSON
     formatting are fixed. ``path`` is replaced only after the last record.
     """
-    return jsonl.write(path, map(record_to_obj, records))
+    return jsonl.write_lines(path, map(record_line, records))
 
 
 def corpus_manifest(name: str, records: Sequence[Dialogue | ParallelExample],

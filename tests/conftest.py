@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import settings
 
 from dialoprep import noising
 from dialoprep.dedup import RemovalRecord
+from dialoprep.ingest import merge_same_speaker
 from dialoprep.metrics import EvalScores, ExampleStats, RougeScore
 from dialoprep.noising import BOS, EOR, EOS, EOU, MASK, UTTR_MASK, NoisedPair, SerializedInput
 from dialoprep.records import (
@@ -387,6 +389,62 @@ def normalize_text_oracle(raw: str) -> str:
         ch for ch in text
         if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
     return " ".join(text.split())
+
+
+# ---------------------------------------------------------------------------
+# Ingest oracle: the per-row algorithm. Every speaker is normalized at every
+# utterance, its role found with ``list.index``, the turns merged afterwards
+# by ``merge_same_speaker`` and every dialogue checked by the validator
+# oracle. ``ingest.ingest`` must give the same dialogues and report.
+# ---------------------------------------------------------------------------
+
+def _oracle_build_dialogue(raw_id: str, utterances, spec, report: dict):
+    dialogue_id = f"{spec.dataset_tag}:{raw_id}"
+    roles: list[str] = []
+    turns: list[Turn] = []
+    for speaker, text in utterances:
+        text = normalize_text_oracle(text)
+        if not text:
+            report["dropped_empty_utterances"] += 1
+            continue
+        if any(marker in text for marker in RESERVED_MARKERS):
+            report["dropped_invalid_dialogues"].append(dialogue_id)
+            return None
+        speaker = normalize_text_oracle(spec.aliases.get(speaker, speaker))
+        if not speaker:
+            report["dropped_invalid_dialogues"].append(dialogue_id)
+            return None
+        if speaker not in roles:
+            roles.append(speaker)
+        turns.append(Turn(roles.index(speaker), text))
+    if not turns:
+        report["dropped_empty_dialogues"].append(dialogue_id)
+        return None
+    d = merge_same_speaker(Dialogue(id=dialogue_id, source_dataset=spec.dataset_tag,
+                                    roles=tuple(roles), turns=tuple(turns)))
+    if oracle_validate_dialogue(d):
+        report["dropped_invalid_dialogues"].append(dialogue_id)
+        return None
+    return d
+
+
+def oracle_ingest(path: str | Path, spec) -> tuple[tuple[Dialogue, ...], dict]:
+    """The dialogues and report fields ``ingest`` gives for a raw export whose
+    rows all map the spec's fields to well-typed values, each raw id in one run."""
+    report = {"dialogues": 0, "dropped_empty_utterances": 0,
+              "dropped_empty_dialogues": [], "dropped_invalid_dialogues": []}
+    runs: list[tuple[object, list]] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            raw = row[spec.id_field]
+            if not runs or runs[-1][0] != raw:
+                runs.append((raw, []))
+            runs[-1][1].append((str(row[spec.speaker_field]), row[spec.utterance_field]))
+    dialogues = tuple(d for d in (_oracle_build_dialogue(str(raw), rows, spec, report)
+                                  for raw, rows in runs) if d is not None)
+    report["dialogues"] = len(dialogues)
+    return dialogues, report
 
 
 # ---------------------------------------------------------------------------

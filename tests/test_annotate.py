@@ -20,10 +20,14 @@ from dialoprep.annotate import (
     existing_annotated_ids,
     save_failure_report,
 )
+from dialoprep import jsonl
 from dialoprep.records import (
     Dialogue,
+    ParallelExample,
+    SummaryRecord,
     Turn,
     load_corpus,
+    record_to_obj,
     render_dialogue_text,
 )
 
@@ -88,6 +92,20 @@ def test_mock_fixed_batch(tmp_path):
     for ex in examples:
         assert ex.summaries[0].text == "summary."
         assert ex.summaries[0].origin == "annotated"
+
+
+def test_appended_line_is_the_encoded_record(tmp_path):
+    dialogues = [Dialogue(id='q"1\\', source_dataset="ü\u2028", roles=("Zoë", "😀 B"),
+                          turns=(Turn(0, 'say "hi" \\ \x01'), Turn(1, "日本\u2028語"))),
+                 _dlg()]
+    summary = 'She said "ok" \\ \U0001f600 \u2028 é'
+    out = tmp_path / "out.plx"
+    out.write_text("")
+    annotate_batch(dialogues, JOB, MockEndpoint(f"fixed:{summary}"), out, NO_BACKOFF)
+    expected = "".join(
+        jsonl.line(record_to_obj(ParallelExample(d, (SummaryRecord(summary, "annotated"),))))
+        for d in dialogues)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_mock_head_echoes_prompt(tmp_path):
@@ -244,13 +262,13 @@ def test_in_flight_bound_respected(tmp_path, bound):
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_submitted_work_bounded_by_in_flight(tmp_path, monkeypatch, bound):
-    from dialoprep import annotate
+    import concurrent.futures
 
     lock = threading.Lock()
     unconsumed = [0]
     peak = [0]
 
-    class CountingPool(annotate.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         """Counts futures submitted and not yet read by the writer."""
 
         def submit(self, fn, *args, **kwargs):
@@ -270,7 +288,8 @@ def test_submitted_work_bounded_by_in_flight(tmp_path, monkeypatch, bound):
             future.result = result
             return future
 
-    monkeypatch.setattr(annotate, "ThreadPoolExecutor", CountingPool)
+    # annotate_batch imports the pool class from its module when it runs.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     rng = random.Random(5)
     dialogues = [make_dialogue(rng, f"d{i}") for i in range(12)]
     job = AnnotationJob(model="m", max_in_flight=bound, budget=9)

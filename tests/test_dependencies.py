@@ -57,6 +57,15 @@ def test_cli_import_loads_no_dataclasses():
     assert _loaded(UNNEEDED) == []
 
 
+def test_annotate_import_loads_no_thread_pool():
+    # Only annotate_batch uses the pool; concurrent.futures brings logging
+    # and traceback into the cold start of any process importing the module.
+    code = "import sys, dialoprep.annotate; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert result.stdout.strip() == "False"
+
+
 #: Each command on the sample data, and the layers it may load: its own and
 #: the ones that layer imports.
 _STAGES = {

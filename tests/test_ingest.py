@@ -4,14 +4,14 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialoprep.errors import MalformedRecordError, UnmappedFieldError
 from dialoprep.ingest import _CHAR_MAP, IngestSpec, ingest, merge_same_speaker, normalize_text
 from dialoprep.records import Dialogue, Turn, validate_dialogue
 
-from conftest import normalize_text_oracle
+from conftest import normalize_text_oracle, oracle_ingest
 
 
 def test_normalize_curly_and_dash():
@@ -206,6 +206,35 @@ def test_ingest_takes_integer_speakers_and_ids(tmp_path):
                      {"conv": 7, "speaker": 2, "text": "yo"}])
     (d,) = ingest(raw, SPEC).dialogues
     assert (d.id, d.roles) == ("demo:7", ("1", "2"))
+
+
+# Raw speakers: aliased ones, several that normalize to one name ("Ann"),
+# some that normalize to nothing, marker-like names, and integers.
+_ALIASES = {"agent": "Ann", "u1": " Ann\t", "ghost": "\u200b", "sys": "<s>", "7": "Ann"}
+_SPEAKERS = st.one_of(
+    st.sampled_from(["Ann", " Ann", "Ann\u200b", "A\x00nn", "agent", "u1", "ghost", "sys",
+                     "Bob", "bob", "B ob", "B  ob", "Bob’s", "", "  ", "\ufeff",
+                     "<eou>", "x<mask>y", "<", "Ann`"]),
+    st.integers(0, 8))
+_UTTERANCES = st.one_of(
+    st.sampled_from(["", " ", "\u200b", "\t\n", "hello", "hi  there", " well… ok ",
+                     "“quoted”", "a <mask> b", "<s>", "x <eou", "mask> y", "a`b", "é\x7f",
+                     "line\u2028break", "\U0001f600"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+_DIALOGUE_ROWS = st.lists(st.tuples(_SPEAKERS, _UTTERANCES), min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dialogues=st.lists(_DIALOGUE_ROWS, max_size=5), int_ids=st.booleans())
+def test_ingest_matches_per_row_oracle(tmp_path_factory, dialogues, int_ids):
+    raw = tmp_path_factory.mktemp("raw") / "raw.jsonl"
+    _write_raw(raw, [{"conv": i if int_ids else f"c{i}", "speaker": speaker, "text": text}
+                     for i, rows in enumerate(dialogues) for speaker, text in rows])
+    spec = SPEC._replace(aliases=_ALIASES)
+    result = ingest(raw, spec)
+    expected, report = oracle_ingest(raw, spec)
+    assert result.dialogues == expected
+    assert vars(result.report) == report
 
 
 def test_spec_requires_mapping():

@@ -51,14 +51,27 @@ def test_blank_lines_skipped_and_counted(tmp_path):
     assert list(jsonl.read(path)) == [(2, {"a": 1}), (5, {"b": 2})]
 
 
+def test_crlf_file_reads_as_its_lf_twin(tmp_path):
+    text = '{"a": 1}\n\n  {"b": "x\\r\\n"}  \n{"c": [1, 2]}\t\n\u2028\n{"d": "\u2028"}'
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    expected = [(1, {"a": 1}), (3, {"b": "x\r\n"}), (4, {"c": [1, 2]}), (6, {"d": "\u2028"})]
+    assert list(jsonl.read(lf)) == expected
+    assert list(jsonl.read(crlf)) == expected
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"a": 1}\n{"id":"2",\n', "line 2: invalid JSON: "),
     ('\n[1, 2]\n', "line 2: record is not an object"),
     ('"text"\n', "line 1: record is not an object"),
+    ('{"a": 1} {"b": 2}\n', "line 1: invalid JSON: Extra data"),
+    ('\n{"a": 1}  x\n', "line 2: invalid JSON: Extra data"),
+    ('\ufeff{"a": 1}\n', "line 1: invalid JSON: Unexpected UTF-8 BOM"),
 ])
 def test_error_messages(tmp_path, text, message):
     path = tmp_path / "bad.jsonl"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedRecordError) as err:
         list(jsonl.read(path))
     assert str(err.value).startswith(message)

@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dialoprep import jsonl
 from dialoprep.errors import MalformedRecordError
 from dialoprep.records import (
     RESERVED_MARKERS,
@@ -16,6 +17,7 @@ from dialoprep.records import (
     corpus_manifest,
     dialogue_from_obj,
     load_corpus,
+    record_line,
     record_to_obj,
     render_dialogue_text,
     save_corpus,
@@ -93,6 +95,15 @@ _TEXT = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(roles=st.lists(_TEXT, max_size=3),
        turns=st.lists(st.tuples(st.integers(-1, 3), _TEXT), max_size=4))
+# Texts that pass every text check, so that only the role table or the turn
+# order can fail: each of the load's cheap checks on them.
+@example(roles=["a", "a"], turns=[(0, "a"), (1, "b")])
+@example(roles=["a", "b"], turns=[(0, "a"), (0, "b")])
+@example(roles=["a", "b"], turns=[(0, "a"), (-1, "b")])
+@example(roles=["a", "b"], turns=[(0, "a"), (2, "b")])
+@example(roles=["a"], turns=[])
+@example(roles=[], turns=[(0, "a")])
+@example(roles=["a", "b "], turns=[(0, "a"), (1, "b")])
 def test_validation_matches_split_join_oracle(roles, turns):
     d = Dialogue(id="d", source_dataset="u", roles=tuple(roles),
                  turns=tuple(Turn(i, text) for i, text in turns))
@@ -104,6 +115,26 @@ def test_validation_matches_split_join_oracle(roles, turns):
         assert str(exc.value) == "line 7: " + "; ".join(expected)
     else:
         assert dialogue_from_obj(record_to_obj(d), 7) == d
+
+
+# Every character JSON escapes or could mishandle: quotes, backslashes, the
+# C0 controls, U+2028, non-BMP and non-ASCII letters.
+_LINE_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\u2028", "\u2029", "\x7f", "\U0001f600", "é", "日", " "]),
+    st.characters(max_codepoint=0x1F),
+    st.characters(blacklist_categories=("Cs",))), max_size=12)
+_LINE_DIALOGUES = st.builds(
+    Dialogue, id=_LINE_TEXT, source_dataset=_LINE_TEXT,
+    roles=st.lists(_LINE_TEXT, max_size=3).map(tuple),
+    turns=st.lists(st.builds(Turn, st.integers(-2, 2**70), _LINE_TEXT), max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_LINE_DIALOGUES,
+       summaries=st.lists(st.builds(SummaryRecord, _LINE_TEXT, _LINE_TEXT), max_size=3))
+def test_record_line_is_the_encoded_object(d, summaries):
+    for record in (d, ParallelExample(dialogue=d, summaries=tuple(summaries))):
+        assert record_line(record) == jsonl.line(record_to_obj(record))
 
 
 def test_validate_example_requires_summary():
