@@ -200,9 +200,8 @@ def _cmd_noise(args) -> int:
     if kind == "dialogues" and mix.weights.get("task_oriented", 0.0) > 0.0:
         raise PipelineError("the mix gives task_oriented a positive weight, which "
                             "needs a parallel corpus, but the input is a dialogue corpus")
-    items = records.load_corpus(args.input, kind)
-    written = jsonl.write_lines(args.out, noising.pair_lines(items, mix, cfg, args.count,
-                                                             seed=args.seed))
+    written = jsonl.write_lines(args.out, noising.pair_lines(
+        records.iter_corpus(args.input, kind), mix, cfg, args.count, seed=args.seed))
     _write_manifest(
         "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
         params={

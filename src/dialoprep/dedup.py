@@ -169,7 +169,8 @@ class ShingleIndex:
         freq: Counter = Counter()
         for _, profile in profiles.values():
             freq.update(profile.shingles)
-        ids = {g: i for i, g in enumerate(sorted(freq, key=lambda g: (freq[g], g)))}
+        # By (count, shingle): a stable sort by count of the shingles in order.
+        ids = {g: i for i, g in enumerate(sorted(sorted(freq), key=freq.__getitem__))}
         bounds: dict[int, tuple[int, int]] = {}
         self._rows = {key: (d, profile.tokens,
                             _encode(profile.shingles, ids, cfg.jaccard_threshold, bounds))

@@ -49,8 +49,9 @@ def read(path: str | Path) -> Iterator[tuple[int, dict]]:
                     continue
                 try:
                     obj = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}") from exc
+                except ValueError as exc:  # also an integer too long to convert
+                    message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                    raise MalformedRecordError(line_number, f"invalid JSON: {message}") from exc
             if not isinstance(obj, dict):
                 raise MalformedRecordError(line_number, "record is not an object")
             yield line_number, obj

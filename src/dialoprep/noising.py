@@ -13,19 +13,26 @@ dialogue to a summary. Corruption counts use round-half-up of rate * n.
 All sampling flows through generators derived from (seed, dialogue id,
 ordinal), so generation order never depends on scheduling.
 
-Each task draws a plan: the groups of its source, most of them intact turns
-of the dialogue. A plan renders once, straight to the pair's JSON line, from
-the dialogue's text: ``pair_lines``, which ``noise`` writes, and
-``pair_line`` return such lines, and ``mixed_pair``, the task functions and
-``serialize_dialogue`` return them decoded into token tuples. Role and utterance texts are
-whitespace-canonical (records guarantee it on load), so a text's tokens are
-its space-separated pieces and its token array is one JSON-escaped string
-with each space closed and reopened as ``", "``.
+Each record is escaped once, into a compact form: its roles and its turns'
+groups (``role <eor> utterance <eou>``) as JSON-escaped token-array text,
+the clean dialogue's array as one string, token counts per turn and, for a
+parallel record, its summary's rendered target and origin. ``pair_lines``,
+which ``noise`` writes, turns each record into this form as the corpus
+streams in and keeps only the forms. Each task draws a plan: the groups of
+its source, most of them intact turns. A plan renders straight to the pair's
+JSON line from the stored pieces, escaping nothing again; token masking,
+deletion and permutation split, draw and move escaped tokens. This is exact:
+role and utterance texts are whitespace-canonical (records guarantee it on
+load), escaping goes character by character and keeps spaces, so a text's
+token array is its escaped string with each space closed and reopened as
+``", "``, and ``", "`` occurs in it only between tokens. ``pair_line``
+returns the same lines one at a time; ``mixed_pair``, the task functions and
+``serialize_dialogue`` return them decoded into token tuples.
 
 Utterance masking's greedy gap selection runs once per dialogue of a
-stream: ``pair_lines`` keeps it, a few turn indices, by corpus position until
-the stream ends. Nothing else outlives a pair, so memory stays flat at any
-pair count.
+stream, on the dialogue decoded back from its form: ``pair_lines`` keeps it,
+a few turn indices, by corpus position until the stream ends. Nothing else
+outlives a pair, so memory beyond the forms stays flat at any pair count.
 """
 
 from __future__ import annotations
@@ -33,12 +40,16 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate, cycle
+from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
-from .records import Dialogue, ParallelExample, SummaryRecord, validated
+from .records import Dialogue, ParallelExample, SummaryRecord, Turn, validated
 from .seeding import derive_rng
 from .tokens import tokenize_for_metrics
 
@@ -141,61 +152,95 @@ class NoisedPair(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# The compact form and serialization
 # ---------------------------------------------------------------------------
 
-# A pair renders once, from its dialogue's text, to the line that
-# ``jsonl.line(pair_to_obj(pair))`` writes. Role and utterance texts are
-# whitespace-canonical (``records.validate_dialogue``) and markers hold no
-# space, so a serialized sequence joined by single spaces has its tokens as
-# space-separated pieces; JSON escaping neither makes nor removes a U+0020.
+# A pair's line is ``jsonl.line(pair_to_obj(pair))``, assembled from pieces of
+# JSON-escaped text: a token array's body is its escaped tokens joined by
+# ``_SEP``, which occurs in such a body only between tokens (see the module
+# docstring).
 
-# A group is one top-level unit of the serialized sequence: a turn, or a bare
-# mask produced by infilling.
-_MaskGroup = object()
-
+_SEP = '", "'
+_EOR_SEP = f'{_SEP}{EOR}{_SEP}'
+_EOU_SEP = f'{_SEP}{EOU}'
 _SPEAKER_IDS = ("0, ", "1, ")
 
 
-def _group_text(role: str, text: str) -> str:
-    """A turn group's tokens joined by spaces; ``text`` may be empty."""
-    return f"{role} {EOR} {text} {EOU}" if text else f"{role} {EOR} {EOU}"
+def _escaped(text: str) -> str:
+    """The body of the JSON token array of the canonical ``text``."""
+    return jsonl.string(text)[1:-1].replace(" ", _SEP)
 
 
-def _token_array(groups: list[str]) -> str:
-    """The JSON array body of ``<s>``, the tokens of ``groups``, ``</s>``."""
-    return jsonl.string(f"{BOS} {' '.join(groups)} {EOS}").replace(" ", '", "')
+class _Compact(NamedTuple):
+    """A corpus record as ``noise`` keeps it: every text escaped once, into
+    the pieces of the pairs' lines.
+
+    A turn's group is the escaped tokens ``role <eor> utterance <eou>``. The
+    token array of a sequence of groups is their join by ``", "``, so the
+    dialogue's own join, ``body``, is the clean target as it is written, an
+    intact turn is a slice of it, and a corrupted one is rebuilt from its
+    group's tokens. The numbers per turn are kept in arrays, not in tuples
+    of int objects.
+    """
+
+    id: str
+    heads: tuple[str, ...]       # per role: its escaped tokens and <eor>, as its groups start
+    role_sizes: tuple[int, ...]  # per role: its token count
+    body: str                    # the turns' groups joined by ", "
+    ends: array                  # per turn: the end of its group in body, plus len(", ")
+    speakers: array              # per turn: its role index
+    sizes: array                 # per turn: its group's token count
+    summary: str | None = None   # a parallel record's summary tokens, as a JSON array body
+    origin: str | None = None    # and that summary's origin
 
 
-def _render_line(task: str, d: Dialogue, groups: Sequence | None,
-                 summary: SummaryRecord | None = None) -> str:
-    """The line of the pair whose source serializes the plan ``groups``, or
-    the clean dialogue when ``groups`` is None, and whose target is the clean
-    serialization of ``d``, or ``summary``'s tokens when it is given."""
-    turns = [_group_text(d.roles[turn.role_index], turn.text) for turn in d.turns]
-    if groups is None:
-        source = turns
+def _compact(item: Dialogue | ParallelExample) -> _Compact:
+    summary = origin = None
+    if isinstance(item, ParallelExample):
+        chosen = _summary(item)
+        summary = ", ".join(map(jsonl.string, chosen.text.split()))
+        origin = chosen.origin
+        item = item.dialogue
+    heads = tuple([_escaped(role) + _EOR_SEP for role in item.roles])
+    role_sizes = tuple([role.count(" ") + 1 for role in item.roles])
+    groups = [heads[t.role_index] + _escaped(t.text) + _EOU_SEP for t in item.turns]
+    return _Compact(
+        item.id, heads, role_sizes, _SEP.join(groups),
+        array("I", accumulate([len(group) + len(_SEP) for group in groups])),
+        array("I", [t.role_index for t in item.turns]),
+        array("I", [role_sizes[t.role_index] + t.text.count(" ") + 3 for t in item.turns]),
+        summary, origin)
+
+
+def _groups(form: _Compact) -> list[str]:
+    """The groups of ``form``'s turns, in order."""
+    body, start, groups = form.body, 0, []
+    for end in form.ends:
+        groups.append(body[start:end - len(_SEP)])
+        start = end
+    return groups
+
+
+def _line(task: str, form: _Compact, groups: Sequence[str], sizes: Sequence[int]) -> str:
+    """The line of the pair whose source is ``groups``, escaped groups of
+    ``sizes`` tokens (``[form.body]`` and ``form.sizes`` for the clean
+    dialogue), and whose target is the dialogue clean, or the summary for
+    ``task_oriented``."""
+    ids = "".join(map(mul, cycle(_SPEAKER_IDS), sizes))
+    if task == "task_oriented":
+        target = form.summary
+        tail = f', "target_origin": {jsonl.string(form.origin)}'
     else:
-        source = [turns[group] if type(group) is int else
-                  MASK if group is _MaskGroup else
-                  _group_text(d.roles[group[0]], group[1])
-                  for group in groups]
-    ids = "0, " + "".join([_SPEAKER_IDS[position & 1] * (text.count(" ") + 1)
-                           for position, text in enumerate(source)])
-    ids += ids[-3]  # </s> repeats the last group's id
-    if summary is None:
-        target = _token_array(turns)
+        target = f'"{BOS}{_SEP}{form.body}{_SEP}{EOS}"'
         tail = ""
-    else:
-        target = ", ".join(map(jsonl.string, summary.text.split()))
-        tail = f', "target_origin": {jsonl.string(summary.origin)}'
-    return (f'{{"task": "{task}", "source_tokens": [{_token_array(source)}], '
-            f'"source_speaker_ids": [{ids}], "target_tokens": [{target}], '
-            f'"dialogue_id": {jsonl.string(d.id)}{tail}}}\n')
+    # </s> repeats the last group's speaker id.
+    return (f'{{"task": "{task}", "source_tokens": ["{BOS}{_SEP}{_SEP.join(groups)}{_SEP}{EOS}"], '
+            f'"source_speaker_ids": [0, {ids}{ids[-3]}], "target_tokens": [{target}], '
+            f'"dialogue_id": {jsonl.string(form.id)}{tail}}}\n')
 
 
 def _pair_of_line(line: str) -> NoisedPair:
-    """The pair a line of :func:`_render_line` or :func:`save_pairs` holds."""
+    """The pair a line of :func:`_line` or :func:`save_pairs` holds."""
     obj = jsonl.decode(line)
     return NoisedPair(task=obj["task"],
                       source=SerializedInput(obj["source_tokens"], obj["source_speaker_ids"]),
@@ -205,44 +250,68 @@ def _pair_of_line(line: str) -> NoisedPair:
 
 def serialize_dialogue(d: Dialogue) -> SerializedInput:
     """Clean serialization of a dialogue with markers and speaker ids."""
-    return _pair_of_line(_render_line("", d, None)).source
+    form = _compact(d)
+    return _pair_of_line(_line("", form, [form.body], form.sizes)).source
+
+
+def _decoded(form: _Compact) -> Dialogue:
+    """The dialogue whose texts ``form`` holds (its source dataset is not kept)."""
+    roles = _token_lists([head[:-len(_EOR_SEP)] for head in form.heads])
+    return Dialogue(form.id, "", tuple(map(" ".join, roles)),
+                    tuple([Turn(r, " ".join(tokens[form.role_sizes[r] + 1:-1]))
+                           for r, tokens in zip(form.speakers, _token_lists(_groups(form)))]))
+
+
+def _token_lists(bodies: Sequence[str]) -> list[list[str]]:
+    """The token arrays whose escaped bodies are ``bodies``, decoded."""
+    return jsonl.decode('[["' + '"], ["'.join(bodies) + '"]]')
 
 
 # ---------------------------------------------------------------------------
 # Corruption plans
 # ---------------------------------------------------------------------------
 #
-# A task's plan is the list of groups its source serializes, which
-# ``_render_line`` renders: a turn index (that turn, intact), ``_MaskGroup``,
-# or ``(role index, text)`` for an utterance the task changed or moved,
-# whitespace-canonical (as the dialogue's own texts are) or empty.
+# A task's plan is its source: the list of its groups, escaped as in
+# ``_Compact``, and the list of their token counts, which ``_line`` renders.
+# An intact turn is its group as stored; a changed one is rebuilt from the
+# group's tokens, ``group.split(_SEP)``, where the utterance starts after the
+# role's tokens and ``<eor>``.
 
-def _plan_token_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
-    groups = []
-    for i, turn in enumerate(d.turns):
-        n = turn.text.count(" ") + 1
-        k = round_half_up(cfg.token_mask_rate * n)
-        if not k:  # sample(range(n), 0) draws nothing
-            groups.append(i)
-            continue
-        tokens = turn.text.split(" ")
-        for position in rng.sample(range(n), k):
-            tokens[position] = MASK
-        groups.append((turn.role_index, " ".join(tokens)))
-    return groups
+def _plan_token_mask(form: _Compact, cfg: NoisingConfig,
+                     rng: random.Random) -> tuple[list[str], Sequence[int]]:
+    groups = _groups(form)
+    rate, role_sizes = cfg.token_mask_rate, form.role_sizes
+    for i, (role, size) in enumerate(zip(form.speakers, form.sizes)):
+        start = role_sizes[role] + 1
+        n = size - start - 1
+        k = round_half_up(rate * n)
+        if k:  # sample(range(n), 0) draws nothing
+            tokens = groups[i].split(_SEP)
+            for position in rng.sample(range(n), k):
+                tokens[start + position] = MASK
+            groups[i] = _SEP.join(tokens)
+    return groups, form.sizes
 
 
-def _plan_token_delete(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
-    total = sum(turn.text.count(" ") + 1 for turn in d.turns)
-    doomed = set(rng.sample(range(total), round_half_up(cfg.token_delete_rate * total)))
-    groups = []
-    offset = 0
-    for i, turn in enumerate(d.turns):
-        tokens = turn.text.split(" ")
-        kept = [token for j, token in enumerate(tokens, offset) if j not in doomed]
-        groups.append(i if len(kept) == len(tokens) else (turn.role_index, " ".join(kept)))
-        offset += len(tokens)
-    return groups
+def _plan_token_delete(form: _Compact, cfg: NoisingConfig,
+                       rng: random.Random) -> tuple[list[str], Sequence[int]]:
+    # Utterance tokens are numbered across the dialogue: turn i holds the
+    # numbers up to stops[i], and its first is at starts[i] in its group.
+    role_sizes = form.role_sizes
+    starts = [role_sizes[role] + 1 for role in form.speakers]
+    stops = list(accumulate([size - start - 1 for start, size in zip(starts, form.sizes)]))
+    doomed = rng.sample(range(stops[-1]), round_half_up(cfg.token_delete_rate * stops[-1]))
+    groups, sizes = _groups(form), list(form.sizes)
+    tokens_of: dict[int, list[str]] = {}
+    for j in sorted(doomed, reverse=True):  # later tokens first, so positions hold
+        i = bisect_right(stops, j)
+        if i not in tokens_of:
+            tokens_of[i] = groups[i].split(_SEP)
+        del tokens_of[i][starts[i] + j - (stops[i - 1] if i else 0)]
+        sizes[i] -= 1
+    for i, tokens in tokens_of.items():
+        groups[i] = _SEP.join(tokens)
+    return groups, sizes
 
 
 def sample_poisson(lam: float, rng: random.Random) -> int:
@@ -306,37 +375,56 @@ def _plan_infill(n_turns: int, budget: int, lam: float,
     return spans, insertions
 
 
-def _infill_groups(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int,
-                   rng: random.Random) -> list:
+def _infill_groups(form: _Compact, spans: Sequence[tuple[int, int]], insertions: int,
+                   rng: random.Random) -> tuple[list[str], list[int]]:
     """Collapse each span's turns to one ``<mask>`` and insert ``insertions``
     bare masks at sampled gaps of the collapsed sequence."""
-    groups: list = []
-    starts = {start: length for start, length in spans}
+    turns = _groups(form)
+    groups: list[str] = []
+    sizes: list[int] = []
+    starts = dict(spans)
     i = 0
-    while i < len(d.turns):
+    while i < len(turns):
         if i in starts:
-            groups.append(_MaskGroup)
+            groups.append(MASK)
+            sizes.append(1)
             i += starts[i]
         else:
-            groups.append(i)
+            groups.append(turns[i])
+            sizes.append(form.sizes[i])
             i += 1
     for _ in range(insertions):
-        groups.insert(rng.randrange(len(groups) + 1), _MaskGroup)
-    return groups
+        at = rng.randrange(len(groups) + 1)
+        groups.insert(at, MASK)
+        sizes.insert(at, 1)
+    return groups, sizes
 
 
-def _plan_uttr_infill(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
-    budget = round_half_up(cfg.infill_utterance_budget_rate * len(d.turns))
-    spans, insertions = _plan_infill(len(d.turns), budget, cfg.infill_lambda, rng)
-    return _infill_groups(d, spans, insertions, rng)
+def _plan_uttr_infill(form: _Compact, cfg: NoisingConfig,
+                      rng: random.Random) -> tuple[list[str], list[int]]:
+    n = len(form.ends)
+    budget = round_half_up(cfg.infill_utterance_budget_rate * n)
+    spans, insertions = _plan_infill(n, budget, cfg.infill_lambda, rng)
+    return _infill_groups(form, spans, insertions, rng)
 
 
-def _plan_uttr_permute(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> list:
-    order = list(range(len(d.turns)))
+def _plan_uttr_permute(form: _Compact, cfg: NoisingConfig,
+                       rng: random.Random) -> tuple[list[str], list[int]]:
+    """Each slot keeps its role and takes the utterance of the turn the
+    shuffle moves there."""
+    order = list(range(len(form.ends)))
     rng.shuffle(order)  # its draws depend only on the length
-    turns = d.turns
-    return [i if turns[i].role_index == turn.role_index else (turn.role_index, turns[i].text)
-            for turn, i in zip(turns, order)]
+    heads, role_sizes, speakers, sizes = form.heads, form.role_sizes, form.speakers, form.sizes
+    turns = _groups(form)
+    groups, moved = [], []
+    for role, i in zip(speakers, order):
+        if speakers[i] == role:
+            groups.append(turns[i])
+            moved.append(sizes[i])
+        else:
+            groups.append(heads[role] + turns[i][len(heads[speakers[i]]):])
+            moved.append(sizes[i] - role_sizes[speakers[i]] + role_sizes[role])
+    return groups, moved
 
 
 def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
@@ -408,20 +496,24 @@ def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
     return sorted(selected)
 
 
-def _gap_selection(d: Dialogue, cfg: NoisingConfig) -> tuple[int, ...]:
-    """The turns ``uttr_mask`` masks in ``d``."""
-    return tuple(select_gap_utterances(d, max(1, round_half_up(cfg.uttr_mask_rate
-                                                               * len(d.turns)))))
+def _gap_selection(form: _Compact, cfg: NoisingConfig) -> tuple[int, ...]:
+    """The turns ``uttr_mask`` masks in ``form``'s dialogue."""
+    k = max(1, round_half_up(cfg.uttr_mask_rate * len(form.ends)))
+    return tuple(select_gap_utterances(_decoded(form), k))
 
 
-def _plan_uttr_mask(d: Dialogue, cfg: NoisingConfig, rng: random.Random | None,
-                    chosen: tuple[int, ...] | None = None) -> list:
+def _plan_uttr_mask(form: _Compact, cfg: NoisingConfig, rng: random.Random | None,
+                    chosen: tuple[int, ...] | None = None) -> tuple[list[str], list[int]]:
     """Greedy, not random: it draws nothing from ``rng``. ``chosen`` is
-    ``_gap_selection(d, cfg)``, when that is already made."""
+    ``_gap_selection(form, cfg)``, when that is already made."""
     if chosen is None:
-        chosen = _gap_selection(d, cfg)
-    return [(turn.role_index, UTTR_MASK) if i in chosen else i
-            for i, turn in enumerate(d.turns)]
+        chosen = _gap_selection(form, cfg)
+    groups, sizes = _groups(form), list(form.sizes)
+    for i in chosen:
+        role = form.speakers[i]
+        groups[i] = form.heads[role] + UTTR_MASK + _EOU_SEP
+        sizes[i] = form.role_sizes[role] + 3
+    return groups, sizes
 
 
 _PLANS = {
@@ -437,9 +529,11 @@ _PLANS = {
 # Corruption tasks: plans rendered as pairs
 # ---------------------------------------------------------------------------
 
-def _reconstruction_pair(task: str, d: Dialogue, groups: Sequence) -> NoisedPair:
-    """``groups`` serialized as the source; the target is ``d`` clean."""
-    return _pair_of_line(_render_line(task, d, groups))
+def _reconstruction_pair(task: str, d: Dialogue, cfg: NoisingConfig,
+                         rng: random.Random | None) -> NoisedPair:
+    """The pair of ``task``'s plan for ``d``, drawn from ``rng``, decoded."""
+    form = _compact(d)
+    return _pair_of_line(_line(task, form, *_PLANS[task](form, cfg, rng)))
 
 
 def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -447,7 +541,7 @@ def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noised
 
     Roles and structural markers are never touched.
     """
-    return _reconstruction_pair("token_mask", d, _plan_token_mask(d, cfg, rng))
+    return _reconstruction_pair("token_mask", d, cfg, rng)
 
 
 def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -456,12 +550,14 @@ def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> Noise
     Surviving tokens keep their relative order; an utterance deleted to
     emptiness keeps its role and markers.
     """
-    return _reconstruction_pair("token_delete", d, _plan_token_delete(d, cfg, rng))
+    return _reconstruction_pair("token_delete", d, cfg, rng)
 
 
 def _apply_infill(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int,
                   rng: random.Random) -> NoisedPair:
-    return _reconstruction_pair("uttr_infill", d, _infill_groups(d, spans, insertions, rng))
+    form = _compact(d)
+    return _pair_of_line(_line("uttr_infill", form,
+                               *_infill_groups(form, spans, insertions, rng)))
 
 
 def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
@@ -471,13 +567,13 @@ def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> 
     are Poisson(lambda) draws, and a 0-length draw inserts a mask at a turn
     boundary without removing anything.
     """
-    return _reconstruction_pair("uttr_infill", d, _plan_uttr_infill(d, cfg, rng))
+    return _reconstruction_pair("uttr_infill", d, cfg, rng)
 
 
 def utterance_permutation(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
     """Shuffle utterances across turn slots while the role sequence stays fixed,
     so utterances may sit next to the wrong role."""
-    return _reconstruction_pair("uttr_permute", d, _plan_uttr_permute(d, cfg, rng))
+    return _reconstruction_pair("uttr_permute", d, cfg, rng)
 
 
 def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
@@ -486,7 +582,7 @@ def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
 
     Selection is greedy, not random, so it takes no generator.
     """
-    return _reconstruction_pair("uttr_mask", d, _plan_uttr_mask(d, cfg, None))
+    return _reconstruction_pair("uttr_mask", d, cfg, None)
 
 
 def _summary(ex: ParallelExample) -> SummaryRecord:
@@ -500,7 +596,8 @@ def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
     Uses the first summary with origin ``annotated``; falls back to the first
     summary otherwise and flags the fallback origin in the pair.
     """
-    return _pair_of_line(_render_line("task_oriented", ex.dialogue, None, _summary(ex)))
+    form = _compact(ex)
+    return _pair_of_line(_line("task_oriented", form, [form.body], form.sizes))
 
 
 def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
@@ -508,18 +605,14 @@ def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
     """Apply one reconstruction task to a dialogue."""
     if task not in _PLANS:
         raise ValueError(f"unknown reconstruction task {task!r}")
-    return _reconstruction_pair(task, d, _PLANS[task](d, cfg, rng))
+    return _reconstruction_pair(task, d, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
 # Multi-task mixing
 # ---------------------------------------------------------------------------
 
-def _dialogue_of(item: Dialogue | ParallelExample) -> Dialogue:
-    return item.dialogue if isinstance(item, ParallelExample) else item
-
-
-def _draw(items: Sequence[Dialogue | ParallelExample], mix: TaskMix, ordinal: int,
+def _draw(items: Sequence[_Compact], mix: TaskMix, ordinal: int,
           seed: int) -> tuple[str, int]:
     """The task and the corpus position of the pair at ``ordinal``, from a
     generator derived from (seed, "select", ordinal)."""
@@ -538,28 +631,27 @@ def _draw(items: Sequence[Dialogue | ParallelExample], mix: TaskMix, ordinal: in
             task = name
             break
     position = selector.randrange(len(items))
-    if task == "task_oriented" and not isinstance(items[position], ParallelExample):
+    if task == "task_oriented" and items[position].summary is None:
         raise ValueError("task_oriented requires parallel examples")
     return task, position
 
 
-def _pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-               cfg: NoisingConfig, ordinal: int, seed: int,
-               gaps: dict[int, tuple[int, ...]]) -> str:
-    """:func:`pair_line`, with ``gaps`` holding the gap selections already
-    made, by corpus position; it adds the one it makes."""
+def _pair_line(items: Sequence[_Compact], mix: TaskMix, cfg: NoisingConfig, ordinal: int,
+               seed: int, gaps: dict[int, tuple[int, ...]]) -> str:
+    """:func:`pair_line` over ``items``, the records' compact forms, with
+    ``gaps`` holding the gap selections already made, by corpus position; it
+    adds the one it makes."""
     task, position = _draw(items, mix, ordinal, seed)
-    item = items[position]
+    form = items[position]
     if task == "task_oriented":
-        return _render_line(task, item.dialogue, None, _summary(item))
-    dialogue = _dialogue_of(item)
+        return _line(task, form, [form.body], form.sizes)
     if task == "uttr_mask":
         chosen = gaps.get(position)
         if chosen is None:
-            chosen = gaps[position] = _gap_selection(dialogue, cfg)
-        return _render_line(task, dialogue, _plan_uttr_mask(dialogue, cfg, None, chosen))
-    pair_rng = derive_rng(seed, "pair", dialogue.id, ordinal)
-    return _render_line(task, dialogue, _PLANS[task](dialogue, cfg, pair_rng))
+            chosen = gaps[position] = _gap_selection(form, cfg)
+        return _line(task, form, *_plan_uttr_mask(form, cfg, None, chosen))
+    pair_rng = derive_rng(seed, "pair", form.id, ordinal)
+    return _line(task, form, *_PLANS[task](form, cfg, pair_rng))
 
 
 def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
@@ -572,18 +664,29 @@ def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
     "pair", dialogue id, ordinal). Both depend only on their inputs, so any
     scheduling of ordinals yields the same stream.
     """
-    return _pair_line(items, mix, cfg, ordinal, seed, {})
+    return _pair_line(list(map(_compact, items)), mix, cfg, ordinal, seed, {})
 
 
-def pair_lines(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+def pair_lines(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
                cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[str]:
     """The lines of the pairs at ordinals 0 to ``count - 1``: each
     :func:`pair_line`, but each dialogue's gap selection made once per
-    stream."""
+    stream.
+
+    ``records`` is read to its end, each record turned into its compact form
+    as it comes, before the first line; only the compact forms are kept.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
+    return _stream(records, mix, cfg, count, seed)
+
+
+def _stream(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
+            cfg: NoisingConfig, count: int, seed: int) -> Iterator[str]:
+    forms = list(map(_compact, records))
     gaps: dict[int, tuple[int, ...]] = {}
-    return (_pair_line(items, mix, cfg, ordinal, seed, gaps) for ordinal in range(count))
+    for ordinal in range(count):
+        yield _pair_line(forms, mix, cfg, ordinal, seed, gaps)
 
 
 def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
@@ -593,7 +696,7 @@ def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
     return _pair_of_line(pair_line(items, mix, cfg, ordinal, seed=seed))
 
 
-def mix_tasks(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
+def mix_tasks(items: Iterable[Dialogue | ParallelExample], mix: TaskMix,
               cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[NoisedPair]:
     """Stream ``count`` pairs with tasks drawn proportionally to mix weights:
     the decoded :func:`pair_lines`."""

@@ -20,12 +20,17 @@ the line is the encoder's line for :func:`record_to_obj` without building
 the object. Loading checks a record in the pass that builds its turns and
 calls :func:`validate_dialogue` only for a record that fails a cheap check,
 so every message still comes from the validator.
+
+There is one reader: :func:`iter_corpus` yields each record as its line is
+read, validated and with its id checked unique, so a stage that keeps
+something smaller than the records (``noise`` keeps a compact form of each)
+never holds them all. :func:`load_corpus` is its list.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
 from .errors import MalformedRecordError
@@ -270,27 +275,37 @@ def _example_from_obj(obj: dict, line_number: int) -> ParallelExample:
     return ParallelExample(dialogue=dialogue, summaries=tuple(summaries))
 
 
-def load_corpus(path: str | Path, kind: str) -> list[Dialogue] | list[ParallelExample]:
-    """Load a corpus file; ``kind`` is ``"dialogues"`` or ``"parallel"``.
+def iter_corpus(path: str | Path,
+                kind: str) -> Iterator[Dialogue] | Iterator[ParallelExample]:
+    """The records of a corpus file, each yielded as soon as its line is read;
+    ``kind`` is ``"dialogues"`` or ``"parallel"``.
 
-    Every returned record is fully validated, and dialogue ids are unique;
+    Every yielded record is fully validated, and dialogue ids are unique;
     the first bad line, or the second line with an id, raises
-    :class:`MalformedRecordError` with its 1-based line number.
+    :class:`MalformedRecordError` with its 1-based line number, after the
+    records of the lines before it.
     """
     if kind not in ("dialogues", "parallel"):
         raise ValueError(f"unknown corpus kind {kind!r}")
-    parse = dialogue_from_obj if kind == "dialogues" else _example_from_obj
-    loaded = []
+    return _records(path, kind == "parallel")
+
+
+def _records(path: str | Path, parallel: bool) -> Iterator:
+    parse = _example_from_obj if parallel else dialogue_from_obj
     first_lines: dict[str, int] = {}
     for line_number, obj in jsonl.read(path):
         record = parse(obj, line_number)
-        dialogue_id = record.id if kind == "dialogues" else record.dialogue.id
+        dialogue_id = record.dialogue.id if parallel else record.id
         first = first_lines.setdefault(dialogue_id, line_number)
         if first != line_number:
             raise MalformedRecordError(
                 line_number, f"dialogue id {dialogue_id!r} reappears (first at line {first})")
-        loaded.append(record)
-    return loaded
+        yield record
+
+
+def load_corpus(path: str | Path, kind: str) -> list[Dialogue] | list[ParallelExample]:
+    """The records of a corpus file, as a list: see :func:`iter_corpus`."""
+    return list(iter_corpus(path, kind))
 
 
 def save_corpus(records: Iterable[Dialogue | ParallelExample], path: str | Path) -> int:

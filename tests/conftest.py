@@ -110,21 +110,99 @@ def oracle_serialize(groups) -> SerializedInput:
 
 
 def oracle_pair(task: str, d: Dialogue, plan=None, summary: SummaryRecord | None = None):
-    """The pair whose source serializes ``plan``, a ``noising`` plan (turn
-    indices, ``noising._MaskGroup`` and (role index, text) groups) or the
-    clean dialogue when None, and whose target is ``d`` clean or, when given,
-    ``summary``'s tokens."""
+    """The pair whose source serializes ``plan``, an :func:`oracle_plan`, or
+    the clean dialogue when None, and whose target is ``d`` clean or, when
+    given, ``summary``'s tokens."""
     roles = [role.split() for role in d.roles]
     turns = [(roles[t.role_index], t.text.split()) for t in d.turns]
     source = turns if plan is None else [
         turns[group] if type(group) is int else
-        MASK if group is noising._MaskGroup else
+        MASK if group == MASK else
         (roles[group[0]], group[1].split())
         for group in plan]
     if summary is None:
         return NoisedPair(task, oracle_serialize(source), oracle_serialize(turns).tokens, d.id)
     return NoisedPair(task, oracle_serialize(source), summary.text.split(), d.id,
                       summary.origin)
+
+
+# Plan oracle: each reconstruction task's groups, drawn from the raw texts of
+# a dialogue with the draws ``dialoprep.noising`` makes: a turn index (that
+# turn, intact), ``MASK`` (a bare mask) or ``(role index, text)`` for an
+# utterance the task changed or moved, whitespace-canonical or empty.
+
+def _oracle_token_mask(d: Dialogue, cfg, rng: random.Random) -> list:
+    groups = []
+    for i, turn in enumerate(d.turns):
+        tokens = turn.text.split(" ")
+        k = noising.round_half_up(cfg.token_mask_rate * len(tokens))
+        if not k:  # sample(range(n), 0) draws nothing
+            groups.append(i)
+            continue
+        for position in rng.sample(range(len(tokens)), k):
+            tokens[position] = MASK
+        groups.append((turn.role_index, " ".join(tokens)))
+    return groups
+
+
+def _oracle_token_delete(d: Dialogue, cfg, rng: random.Random) -> list:
+    total = sum(len(turn.text.split(" ")) for turn in d.turns)
+    doomed = set(rng.sample(range(total), noising.round_half_up(cfg.token_delete_rate * total)))
+    groups = []
+    offset = 0
+    for i, turn in enumerate(d.turns):
+        tokens = turn.text.split(" ")
+        kept = [token for j, token in enumerate(tokens, offset) if j not in doomed]
+        groups.append(i if len(kept) == len(tokens) else (turn.role_index, " ".join(kept)))
+        offset += len(tokens)
+    return groups
+
+
+def _oracle_uttr_infill(d: Dialogue, cfg, rng: random.Random) -> list:
+    budget = noising.round_half_up(cfg.infill_utterance_budget_rate * len(d.turns))
+    spans, insertions = noising._plan_infill(len(d.turns), budget, cfg.infill_lambda, rng)
+    starts = dict(spans)
+    groups: list = []
+    i = 0
+    while i < len(d.turns):
+        if i in starts:
+            groups.append(MASK)
+            i += starts[i]
+        else:
+            groups.append(i)
+            i += 1
+    for _ in range(insertions):
+        groups.insert(rng.randrange(len(groups) + 1), MASK)
+    return groups
+
+
+def _oracle_uttr_permute(d: Dialogue, cfg, rng: random.Random) -> list:
+    order = list(range(len(d.turns)))
+    rng.shuffle(order)
+    turns = d.turns
+    return [i if turns[i].role_index == turn.role_index else (turn.role_index, turns[i].text)
+            for turn, i in zip(turns, order)]
+
+
+def _oracle_uttr_mask(d: Dialogue, cfg, rng: random.Random | None) -> list:
+    k = max(1, noising.round_half_up(cfg.uttr_mask_rate * len(d.turns)))
+    chosen = noising.select_gap_utterances(d, k)
+    return [(turn.role_index, UTTR_MASK) if i in chosen else i
+            for i, turn in enumerate(d.turns)]
+
+
+_ORACLE_PLANS = {
+    "token_mask": _oracle_token_mask,
+    "token_delete": _oracle_token_delete,
+    "uttr_infill": _oracle_uttr_infill,
+    "uttr_permute": _oracle_uttr_permute,
+    "uttr_mask": _oracle_uttr_mask,
+}
+
+
+def oracle_plan(task: str, d: Dialogue, cfg, rng: random.Random | None) -> list:
+    """The groups of reconstruction ``task`` on ``d``, drawn from ``rng``."""
+    return _ORACLE_PLANS[task](d, cfg, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,21 @@ _NAMED = (SAMPLE / "golden" / "named.dlg").read_text(encoding="utf-8").splitline
 _ANNOTATED = (SAMPLE / "golden" / "annotated.plx").read_text(encoding="utf-8").splitlines(True)
 
 
+@pytest.mark.parametrize("last, message", [
+    ('{"schema_version": 1, "id": "x"}\n', "record missing 'roles' field"),
+    (_NAMED[0], "dialogue id {!r} reappears (first at line 1)".format(
+        json.loads(_NAMED[0])["id"])),
+], ids=["malformed", "repeated-id"])
+def test_noise_bad_last_record_exits_1_and_writes_nothing(tmp_path, capsys, last, message):
+    corpus = tmp_path / "in.dlg"
+    corpus.write_text("".join(_NAMED) + last, encoding="utf-8")
+    out = tmp_path / "pairs.jsonl"
+    assert main(["noise", "--in", str(corpus), "--out", str(out),
+                 "--count", "20", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: line {len(_NAMED) + 1}: {message}\n"
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def _edited(line: str, edit) -> str:
     """``line``'s record after ``edit`` changed it in place, as one line."""
     obj = json.loads(line)

@@ -68,6 +68,8 @@ def test_crlf_file_reads_as_its_lf_twin(tmp_path):
     ('{"a": 1} {"b": 2}\n', "line 1: invalid JSON: Extra data"),
     ('\n{"a": 1}  x\n', "line 2: invalid JSON: Extra data"),
     ('\ufeff{"a": 1}\n', "line 1: invalid JSON: Unexpected UTF-8 BOM"),
+    pytest.param('{"a": 1}\n{"n": ' + "9" * 5000 + '}\n',
+                 "line 2: invalid JSON: Exceeds the limit", id="5000-digit-integer"),
 ])
 def test_error_messages(tmp_path, text, message):
     path = tmp_path / "bad.jsonl"

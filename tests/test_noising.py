@@ -46,7 +46,7 @@ from dialoprep.records import (RESERVED_MARKERS, Dialogue, ParallelExample, Summ
 from dialoprep.seeding import derive_rng
 
 from conftest import (assign_speaker_ids, deserialize_dialogue, load_pairs, make_dialogue,
-                      make_example, oracle_pair)
+                      make_example, oracle_pair, oracle_plan)
 
 CFG = NoisingConfig()
 MARKERS = (BOS, EOS, EOR, EOU, MASK, UTTR_MASK)
@@ -57,6 +57,10 @@ def _dlg(texts, roles=("A", "B"), indices=None):
         indices = [i % 2 for i in range(len(texts))]
     return Dialogue(id="n1", source_dataset="u", roles=roles,
                     turns=tuple(Turn(i, t) for i, t in zip(indices, texts)))
+
+
+def _dialogue_of(item: Dialogue | ParallelExample) -> Dialogue:
+    return item.dialogue if isinstance(item, ParallelExample) else item
 
 
 # Independent structural parser used as the test-side oracle.
@@ -680,7 +684,7 @@ def test_mixed_pairs_share_no_state(corpus, weights, rates, lam, seed):
     cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
                         infill_lambda=lam, infill_utterance_budget_rate=rates[2],
                         uttr_mask_rate=rates[3])
-    dialogues = {d.id: d for d in map(noising._dialogue_of, items)}
+    dialogues = {d.id: d for d in map(_dialogue_of, items)}
     for ordinal, pair in enumerate(mix_tasks(items, mix, cfg, 12, seed=seed)):
         assert pair == mixed_pair(copy.deepcopy(items), mix, cfg, ordinal, seed=seed)
         if pair.task == "task_oriented":
@@ -728,7 +732,7 @@ def test_pair_lines_are_each_ordinals_pair_line(corpus, weights, rates, lam, see
     cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
                         infill_lambda=lam, infill_utterance_budget_rate=rates[2],
                         uttr_mask_rate=rates[3])
-    assert ("".join(pair_lines(items, mix, cfg, count, seed=seed))
+    assert ("".join(pair_lines(iter(items), mix, cfg, count, seed=seed))
             == "".join(pair_line(items, mix, cfg, o, seed=seed) for o in range(count)))
 
 
@@ -789,15 +793,17 @@ def test_pair_line_is_the_encoded_pair(corpus, task, rates, lam, seed, ordinal):
                         uttr_mask_rate=rates[3])
     pair = mixed_pair(items, mix, cfg, ordinal, seed=seed)
     assert pair.task == task
-    item = next(i for i in items if noising._dialogue_of(i).id == pair.dialogue_id)
-    d = noising._dialogue_of(item)
+    item = next(i for i in items if _dialogue_of(i).id == pair.dialogue_id)
+    d = _dialogue_of(item)
     if task == "task_oriented":
         expected = oracle_pair(task, d, summary=noising._summary(item))
         assert make_task_oriented_pair(item) == expected
     else:
-        plan = noising._PLANS[task](d, cfg, derive_rng(seed, "pair", d.id, ordinal))
+        # The plan drawn from the raw texts with the pair's own generator.
+        plan = oracle_plan(task, d, cfg, derive_rng(seed, "pair", d.id, ordinal))
         expected = oracle_pair(task, d, plan)
         assert noise_dialogue(d, task, cfg, derive_rng(seed, "pair", d.id, ordinal)) == expected
+    # The stream's pair, drawn and rendered from the compact form.
     assert pair == expected
     assert serialize_dialogue(d) == oracle_pair(task, d).source
     assert pair_line(items, mix, cfg, ordinal, seed=seed) == jsonl.line(pair_to_obj(pair))

@@ -16,6 +16,7 @@ from dialoprep.records import (
     Turn,
     corpus_manifest,
     dialogue_from_obj,
+    iter_corpus,
     load_corpus,
     record_line,
     record_to_obj,
@@ -243,9 +244,25 @@ def test_repeated_id_on_load(tmp_path, kind):
     assert err.value.reason == "dialogue id 'd1' reappears (first at line 1)"
 
 
+@pytest.mark.parametrize("kind", ["dialogues", "parallel"])
+def test_iter_corpus_yields_each_record_before_a_later_bad_line(tmp_path, kind):
+    rng = random.Random(5)
+    make = make_dialogue if kind == "dialogues" else make_example
+    first, second = make(rng, "d1"), make(rng, "d2")
+    path = tmp_path / "repeated"
+    save_corpus([first, second, first], path)
+    records = iter_corpus(path, kind)
+    assert [next(records), next(records)] == [first, second]
+    with pytest.raises(MalformedRecordError) as err:
+        next(records)
+    assert err.value.line_number == 3
+
+
 def test_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         load_corpus(tmp_path / "nope", "bogus")
+    with pytest.raises(ValueError):  # when called, before any read
+        iter_corpus(tmp_path / "nope", "bogus")
 
 
 def test_missing_file():
