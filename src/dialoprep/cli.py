@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -96,15 +95,7 @@ def _cmd_clean(args) -> int:
         )
     dialogues = records.load_corpus(args.input, "dialogues")
     eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set or []]
-    index = dedup.ShingleIndex(itertools.chain(dialogues, *eval_sets), cfg)
-    removals: list[dedup.RemovalRecord] = []
-    kept, removed = dedup.dedup_corpus(dialogues, cfg, index=index)
-    removals.extend(removed)
-    if eval_sets:
-        kept, removed = dedup.remove_eval_overlap(kept, eval_sets, cfg, index=index)
-        removals.extend(removed)
-    kept, removed = dedup.filter_min_size(kept, cfg, index=index)
-    removals.extend(removed)
+    kept, removals = dedup.clean(dialogues, eval_sets, cfg)
     records.save_corpus(kept, args.out)
     if args.report:
         dedup.save_removal_report(removals, args.report)

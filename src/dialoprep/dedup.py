@@ -26,8 +26,8 @@ Each candidate pair is verified at most once, on integer bitsets; where the
 postings a probe would scan outnumber the sets in its length range, the whole
 range is its candidates. The filters only skip pairs that cannot reach the
 threshold, and their bounds are tested with the verifier's own float
-division, so the result is the brute-force scan's. A :class:`ShingleIndex`
-tokenizes each dialogue once for all three filters.
+division, so the result is the brute-force scan's. :func:`clean` tokenizes
+each dialogue once, into a row that serves all three passes.
 """
 
 from __future__ import annotations
@@ -140,47 +140,30 @@ class _Profile(NamedTuple):
 def _profile(d: Dialogue, shingle_k: int) -> _Profile:
     """Tokenizes the joined text, as ``dialogue_shingles`` does. Neither a
     token nor the context of a case mapping (final sigma) crosses the space
-    ``dialogue_text`` joins turns with, so the token count is also the sum over
-    the turns that ``filter_min_size`` takes without an index. Tokens are
-    interned: an index holds the sets of all dialogues at once, and then holds
-    one string per distinct token instead of one per occurrence."""
+    ``dialogue_text`` joins turns with, so the token count is also the sum of
+    the turns' token counts. Tokens are interned: ``_rows`` holds the sets of
+    all dialogues at once, and then holds one string per distinct token
+    instead of one per occurrence."""
     tokens = list(map(sys.intern, tokenize_for_metrics(dialogue_text(d))))
     return _Profile(_shingles(tokens, shingle_k), len(tokens))
 
 
-class ShingleIndex:
-    """Dialogues tokenized once for the clean filters.
-
-    For each dialogue object it is built from, keyed by the object's identity,
-    it holds the utterance token count and the shingle set encoded as (size,
-    bitset, probe prefix, lo, index prefix length), where lo is the fewest
-    shingles the set shares with any set it reaches the threshold with; it
-    keeps the objects alive so the keys stay valid. All the sets are numbered
-    together, rarest shingle first, ties broken by the shingle itself, and the
-    sets themselves are not kept. The corpus operations take it as ``index=``:
-    then each dialogue is read from it, and the dedup and eval-overlap joins
-    share one numbering, which leaves their matches unchanged because prefix
-    filtering is exact under any fixed shingle order. It must be built under
-    the ``cfg`` they are given, from every dialogue they are given.
-    """
-
-    def __init__(self, dialogues: Iterable[Dialogue], cfg: DedupConfig):
-        profiles = {id(d): (d, _profile(d, cfg.shingle_k)) for d in dialogues}
-        freq: Counter = Counter()
-        for _, profile in profiles.values():
-            freq.update(profile.shingles)
-        # By (count, shingle): a stable sort by count of the shingles in order.
-        ids = {g: i for i, g in enumerate(sorted(sorted(freq), key=freq.__getitem__))}
-        bounds: dict[int, tuple[int, int]] = {}
-        self._rows = {key: (d, profile.tokens,
-                            _encode(profile.shingles, ids, cfg.jaccard_threshold, bounds))
-                      for key, (d, profile) in profiles.items()}
-
-    def tokens(self, d: Dialogue) -> int:
-        return self._rows[id(d)][1]
-
-    def entry(self, d: Dialogue) -> tuple:
-        return self._rows[id(d)][2]
+def _rows(dialogues: Iterable[Dialogue], cfg: DedupConfig) -> list[tuple]:
+    """One row per dialogue, in order: (dialogue, utterance token count, set
+    encoded as (size, bitset, probe prefix, lo, index prefix length)), where
+    lo is the fewest shingles the set shares with any set it reaches the
+    threshold with. The sets are numbered together, rarest shingle first,
+    ties broken by the shingle itself, and not kept. Any fixed numbering
+    leaves the joins' matches unchanged, since prefix filtering is exact."""
+    profiles = [(d, _profile(d, cfg.shingle_k)) for d in dialogues]
+    freq: Counter = Counter()
+    for _, profile in profiles:
+        freq.update(profile.shingles)
+    # By (count, shingle): a stable sort by count of the shingles in order.
+    ids = {g: i for i, g in enumerate(sorted(sorted(freq), key=freq.__getitem__))}
+    bounds: dict[int, tuple[int, int]] = {}
+    return [(d, profile.tokens, _encode(profile.shingles, ids, cfg.jaccard_threshold, bounds))
+            for d, profile in profiles]
 
 
 def _encode(shingles: frozenset, ids: dict, threshold: float, bounds: dict) -> tuple:
@@ -219,7 +202,7 @@ def _flagged(flags: bytearray, start: int, stop: int) -> Iterator[int]:
 
 def _join(rows: dict[int, tuple], refs: dict[int, tuple] | None, threshold: float) -> set[int]:
     """The rows that reach J >= threshold with some reference, over non-empty
-    sets encoded by a :class:`ShingleIndex` and keyed by row and by reference.
+    sets encoded by :func:`_rows` and keyed by row and by reference.
     ``refs=None`` joins the rows with themselves: a row's references are then
     the rows before it. A pair is verified only while its row has no match, so
     each row passes at most one verification, however many sets it is similar
@@ -316,44 +299,56 @@ def _distinct(entries: Sequence[tuple]) -> dict[int, tuple]:
     return {row: entries[row] for row in first.values()}
 
 
-def _drop_similar(dialogues: Sequence[Dialogue], references: Sequence[Dialogue] | None,
-                  cfg: DedupConfig, reason: str,
-                  index: ShingleIndex | None) -> tuple[list[Dialogue], list[RemovalRecord]]:
-    """Drop each dialogue whose Jaccard with some reference reaches the threshold,
-    reporting the lowest such reference. ``references=None`` joins the corpus
-    with itself: the references are then the dialogues kept so far."""
+def _drop_similar(rows: Sequence[tuple], references: Sequence[tuple] | None,
+                  cfg: DedupConfig, reason: str) -> tuple[list[tuple], list[RemovalRecord]]:
+    """Drop each row whose Jaccard with some reference row reaches the
+    threshold, reporting the lowest such reference. ``references=None`` joins
+    the rows with themselves: the references are then the rows kept so far."""
     threshold = cfg.jaccard_threshold
     self_join = references is None
-    refs = dialogues if self_join else list(references)
-    if index is None:
-        index = ShingleIndex(chain(dialogues, () if self_join else refs), cfg)
-    entries = [index.entry(d) for d in dialogues]
-    ref_entries = entries if self_join else [index.entry(r) for r in refs]
+    refs = rows if self_join else references
+    entries = [row[2] for row in rows]
+    ref_entries = entries if self_join else [ref[2] for ref in refs]
     # The join meets each distinct non-empty set at its first row; a row it
     # does not meet is looked up like a matched one.
-    rows = {row: e for row, e in _distinct(entries).items() if e[0]}
+    firsts = {i: e for i, e in _distinct(entries).items() if e[0]}
     postings: dict[int, list[int]] = {}
     if self_join:
-        matched = _join(rows, None, threshold)
+        matched = _join(firsts, None, threshold)
     else:
         distinct_refs = _distinct(ref_entries)
-        matched = _join(rows, {ref: e for ref, e in distinct_refs.items() if e[0]}, threshold)
+        matched = _join(firsts, {ref: e for ref, e in distinct_refs.items() if e[0]}, threshold)
         for ref, e in distinct_refs.items():
             _post(postings, e, ref)
 
-    kept: list[Dialogue] = []
+    kept: list[tuple] = []
     removed: list[RemovalRecord] = []
-    for row, (d, e) in enumerate(zip(dialogues, entries)):
+    for i, (row, e) in enumerate(zip(rows, entries)):
         match = (_lowest_match(e, postings, ref_entries, threshold)
-                 if row in matched or row not in rows else None)
+                 if i in matched or i not in firsts else None)
         if match is None:
-            kept.append(d)
+            kept.append(row)
             if self_join:
-                _post(postings, e, row)
+                _post(postings, e, i)
         else:
             ref, score = match
-            removed.append(RemovalRecord(removed_id=d.id, reason=reason,
-                                         matched_id=refs[ref].id, score=score))
+            removed.append(RemovalRecord(removed_id=row[0].id, reason=reason,
+                                         matched_id=refs[ref][0].id, score=score))
+    return kept, removed
+
+
+def _drop_small(rows: Iterable[tuple], cfg: DedupConfig
+                ) -> tuple[list[tuple], list[RemovalRecord]]:
+    kept: list[tuple] = []
+    removed: list[RemovalRecord] = []
+    for row in rows:
+        d, tokens = row[0], row[1]
+        if len(d.turns) < cfg.min_turns:
+            removed.append(RemovalRecord(removed_id=d.id, reason="too_few_turns"))
+        elif tokens < cfg.min_tokens:
+            removed.append(RemovalRecord(removed_id=d.id, reason="too_few_tokens"))
+        else:
+            kept.append(row)
     return kept, removed
 
 
@@ -361,45 +356,48 @@ def _drop_similar(dialogues: Sequence[Dialogue], references: Sequence[Dialogue] 
 # Corpus operations
 # ---------------------------------------------------------------------------
 
-def dedup_corpus(dialogues: Sequence[Dialogue], cfg: DedupConfig, *,
-                 index: ShingleIndex | None = None
+def clean(dialogues: Sequence[Dialogue], eval_sets: Sequence[Sequence[Dialogue]],
+          cfg: DedupConfig) -> tuple[list[Dialogue], list[RemovalRecord]]:
+    """:func:`dedup_corpus`, :func:`remove_eval_overlap` when there are
+    evaluation dialogues, then :func:`filter_min_size`, on one list of rows;
+    the dialogues kept, and the removals of each pass in turn."""
+    rows, n = _rows(chain(dialogues, *eval_sets), cfg), len(dialogues)
+    kept, removals = _drop_similar(rows[:n], None, cfg, "duplicate")
+    if len(rows) > n:
+        kept, removed = _drop_similar(kept, rows[n:], cfg, "eval_overlap")
+        removals += removed
+    kept, removed = _drop_small(kept, cfg)
+    return [row[0] for row in kept], removals + removed
+
+
+def dedup_corpus(dialogues: Sequence[Dialogue], cfg: DedupConfig
                  ) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop every dialogue similar (>= threshold) to an earlier kept one.
 
     First occurrence wins; kept order is input order. The report pairs each
     removed dialogue with the kept dialogue it matched.
     """
-    return _drop_similar(dialogues, None, cfg, "duplicate", index)
+    kept, removed = _drop_similar(_rows(dialogues, cfg), None, cfg, "duplicate")
+    return [row[0] for row in kept], removed
 
 
 def remove_eval_overlap(dialogues: Sequence[Dialogue],
-                        eval_sets: Sequence[Sequence[Dialogue]], cfg: DedupConfig, *,
-                        index: ShingleIndex | None = None
+                        eval_sets: Sequence[Sequence[Dialogue]], cfg: DedupConfig
                         ) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Drop every training dialogue similar to any evaluation dialogue.
 
     Evaluation sets are never modified; after this pass no kept dialogue is
     within the threshold of any evaluation dialogue.
     """
-    return _drop_similar(dialogues, [d for eval_set in eval_sets for d in eval_set],
-                         cfg, "eval_overlap", index)
+    rows, n = _rows(chain(dialogues, *eval_sets), cfg), len(dialogues)
+    kept, removed = _drop_similar(rows[:n], rows[n:], cfg, "eval_overlap")
+    return [row[0] for row in kept], removed
 
 
-def filter_min_size(dialogues: Sequence[Dialogue], cfg: DedupConfig, *,
-                    index: ShingleIndex | None = None
+def filter_min_size(dialogues: Sequence[Dialogue], cfg: DedupConfig
                     ) -> tuple[list[Dialogue], list[RemovalRecord]]:
     """Keep dialogues with at least ``min_turns`` turns AND ``min_tokens`` utterance
     tokens (metrics tokenizer, roles excluded). Boundaries are inclusive."""
-    kept: list[Dialogue] = []
-    removed: list[RemovalRecord] = []
-    for d in dialogues:
-        if len(d.turns) < cfg.min_turns:
-            removed.append(RemovalRecord(removed_id=d.id, reason="too_few_turns"))
-            continue
-        tokens = (sum(len(tokenize_for_metrics(t.text)) for t in d.turns)
-                  if index is None else index.tokens(d))
-        if tokens < cfg.min_tokens:
-            removed.append(RemovalRecord(removed_id=d.id, reason="too_few_tokens"))
-            continue
-        kept.append(d)
-    return kept, removed
+    # Rows cut to (dialogue, token count): this pass needs no encoded sets.
+    kept, removed = _drop_small([(d, _profile(d, cfg.shingle_k).tokens) for d in dialogues], cfg)
+    return [row[0] for row in kept], removed

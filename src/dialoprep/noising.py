@@ -26,8 +26,10 @@ role and utterance texts are whitespace-canonical (records guarantee it on
 load), escaping goes character by character and keeps spaces, so a text's
 token array is its escaped string with each space closed and reopened as
 ``", "``, and ``", "`` occurs in it only between tokens. ``pair_line``
-returns the same lines one at a time; ``mixed_pair``, the task functions and
-``serialize_dialogue`` return them decoded into token tuples.
+returns the same lines one at a time. The token-tuple API returns them
+decoded: ``mixed_pair`` a pair of the stream, ``noise_dialogue`` one
+reconstruction task's pair, ``make_task_oriented_pair`` a summary pair and
+``serialize_dialogue`` the clean source.
 
 Utterance masking's greedy gap selection runs once per dialogue of a
 stream, on the dialogue decoded back from its form: ``pair_lines`` keeps it,
@@ -279,6 +281,10 @@ def _token_lists(bodies: Sequence[str]) -> list[list[str]]:
 
 def _plan_token_mask(form: _Compact, cfg: NoisingConfig,
                      rng: random.Random) -> tuple[list[str], Sequence[int]]:
+    """Replace round(rate * n) tokens of each utterance with ``<mask>``.
+
+    Roles and structural markers are never touched.
+    """
     groups = _groups(form)
     rate, role_sizes = cfg.token_mask_rate, form.role_sizes
     for i, (role, size) in enumerate(zip(form.speakers, form.sizes)):
@@ -295,6 +301,11 @@ def _plan_token_mask(form: _Compact, cfg: NoisingConfig,
 
 def _plan_token_delete(form: _Compact, cfg: NoisingConfig,
                        rng: random.Random) -> tuple[list[str], Sequence[int]]:
+    """Delete round(rate * N) utterance tokens across the whole dialogue.
+
+    Surviving tokens keep their relative order; an utterance deleted to
+    emptiness keeps its role and markers.
+    """
     # Utterance tokens are numbered across the dialogue: turn i holds the
     # numbers up to stops[i], and its first is at starts[i] in its group.
     role_sizes = form.role_sizes
@@ -402,6 +413,12 @@ def _infill_groups(form: _Compact, spans: Sequence[tuple[int, int]], insertions:
 
 def _plan_uttr_infill(form: _Compact, cfg: NoisingConfig,
                       rng: random.Random) -> tuple[list[str], list[int]]:
+    """Replace sampled spans of consecutive turns with single ``<mask>`` tokens.
+
+    The total replaced-turn budget is round(budget_rate * turns); span lengths
+    are Poisson(lambda) draws, and a 0-length draw inserts a mask at a turn
+    boundary without removing anything.
+    """
     n = len(form.ends)
     budget = round_half_up(cfg.infill_utterance_budget_rate * n)
     spans, insertions = _plan_infill(n, budget, cfg.infill_lambda, rng)
@@ -410,8 +427,9 @@ def _plan_uttr_infill(form: _Compact, cfg: NoisingConfig,
 
 def _plan_uttr_permute(form: _Compact, cfg: NoisingConfig,
                        rng: random.Random) -> tuple[list[str], list[int]]:
-    """Each slot keeps its role and takes the utterance of the turn the
-    shuffle moves there."""
+    """Shuffle utterances across turn slots while the role sequence stays fixed,
+    so utterances may sit next to the wrong role: each slot keeps its role and
+    takes the utterance of the turn the shuffle moves there."""
     order = list(range(len(form.ends)))
     rng.shuffle(order)  # its draws depend only on the length
     heads, role_sizes, speakers, sizes = form.heads, form.role_sizes, form.speakers, form.sizes
@@ -504,8 +522,12 @@ def _gap_selection(form: _Compact, cfg: NoisingConfig) -> tuple[int, ...]:
 
 def _plan_uttr_mask(form: _Compact, cfg: NoisingConfig, rng: random.Random | None,
                     chosen: tuple[int, ...] | None = None) -> tuple[list[str], list[int]]:
-    """Greedy, not random: it draws nothing from ``rng``. ``chosen`` is
-    ``_gap_selection(form, cfg)``, when that is already made."""
+    """Replace the max(1, round(rate * turns)) principal gap-utterances with
+    ``<uttr-mask>``, keeping each slot's role and markers.
+
+    Selection is greedy, not random: it draws nothing from ``rng``, which may
+    be None. ``chosen`` is ``_gap_selection(form, cfg)``, when that is already
+    made."""
     if chosen is None:
         chosen = _gap_selection(form, cfg)
     groups, sizes = _groups(form), list(form.sizes)
@@ -529,60 +551,15 @@ _PLANS = {
 # Corruption tasks: plans rendered as pairs
 # ---------------------------------------------------------------------------
 
-def _reconstruction_pair(task: str, d: Dialogue, cfg: NoisingConfig,
-                         rng: random.Random | None) -> NoisedPair:
-    """The pair of ``task``'s plan for ``d``, drawn from ``rng``, decoded."""
+def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
+                   rng: random.Random | None) -> NoisedPair:
+    """Apply one reconstruction task to a dialogue: the decoded line of its
+    plan (see the ``_plan_*`` functions), drawn from ``rng``, which may be
+    None for ``uttr_mask``."""
+    if task not in _PLANS:
+        raise ValueError(f"unknown reconstruction task {task!r}")
     form = _compact(d)
     return _pair_of_line(_line(task, form, *_PLANS[task](form, cfg, rng)))
-
-
-def token_masking(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Replace round(rate * n) tokens of each utterance with ``<mask>``.
-
-    Roles and structural markers are never touched.
-    """
-    return _reconstruction_pair("token_mask", d, cfg, rng)
-
-
-def token_deletion(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Delete round(rate * N) utterance tokens across the whole dialogue.
-
-    Surviving tokens keep their relative order; an utterance deleted to
-    emptiness keeps its role and markers.
-    """
-    return _reconstruction_pair("token_delete", d, cfg, rng)
-
-
-def _apply_infill(d: Dialogue, spans: Sequence[tuple[int, int]], insertions: int,
-                  rng: random.Random) -> NoisedPair:
-    form = _compact(d)
-    return _pair_of_line(_line("uttr_infill", form,
-                               *_infill_groups(form, spans, insertions, rng)))
-
-
-def utterance_infilling(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Replace sampled spans of consecutive turns with single ``<mask>`` tokens.
-
-    The total replaced-turn budget is round(budget_rate * turns); span lengths
-    are Poisson(lambda) draws, and a 0-length draw inserts a mask at a turn
-    boundary without removing anything.
-    """
-    return _reconstruction_pair("uttr_infill", d, cfg, rng)
-
-
-def utterance_permutation(d: Dialogue, cfg: NoisingConfig, rng: random.Random) -> NoisedPair:
-    """Shuffle utterances across turn slots while the role sequence stays fixed,
-    so utterances may sit next to the wrong role."""
-    return _reconstruction_pair("uttr_permute", d, cfg, rng)
-
-
-def utterance_masking(d: Dialogue, cfg: NoisingConfig) -> NoisedPair:
-    """Replace the max(1, round(rate * turns)) principal gap-utterances with
-    ``<uttr-mask>``, keeping each slot's role and markers.
-
-    Selection is greedy, not random, so it takes no generator.
-    """
-    return _reconstruction_pair("uttr_mask", d, cfg, None)
 
 
 def _summary(ex: ParallelExample) -> SummaryRecord:
@@ -598,14 +575,6 @@ def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
     """
     form = _compact(ex)
     return _pair_of_line(_line("task_oriented", form, [form.body], form.sizes))
-
-
-def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
-                   rng: random.Random) -> NoisedPair:
-    """Apply one reconstruction task to a dialogue."""
-    if task not in _PLANS:
-        raise ValueError(f"unknown reconstruction task {task!r}")
-    return _reconstruction_pair(task, d, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -694,13 +663,6 @@ def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
     """The pair at position ``ordinal`` of the mixed stream: the decoded
     :func:`pair_line`."""
     return _pair_of_line(pair_line(items, mix, cfg, ordinal, seed=seed))
-
-
-def mix_tasks(items: Iterable[Dialogue | ParallelExample], mix: TaskMix,
-              cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[NoisedPair]:
-    """Stream ``count`` pairs with tasks drawn proportionally to mix weights:
-    the decoded :func:`pair_lines`."""
-    return map(_pair_of_line, pair_lines(items, mix, cfg, count, seed=seed))
 
 
 # ---------------------------------------------------------------------------

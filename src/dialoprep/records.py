@@ -96,7 +96,8 @@ class CorpusManifest(NamedTuple):
     source_datasets: tuple[str, ...] = ()
 
 
-def _is_canonical(text: str) -> bool:
+def is_canonical(text: str) -> bool:
+    """Non-empty, and no whitespace but single spaces between other characters."""
     if text.isprintable():
         # U+0020 is the only whitespace character that is printable, so a
         # printable text is canonical exactly when its spaces are single
@@ -118,7 +119,7 @@ def validate_dialogue(d: Dialogue) -> list[str]:
         violations.append("dialogue has no roles")
     seen_roles = set()
     for i, role in enumerate(d.roles):
-        if not _is_canonical(role):
+        if not is_canonical(role):
             violations.append(f"role {i}: name is empty or not whitespace-canonical")
         if "<" in role:  # every reserved marker starts with "<"
             for marker in RESERVED_MARKERS:
@@ -131,7 +132,7 @@ def validate_dialogue(d: Dialogue) -> list[str]:
     for i, turn in enumerate(d.turns):
         if not 0 <= turn.role_index < len(d.roles):
             violations.append(f"turn {i}: role_index out of range")
-        if not _is_canonical(turn.text):
+        if not is_canonical(turn.text):
             violations.append(f"turn {i}: text is empty or not whitespace-canonical")
         if "<" in turn.text:
             for marker in RESERVED_MARKERS:
@@ -249,7 +250,7 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
     )
     joined = " ".join(texts)
     if not (raw_turns and alternating and len(set(roles)) == n_roles
-            and "<" not in joined and _is_canonical(joined)):
+            and "<" not in joined and is_canonical(joined)):
         violations = validate_dialogue(d)
         if violations:
             raise MalformedRecordError(line_number, "; ".join(violations))

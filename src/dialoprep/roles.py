@@ -8,7 +8,8 @@ whole transformation is invertible by applying the inverse map.
 
 Names are matched as whole words, case-sensitive; possessive forms survive
 because the trailing ``'s`` sits outside the word boundary. Pronouns are never
-rewritten.
+rewritten. A pool or map name must be a valid role name: whitespace-canonical
+(:func:`records.is_canonical`), with no reserved marker.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .records import (
     ParallelExample,
     SummaryRecord,
     Turn,
+    is_canonical,
     validated,
 )
 from .seeding import derive_rng
@@ -39,7 +41,7 @@ class NamePool(NamedTuple):
         if len(set(self.names)) != len(self.names):
             raise ValueError("name pool contains duplicates")
         for name in self.names:
-            if not name or any(m in name for m in RESERVED_MARKERS):
+            if not is_canonical(name) or any(m in name for m in RESERVED_MARKERS):
                 raise ValueError(f"invalid pool name {name!r}")
         if type(self.names) is not tuple:
             return self._replace(names=tuple(self.names))
@@ -92,7 +94,7 @@ class RoleMap(NamedTuple):
         if len(set(new_names)) != len(new_names):
             raise AmbiguousMapError("role map is not injective")
         for name in old_names + new_names:
-            if not name or any(m in name for m in RESERVED_MARKERS):
+            if not is_canonical(name) or any(m in name for m in RESERVED_MARKERS):
                 raise AmbiguousMapError(f"invalid role name {name!r}")
         # A multi-word name containing another old name as a whole word makes
         # match order ambiguous; reject up front.

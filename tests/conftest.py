@@ -258,6 +258,19 @@ def deserialize_dialogue(s: SerializedInput, dialogue_id: str = "",
                     roles=tuple(roles), turns=tuple(turns))
 
 
+def apply_infill(d: Dialogue, spans, insertions: int, rng: random.Random) -> NoisedPair:
+    """The ``uttr_infill`` pair of ``d`` for the given spans (start, length)
+    and bare-mask insertions, as ``noising`` renders them, decoded."""
+    form = noising._compact(d)
+    return noising._pair_of_line(noising._line(
+        "uttr_infill", form, *noising._infill_groups(form, spans, insertions, rng)))
+
+
+def mixed_pairs(items, mix, cfg, count: int, *, seed: int):
+    """The pairs of ``noising.pair_lines``, the lines ``noise`` writes, decoded."""
+    return map(noising._pair_of_line, noising.pair_lines(items, mix, cfg, count, seed=seed))
+
+
 def load_pairs(path: str | Path) -> list[NoisedPair]:
     """The pairs of a file written by ``noising.save_pairs`` or ``noise``."""
     with open(path, encoding="utf-8") as fh:
@@ -334,6 +347,16 @@ def brute_force_eval_overlap(dialogues, eval_sets, cfg):
     """Reference for ``remove_eval_overlap``."""
     return _brute_force_first_match(dialogues, [d for s in eval_sets for d in s],
                                     cfg, "eval_overlap")
+
+
+def oracle_clean(dialogues, eval_sets, cfg):
+    """Reference for ``clean``: the dedup, eval-overlap and size references
+    chained, with their removals in that order."""
+    kept, removals = brute_force_dedup(dialogues, cfg)
+    kept, removed = brute_force_eval_overlap(kept, eval_sets, cfg)
+    removals += removed
+    kept, removed = oracle_filter_min_size(kept, cfg)
+    return kept, removals + removed
 
 
 def oracle_utterance_tokens(d: Dialogue) -> int:

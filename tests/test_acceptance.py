@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (brute_force_dedup, brute_force_eval_overlap, deserialize_dialogue,
-                      make_dialogue, oracle_jaccard)
+from conftest import (apply_infill, brute_force_dedup, brute_force_eval_overlap,
+                      deserialize_dialogue, make_dialogue, mixed_pairs, oracle_jaccard)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "data" / "sample"
@@ -139,10 +139,8 @@ def test_c03_gap_selection_oracle():
 def test_c04_noising_invariants():
     from dialoprep.noising import (
         BOS, EOR, EOS, EOU, MASK, UTTR_MASK,
-        NoisingConfig, SerializedInput, _apply_infill,
-        round_half_up, serialize_dialogue,
-        token_deletion, token_masking, utterance_infilling,
-        utterance_masking, utterance_permutation,
+        NoisingConfig, SerializedInput,
+        noise_dialogue, round_half_up, serialize_dialogue,
     )
 
     cfg = NoisingConfig()
@@ -172,7 +170,7 @@ def test_c04_noising_invariants():
             clean = serialize_dialogue(d)
 
             # token masking: per-utterance mask count == round(0.2 n)
-            pair = token_masking(d, cfg, random.Random(i))
+            pair = noise_dialogue(d, "token_mask", cfg, random.Random(i))
             for (role, utt, _), turn in zip(
                     groups_of(pair.source.tokens, pair.source.speaker_ids, False), d.turns):
                 n = len(turn.text.split())
@@ -181,7 +179,7 @@ def test_c04_noising_invariants():
                 assert role == d.roles[turn.role_index].split()
 
             # token deletion: survivors form a subsequence of the original
-            pair = token_deletion(d, cfg, random.Random(i))
+            pair = noise_dialogue(d, "token_delete", cfg, random.Random(i))
             survivors = [t for _, utt, _ in groups_of(
                 pair.source.tokens, pair.source.speaker_ids, False) for t in utt]
             original = [t for turn in d.turns for t in turn.text.split()]
@@ -191,16 +189,16 @@ def test_c04_noising_invariants():
             assert all(tok in it for tok in survivors)
 
             # infilling: forced 0-length span adds exactly one token
-            pair = _apply_infill(d, spans=[], insertions=1, rng=random.Random(i))
+            pair = apply_infill(d, spans=[], insertions=1, rng=random.Random(i))
             assert len(pair.source.tokens) == len(pair.target_tokens) + 1
             assert pair.source.tokens.count(MASK) == 1
             # sampled infilling keeps ids alternating over groups
-            pair = utterance_infilling(d, cfg, random.Random(i))
+            pair = noise_dialogue(d, "uttr_infill", cfg, random.Random(i))
             inf_groups = groups_of(pair.source.tokens, pair.source.speaker_ids, True)
             assert [g[2] for g in inf_groups] == [k % 2 for k in range(len(inf_groups))]
 
             # permutation: utterance multiset and exact role sequence preserved
-            pair = utterance_permutation(d, cfg, random.Random(i))
+            pair = noise_dialogue(d, "uttr_permute", cfg, random.Random(i))
             perm_groups = groups_of(pair.source.tokens, pair.source.speaker_ids, False)
             assert [tuple(g[0]) for g in perm_groups] == \
                 [tuple(d.roles[t.role_index].split()) for t in d.turns]
@@ -209,7 +207,7 @@ def test_c04_noising_invariants():
 
             # utterance masking: exactly max(1, round(0.2 turns)) slots masked,
             # roles and markers intact
-            pair = utterance_masking(d, cfg)
+            pair = noise_dialogue(d, "uttr_mask", cfg, None)
             mask_groups = groups_of(pair.source.tokens, pair.source.speaker_ids, False)
             masked = [g for g in mask_groups if g[1] == [UTTR_MASK]]
             assert len(masked) == max(1, round_half_up(0.2 * len(d.turns)))
@@ -217,11 +215,11 @@ def test_c04_noising_invariants():
             assert pair.source.tokens.count(EOU) == len(d.turns)
 
             # every reconstruction target deserializes to the original dialogue
-            for task_pair in (token_masking(d, cfg, random.Random(i)),
-                              token_deletion(d, cfg, random.Random(i)),
-                              utterance_infilling(d, cfg, random.Random(i)),
-                              utterance_permutation(d, cfg, random.Random(i)),
-                              utterance_masking(d, cfg)):
+            for task_pair in (noise_dialogue(d, "token_mask", cfg, random.Random(i)),
+                              noise_dialogue(d, "token_delete", cfg, random.Random(i)),
+                              noise_dialogue(d, "uttr_infill", cfg, random.Random(i)),
+                              noise_dialogue(d, "uttr_permute", cfg, random.Random(i)),
+                              noise_dialogue(d, "uttr_mask", cfg, None)):
                 assert task_pair.target_tokens == clean.tokens
                 restored = deserialize_dialogue(
                     SerializedInput(task_pair.target_tokens, clean.speaker_ids),
@@ -423,7 +421,7 @@ def test_c11_mixer_statistics(tmp_path):
     from collections import Counter
 
     from dialoprep.noising import (
-        RECONSTRUCTION_TASKS, NoisingConfig, TaskMix, mix_tasks, save_pairs,
+        RECONSTRUCTION_TASKS, NoisingConfig, TaskMix, save_pairs,
     )
 
     with criterion(11, "mixer statistics (equal weights 10,000 samples, "
@@ -432,17 +430,18 @@ def test_c11_mixer_statistics(tmp_path):
         items = [make_dialogue(rng, f"m{i}", n_turns=4) for i in range(10)]
         cfg = NoisingConfig()
         mix = TaskMix(weights={t: 1.0 for t in RECONSTRUCTION_TASKS})
-        counts = Counter(p.task for p in mix_tasks(items, mix, cfg, 10_000, seed=3442))
+        counts = Counter(p.task for p in mixed_pairs(items, mix, cfg, 10_000, seed=3442))
         assert sum(counts.values()) == 10_000
         for task in RECONSTRUCTION_TASKS:
             assert abs(counts[task] - 2000) <= 150, (task, counts[task])
 
         degenerate = TaskMix(weights={"uttr_permute": 5.0})
-        assert {p.task for p in mix_tasks(items, degenerate, cfg, 100, seed=0)} == {"uttr_permute"}
+        assert ({p.task for p in mixed_pairs(items, degenerate, cfg, 100, seed=0)}
+                == {"uttr_permute"})
 
         first, second = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
-        save_pairs(mix_tasks(items, mix, cfg, 500, seed=3442), first)
-        save_pairs(mix_tasks(items, mix, cfg, 500, seed=3442), second)
+        save_pairs(mixed_pairs(items, mix, cfg, 500, seed=3442), first)
+        save_pairs(mixed_pairs(items, mix, cfg, 500, seed=3442), second)
         assert first.read_bytes() == second.read_bytes()
 
 

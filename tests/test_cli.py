@@ -257,6 +257,9 @@ _INPUT_FILES = {
                                     '{"conv": true, "speaker": "y", "text": "yo"}\n'),
     "no_id_spec.json": json.dumps({"speaker_field": "speaker", "utterance_field": "text",
                                    "dataset_tag": "sample"}),
+    "spaced_pool.txt": "Cy\nAnn  Lee\nDee\n",
+    "tab_pool.txt": "Cy\nBob\tKay\nDee\n",
+    "spaced_map.json": json.dumps({"Joshua Johnson": "Zed  Q"}),
 }
 
 
@@ -407,6 +410,12 @@ _INPUT_FILES = {
      "endpoint 'notaurl' is not an http or https URL"),
     (["noise", "--in", "{named}", "--out", "{out}", "--count", "-1", "--seed", "1"],
      "count must be >= 0"),
+    (["roles", "--in", "{named}", "--out", "{out}", "--seed", "1",
+      "--names", "{tmp}/spaced_pool.txt"], "invalid pool name 'Ann  Lee'"),
+    (["roles", "--in", "{named}", "--out", "{out}", "--seed", "1",
+      "--names", "{tmp}/tab_pool.txt"], "invalid pool name 'Bob\\tKay'"),
+    (["augment", "--in", "{annotated}", "--map", "{tmp}/spaced_map.json", "--out", "{out}"],
+     "invalid role name 'Zed  Q'"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
         "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
@@ -431,7 +440,8 @@ _INPUT_FILES = {
         "ingest-bool-id", "ingest-float-id", "ingest-number-then-string-id",
         "ingest-number-then-bool-id", "ingest-spec-without-id-field", "annotate-mock-digest-x",
         "annotate-mock-bogus", "annotate-mock-head-0", "annotate-endpoint-not-a-url",
-        "noise-negative-count"])
+        "noise-negative-count", "roles-pool-double-space", "roles-pool-tab",
+        "augment-map-double-space"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

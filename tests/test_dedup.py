@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dialoprep import dedup
 from dialoprep.dedup import (
     DedupConfig,
-    ShingleIndex,
     _join,
     _profile,
+    _rows,
+    clean,
     dedup_corpus,
     dialogue_shingles,
     filter_min_size,
@@ -26,6 +28,7 @@ from conftest import (
     brute_force_eval_overlap,
     brute_force_matched,
     make_dialogue,
+    oracle_clean,
     oracle_filter_min_size,
     oracle_jaccard,
     oracle_shingles,
@@ -152,7 +155,8 @@ def test_dedup_matches_oracle_small_corpora():
 def _assert_join_exact(dialogues, references, cfg):
     """``_join`` finds exactly the rows with a match, among the first rows of
     the distinct non-empty shingle sets, as ``_drop_similar`` calls it."""
-    index = ShingleIndex(itertools.chain(dialogues, references or ()), cfg)
+    entries = [e for _, _, e in _rows(itertools.chain(dialogues, references or ()), cfg)]
+    ref_entries = entries[len(dialogues):]
 
     def distinct(ds):
         first: dict = {}
@@ -162,8 +166,8 @@ def _assert_join_exact(dialogues, references, cfg):
 
     rows = distinct(dialogues)
     refs = None if references is None else distinct(references)
-    found = _join({i: index.entry(dialogues[i]) for i in rows},
-                  None if refs is None else {i: index.entry(references[i]) for i in refs},
+    found = _join({i: entries[i] for i in rows},
+                  None if refs is None else {i: ref_entries[i] for i in refs},
                   cfg.jaccard_threshold)
     assert found == brute_force_matched(rows, refs, cfg.jaccard_threshold)
 
@@ -243,8 +247,7 @@ def test_eval_overlap_same_object_as_training_and_eval_row():
         dialogues = [other, shared, near]
         expected = brute_force_eval_overlap(dialogues, eval_sets, CFG)
         assert remove_eval_overlap(dialogues, eval_sets, CFG) == expected
-        index = ShingleIndex(itertools.chain(dialogues, *eval_sets), CFG)
-        assert remove_eval_overlap(dialogues, eval_sets, CFG, index=index) == expected
+        assert clean(dialogues, eval_sets, CFG) == oracle_clean(dialogues, eval_sets, CFG)
     kept, removed = remove_eval_overlap([shared], [[shared]], CFG)
     assert kept == [] and removed[0].matched_id == "shared" and removed[0].score == 1.0
 
@@ -283,13 +286,13 @@ def test_cluster_costs_verifications_per_row_not_per_pair(order, monkeypatch):
     # Joining every pair first must not verify every pair of a cluster:
     # 300 mutually similar rows have 44,850 pairs at J >= 0.8
     corpus = _cluster(300, order)
-    entry = ShingleIndex.entry
+    encode = dedup._encode
 
-    def counted_entry(self, d):
-        size, bits, *rest = entry(self, d)
+    def counted_encode(*args):
+        size, bits, *rest = encode(*args)
         return (size, _CountedBits(bits), *rest)
 
-    monkeypatch.setattr(ShingleIndex, "entry", counted_entry)
+    monkeypatch.setattr(dedup, "_encode", counted_encode)
     _CountedBits.taken = 0
     result = dedup_corpus(corpus, CFG)
     assert _CountedBits.taken <= 2 * len(corpus)
@@ -377,23 +380,26 @@ _TEXTS = st.lists(st.lists(_WORDS, max_size=8).map(" ".join), min_size=1, max_si
 
 
 @given(corpus=st.lists(_TEXTS, max_size=25), eval_corpus=st.lists(_TEXTS, max_size=6),
-       threshold=st.sampled_from([0.5, 0.7, 0.8, 0.9, 1.0]), shingle_k=st.sampled_from([1, 2]))
-def test_join_matches_brute_force_property(corpus, eval_corpus, threshold, shingle_k):
+       shared=st.lists(st.integers(0, 24), max_size=3),
+       threshold=st.sampled_from([0.5, 0.7, 0.8, 0.9, 1.0]), shingle_k=st.sampled_from([1, 2]),
+       min_turns=st.integers(1, 3), min_tokens=st.integers(1, 6))
+def test_join_matches_brute_force_property(corpus, eval_corpus, shared, threshold, shingle_k,
+                                           min_turns, min_tokens):
     # "..." tokenizes to nothing, so empty shingle sets (J = 1.0 between two) occur often
-    cfg = DedupConfig(jaccard_threshold=threshold, shingle_k=shingle_k, min_turns=1, min_tokens=1)
+    cfg = DedupConfig(jaccard_threshold=threshold, shingle_k=shingle_k, min_turns=min_turns,
+                      min_tokens=min_tokens)
     dialogues = [_dlg(f"d{i}", texts) for i, texts in enumerate(corpus)]
-    eval_sets = [[_dlg(f"e{i}", texts) for i, texts in enumerate(eval_corpus)]]
+    # The second eval set holds training dialogue objects themselves.
+    eval_sets = [[_dlg(f"e{i}", texts) for i, texts in enumerate(eval_corpus)],
+                 [dialogues[i] for i in shared if i < len(dialogues)]]
     assert dedup_corpus(dialogues, cfg) == brute_force_dedup(dialogues, cfg)
     assert (remove_eval_overlap(dialogues, eval_sets, cfg)
             == brute_force_eval_overlap(dialogues, eval_sets, cfg))
-    # one index, numbered over the corpus and the eval set, serves both passes
-    index = ShingleIndex([*dialogues, *eval_sets[0]], cfg)
-    kept, removed = dedup_corpus(dialogues, cfg, index=index)
-    assert (kept, removed) == brute_force_dedup(dialogues, cfg)
-    assert (remove_eval_overlap(kept, eval_sets, cfg, index=index)
-            == brute_force_eval_overlap(kept, eval_sets, cfg))
+    assert filter_min_size(dialogues, cfg) == oracle_filter_min_size(dialogues, cfg)
+    # clean: one list of rows, numbered over the corpus and both eval sets, serves all passes
+    assert clean(dialogues, eval_sets, cfg) == oracle_clean(dialogues, eval_sets, cfg)
     _assert_join_exact(dialogues, None, cfg)
-    _assert_join_exact(dialogues, eval_sets[0], cfg)
+    _assert_join_exact(dialogues, [*eval_sets[0], *eval_sets[1]], cfg)
 
 
 # "Σ" lowercases by its context and "_" and "'" split tokens; "..." and " "
@@ -409,7 +415,7 @@ def test_profile_matches_oracle(texts, shingle_k):
     profile = _profile(d, shingle_k)
     assert profile.shingles == oracle_shingles(d, shingle_k)
     assert profile.tokens == oracle_utterance_tokens(d)
-    assert ShingleIndex([d], DedupConfig(shingle_k=shingle_k)).tokens(d) == profile.tokens
+    assert _rows([d], DedupConfig(shingle_k=shingle_k))[0][1] == profile.tokens
 
 
 def _pair_at(inter: int, union: int, subset: bool) -> tuple[str, str]:

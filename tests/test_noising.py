@@ -21,10 +21,8 @@ from dialoprep.noising import (
     NoisingConfig,
     SerializedInput,
     TaskMix,
-    _apply_infill,
     _plan_infill,
     make_task_oriented_pair,
-    mix_tasks,
     mixed_pair,
     noise_dialogue,
     pair_line,
@@ -35,18 +33,13 @@ from dialoprep.noising import (
     save_pairs,
     select_gap_utterances,
     serialize_dialogue,
-    token_deletion,
-    token_masking,
-    utterance_infilling,
-    utterance_masking,
-    utterance_permutation,
 )
 from dialoprep.records import (RESERVED_MARKERS, Dialogue, ParallelExample, SummaryRecord, Turn,
                                validate_dialogue)
 from dialoprep.seeding import derive_rng
 
-from conftest import (assign_speaker_ids, deserialize_dialogue, load_pairs, make_dialogue,
-                      make_example, oracle_pair, oracle_plan)
+from conftest import (apply_infill, assign_speaker_ids, deserialize_dialogue, load_pairs,
+                      make_dialogue, make_example, mixed_pairs, oracle_pair, oracle_plan)
 
 CFG = NoisingConfig()
 MARKERS = (BOS, EOS, EOR, EOU, MASK, UTTR_MASK)
@@ -176,7 +169,7 @@ def test_round_half_up():
 
 def test_token_masking_counts_per_utterance():
     texts = [" ".join(f"w{i}{j}" for j in range(10)) for i in range(4)]
-    pair = token_masking(_dlg(texts), CFG, random.Random(0))
+    pair = noise_dialogue(_dlg(texts), "token_mask", CFG, random.Random(0))
     for (group, _) in parse_turn_groups(pair.source):
         _, utterance = group
         assert utterance.count(MASK) == 2  # round(0.2 * 10)
@@ -186,13 +179,13 @@ def test_token_masking_counts_per_utterance():
 
 def test_token_masking_rate_zero_identity():
     d = _dlg(["one two three", "four five"])
-    pair = token_masking(d, NoisingConfig(token_mask_rate=0.0), random.Random(0))
+    pair = noise_dialogue(d, "token_mask", NoisingConfig(token_mask_rate=0.0), random.Random(0))
     assert pair.source.tokens == pair.target_tokens
 
 
 def test_token_masking_two_token_utterance_unchanged():
     d = _dlg(["only two", "and here three"])
-    pair = token_masking(d, CFG, random.Random(0))
+    pair = noise_dialogue(d, "token_mask", CFG, random.Random(0))
     groups = parse_turn_groups(pair.source)
     (_, first_utterance), _ = groups[0]
     assert first_utterance == ["only", "two"]  # round(0.4) == 0 masks
@@ -202,7 +195,7 @@ def test_token_masking_roles_untouched():
     rng = random.Random(11)
     for i in range(20):
         d = make_dialogue(rng, f"d{i}")
-        pair = token_masking(d, CFG, random.Random(i))
+        pair = noise_dialogue(d, "token_mask", CFG, random.Random(i))
         for ((role, _), _), turn in zip(parse_turn_groups(pair.source), d.turns):
             assert role == d.roles[turn.role_index].split()
 
@@ -214,7 +207,7 @@ def test_token_masking_roles_untouched():
 def test_token_deletion_count():
     texts = ["a b c d e", "f g h i j", "k l m n o", "p q r s t"]  # N = 20
     d = _dlg(texts)
-    pair = token_deletion(d, CFG, random.Random(0))
+    pair = noise_dialogue(d, "token_delete", CFG, random.Random(0))
     source_count = len(utterance_tokens(pair.source))
     target = serialize_dialogue(d)
     assert source_count == len(utterance_tokens(target)) - 4  # round(0.2 * 20)
@@ -222,7 +215,8 @@ def test_token_deletion_count():
 
 def test_token_deletion_rate_zero_identity():
     d = _dlg(["one two", "three four"])
-    pair = token_deletion(d, NoisingConfig(token_delete_rate=0.0), random.Random(0))
+    pair = noise_dialogue(d, "token_delete", NoisingConfig(token_delete_rate=0.0),
+                          random.Random(0))
     assert pair.source.tokens == pair.target_tokens
 
 
@@ -230,7 +224,7 @@ def test_token_deletion_subsequence():
     rng = random.Random(12)
     for i in range(40):
         d = make_dialogue(rng, f"d{i}", max_tokens=8)
-        pair = token_deletion(d, CFG, random.Random(i))
+        pair = noise_dialogue(d, "token_delete", CFG, random.Random(i))
         survivors = utterance_tokens(pair.source)
         original = utterance_tokens(serialize_dialogue(d))
         assert is_subsequence(survivors, original)
@@ -239,7 +233,7 @@ def test_token_deletion_subsequence():
 def test_token_deletion_empty_utterance_keeps_markers():
     d = _dlg(["x", "y z w v u t s r q p"])  # rate high enough to kill "x"
     cfg = NoisingConfig(token_delete_rate=1.0)
-    pair = token_deletion(d, cfg, random.Random(0))
+    pair = noise_dialogue(d, "token_delete", cfg, random.Random(0))
     assert pair.source.tokens == ("<s>", "A", "<eor>", "<eou>",
                                   "B", "<eor>", "<eou>", "</s>")
 
@@ -281,7 +275,7 @@ def test_config_requires_finite_positive_lambda(lam):
 def test_infill_span_collapses_to_one_mask():
     texts = ["t0 a", "t1 b", "t2 c", "t3 d", "t4 e"]
     d = _dlg(texts)
-    pair = _apply_infill(d, spans=[(1, 2)], insertions=0, rng=random.Random(0))
+    pair = apply_infill(d, spans=[(1, 2)], insertions=0, rng=random.Random(0))
     assert pair.source.tokens == (
         "<s>", "A", "<eor>", "t0", "a", "<eou>",
         MASK,
@@ -295,7 +289,7 @@ def test_infill_span_collapses_to_one_mask():
 
 def test_infill_zero_length_span_adds_one_token():
     d = _dlg(["a b", "c d", "e f", "g h"])
-    pair = _apply_infill(d, spans=[], insertions=1, rng=random.Random(5))
+    pair = apply_infill(d, spans=[], insertions=1, rng=random.Random(5))
     assert len(pair.source.tokens) == len(pair.target_tokens) + 1
     assert pair.source.tokens.count(MASK) == 1
     # all original tokens still present, in order
@@ -306,7 +300,7 @@ def test_infill_zero_length_span_adds_one_token():
 def test_infill_budget_zero_identity():
     d = _dlg(["a b", "c d"])
     cfg = NoisingConfig(infill_utterance_budget_rate=0.0)
-    pair = utterance_infilling(d, cfg, random.Random(0))
+    pair = noise_dialogue(d, "uttr_infill", cfg, random.Random(0))
     assert pair.source.tokens == pair.target_tokens
 
 
@@ -334,7 +328,7 @@ def test_infill_end_to_end_structure():
     rng = random.Random(13)
     for i in range(40):
         d = make_dialogue(rng, f"d{i}", n_turns=rng.randint(4, 10))
-        pair = utterance_infilling(d, CFG, random.Random(i))
+        pair = noise_dialogue(d, "uttr_infill", CFG, random.Random(i))
         assert_ids_alternate(pair.source, allow_bare_mask=True)
         groups = parse_turn_groups(pair.source, allow_bare_mask=True)
         survivors = [g for g, _ in groups if g != ["<mask-group>"]]
@@ -352,14 +346,14 @@ def test_infill_end_to_end_structure():
 
 def test_permutation_single_turn_identity():
     d = _dlg(["solo words"], roles=("A",), indices=[0])
-    pair = utterance_permutation(d, CFG, random.Random(0))
+    pair = noise_dialogue(d, "uttr_permute", CFG, random.Random(0))
     assert pair.source.tokens == pair.target_tokens
 
 
 def test_permutation_keeps_role_sequence():
     d = _dlg(["u1 only", "u2 only", "u3 only"],
              roles=("A", "B"), indices=[0, 1, 0])
-    pair = utterance_permutation(d, CFG, random.Random(1))
+    pair = noise_dialogue(d, "uttr_permute", CFG, random.Random(1))
     roles = [group[0] for group, _ in parse_turn_groups(pair.source)]
     assert roles == [["A"], ["B"], ["A"]]
 
@@ -368,7 +362,7 @@ def test_permutation_preserves_utterance_multiset():
     rng = random.Random(14)
     for i in range(30):
         d = make_dialogue(rng, f"d{i}", n_turns=rng.randint(2, 8))
-        pair = utterance_permutation(d, CFG, random.Random(i))
+        pair = noise_dialogue(d, "uttr_permute", CFG, random.Random(i))
         shuffled = [tuple(g[1]) for g, _ in parse_turn_groups(pair.source)]
         original = [tuple(t.text.split()) for t in d.turns]
         assert sorted(shuffled) == sorted(original)
@@ -457,7 +451,7 @@ def test_gap_selection_bounds():
 def test_utterance_masking_five_turns_masks_one():
     texts = [f"text number {i} here" for i in range(5)]
     d = _dlg(texts, roles=("A", "B"), indices=[0, 1, 0, 1, 0])
-    pair = utterance_masking(d, CFG)
+    pair = noise_dialogue(d, "uttr_mask", CFG, None)
     masked = [g for g, _ in parse_turn_groups(pair.source) if g[1] == [UTTR_MASK]]
     assert len(masked) == 1  # max(1, round(0.2 * 5))
 
@@ -465,7 +459,7 @@ def test_utterance_masking_five_turns_masks_one():
 def test_utterance_masking_keeps_roles_and_markers():
     d = _dlg(["alice books", "bob books", "weather today"],
              roles=("A", "B"), indices=[0, 1, 0])
-    pair = utterance_masking(d, CFG)
+    pair = noise_dialogue(d, "uttr_mask", CFG, None)
     groups = parse_turn_groups(pair.source)
     # principal utterance (index 0) replaced; its role group intact
     assert groups[0][0] == (["A"], [UTTR_MASK])
@@ -478,7 +472,7 @@ def test_utterance_masking_follows_the_rate_on_a_reused_dialogue():
     rng = random.Random(32)
     d = make_dialogue(rng, "rate", n_turns=10)
     for rate in (0.2, 0.5, 0.2, 1.0):
-        pair = utterance_masking(d, NoisingConfig(uttr_mask_rate=rate))
+        pair = noise_dialogue(d, "uttr_mask", NoisingConfig(uttr_mask_rate=rate), None)
         masked = [i for i, (g, _) in enumerate(parse_turn_groups(pair.source))
                   if g[1] == [UTTR_MASK]]
         assert masked == select_gap_utterances(d, round_half_up(rate * 10))
@@ -486,7 +480,7 @@ def test_utterance_masking_follows_the_rate_on_a_reused_dialogue():
 
 def test_utterance_masking_single_turn_min_one():
     d = _dlg(["just one utterance"], roles=("A",), indices=[0])
-    pair = utterance_masking(d, CFG)
+    pair = noise_dialogue(d, "uttr_mask", CFG, None)
     assert pair.source.tokens == ("<s>", "A", "<eor>", UTTR_MASK, "<eou>", "</s>")
 
 
@@ -527,39 +521,42 @@ def test_task_oriented_source_never_corrupted():
 # Reconstruction invariant: target always deserializes to the original
 # ---------------------------------------------------------------------------
 
-def _masking(d, cfg, rng):  # utterance masking is greedy: it takes no generator
-    return utterance_masking(d, cfg)
+def _rng(task, i):  # utterance masking is greedy: it takes no generator
+    return None if task == "uttr_mask" else random.Random(i)
 
 
 def test_marker_discipline_all_task_sources():
     rng = random.Random(27)
-    tasks = [token_masking, token_deletion, utterance_infilling,
-             utterance_permutation, _masking]
     for i in range(20):
         d = make_dialogue(rng, f"md{i}", n_turns=rng.randint(2, 8))
-        for task_fn in tasks:
-            source = task_fn(d, CFG, random.Random(i)).source
+        for task in RECONSTRUCTION_TASKS:
+            source = noise_dialogue(d, task, CFG, _rng(task, i)).source
             assert source.tokens[0] == BOS and source.tokens.count(BOS) == 1
             assert source.tokens[-1] == EOS and source.tokens.count(EOS) == 1
             assert source.tokens.count(EOR) == source.tokens.count(EOU)
-            if task_fn is not utterance_infilling:
+            if task != "uttr_infill":
                 assert source.tokens.count(EOR) == len(d.turns)
 
 
 def test_all_tasks_target_is_original_serialization():
     rng = random.Random(20)
-    tasks = [token_masking, token_deletion, utterance_infilling,
-             utterance_permutation, _masking]
     for i in range(20):
         d = make_dialogue(rng, f"d{i}", n_turns=rng.randint(2, 8))
         clean = serialize_dialogue(d)
-        for task_fn in tasks:
-            pair = task_fn(d, CFG, random.Random(i))
+        for task in RECONSTRUCTION_TASKS:
+            pair = noise_dialogue(d, task, CFG, _rng(task, i))
             assert pair.target_tokens == clean.tokens
             restored = deserialize_dialogue(
                 SerializedInput(pair.target_tokens, clean.speaker_ids),
                 d.id, d.source_dataset)
             assert restored == d
+
+
+@pytest.mark.parametrize("task", ["task_oriented", "token_masking", ""])
+def test_noise_dialogue_refuses_a_task_that_is_not_reconstruction(task):
+    d = make_dialogue(random.Random(26), "r0")
+    with pytest.raises(ValueError, match=f"unknown reconstruction task {task!r}"):
+        noise_dialogue(d, task, CFG, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +567,7 @@ def test_mix_degenerate_weights():
     rng = random.Random(21)
     items = [make_dialogue(rng, f"d{i}") for i in range(5)]
     mix = TaskMix(weights={"token_mask": 1.0})
-    pairs = list(mix_tasks(items, mix, CFG, 50, seed=7))
+    pairs = list(mixed_pairs(items, mix, CFG, 50, seed=7))
     assert len(pairs) == 50
     assert all(p.task == "token_mask" for p in pairs)
 
@@ -582,8 +579,8 @@ def test_mix_same_seed_identical_streams(tmp_path):
                            ("token_mask", "token_delete", "uttr_infill",
                             "uttr_permute", "uttr_mask", "task_oriented")})
     first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_pairs(mix_tasks(items, mix, CFG, 200, seed=3442), first)
-    save_pairs(mix_tasks(items, mix, CFG, 200, seed=3442), second)
+    save_pairs(mixed_pairs(items, mix, CFG, 200, seed=3442), first)
+    save_pairs(mixed_pairs(items, mix, CFG, 200, seed=3442), second)
     assert first.read_bytes() == second.read_bytes()
     assert load_pairs(first) == load_pairs(second)
 
@@ -602,7 +599,7 @@ def test_mix_task_oriented_requires_parallel():
     items = [make_dialogue(rng, "d0")]
     mix = TaskMix(weights={"task_oriented": 1.0})
     with pytest.raises(ValueError):
-        list(mix_tasks(items, mix, CFG, 1, seed=0))
+        list(mixed_pairs(items, mix, CFG, 1, seed=0))
 
 
 def test_mix_weight_validation():
@@ -629,15 +626,15 @@ def test_mix_refuses_non_finite_weights(weights, message):
 def test_mix_draws_every_task_near_the_float_limit():
     mix = TaskMix(weights={"token_mask": 1e308, "token_delete": 7e307})
     items = [make_dialogue(random.Random(0), "big")]
-    assert {p.task for p in mix_tasks(items, mix, CFG, 60, seed=2)} == {"token_mask",
-                                                                        "token_delete"}
+    assert {p.task for p in mixed_pairs(items, mix, CFG, 60, seed=2)} == {"token_mask",
+                                                                          "token_delete"}
 
 
 def test_pairs_file_round_trip(tmp_path):
     rng = random.Random(25)
     items = [make_example(rng, f"e{i}") for i in range(3)]
     pairs = [make_task_oriented_pair(ex) for ex in items]
-    pairs.append(token_masking(items[0].dialogue, CFG, random.Random(0)))
+    pairs.append(noise_dialogue(items[0].dialogue, "token_mask", CFG, random.Random(0)))
     path = tmp_path / "pairs.jsonl"
     assert save_pairs(pairs, path) == 4
     assert load_pairs(path) == pairs
@@ -685,7 +682,7 @@ def test_mixed_pairs_share_no_state(corpus, weights, rates, lam, seed):
                         infill_lambda=lam, infill_utterance_budget_rate=rates[2],
                         uttr_mask_rate=rates[3])
     dialogues = {d.id: d for d in map(_dialogue_of, items)}
-    for ordinal, pair in enumerate(mix_tasks(items, mix, cfg, 12, seed=seed)):
+    for ordinal, pair in enumerate(mixed_pairs(items, mix, cfg, 12, seed=seed)):
         assert pair == mixed_pair(copy.deepcopy(items), mix, cfg, ordinal, seed=seed)
         if pair.task == "task_oriented":
             continue
@@ -710,7 +707,7 @@ def test_gap_selection_runs_once_per_dialogue(monkeypatch):
     rng = random.Random(31)
     items = [make_dialogue(rng, f"memo{i}", n_turns=rng.randint(1, 8)) for i in range(6)]
     mix = TaskMix(weights={"uttr_mask": 1.0})
-    pairs = list(mix_tasks(items, mix, CFG, 120, seed=5))
+    pairs = list(mixed_pairs(items, mix, CFG, 120, seed=5))
     assert {p.dialogue_id for p in pairs} == {d.id for d in items}
     assert calls == Counter({d.id: 1 for d in items})
     # Nothing outlives a stream: a second one selects each dialogue's gaps again.
@@ -814,6 +811,6 @@ def test_pair_lines_are_the_saved_pairs(tmp_path):
     items = [make_example(rng, f"l{i}", n_turns=rng.randint(1, 8)) for i in range(5)]
     mix = TaskMix(weights={task: 1.0 for task in noising.ALL_TASKS})
     path = tmp_path / "pairs.jsonl"
-    save_pairs(mix_tasks(items, mix, CFG, 200, seed=9), path)
+    save_pairs(mixed_pairs(items, mix, CFG, 200, seed=9), path)
     lines = [pair_line(items, mix, CFG, ordinal, seed=9) for ordinal in range(200)]
     assert "".join(lines) == path.read_text(encoding="utf-8")

@@ -44,6 +44,21 @@ def test_pool_rejects_duplicates_and_markers():
         NamePool(names=("Ann", "x <mask> y"))
 
 
+@pytest.mark.parametrize("name", ["Ann  Lee", "Bob\tKay", " Ann", "Ann ", "Ann\u00a0Lee"])
+def test_pool_rejects_names_that_are_not_canonical(name):
+    # A role name must be whitespace-canonical, or the next stage refuses the corpus.
+    with pytest.raises(ValueError, match="invalid pool name"):
+        NamePool(names=("Cy", name))
+
+
+@pytest.mark.parametrize("line", ["Ann  Lee", "Bob\tKay"])
+def test_pool_file_rejects_names_that_are_not_canonical(tmp_path, line):
+    path = tmp_path / "pool.txt"
+    path.write_text(f"Cy\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="invalid pool name"):
+        NamePool.from_file(path)
+
+
 def test_assign_run_to_run_stable():
     first = assign_role_group(_dlg(), POOL, seed=3442)
     second = assign_role_group(_dlg(), POOL, seed=3442)
@@ -181,6 +196,13 @@ def test_map_must_cover_only_mentioned_roles():
 def test_map_injective_required():
     with pytest.raises(AmbiguousMapError):
         RoleMap(pairs={"A": "Z", "B": "Z"})
+
+
+@pytest.mark.parametrize("pairs", [{"Agent": "Zed  Q"}, {"Agent": "Zed\tQ"},
+                                   {"Agent": " Zed"}, {"Agent ": "Zed"}])
+def test_map_rejects_names_that_are_not_canonical(pairs):
+    with pytest.raises(AmbiguousMapError, match="invalid role name"):
+        RoleMap(pairs=pairs)
 
 
 def test_map_rejects_word_boundary_collision_between_old_names():
