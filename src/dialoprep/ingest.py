@@ -57,22 +57,6 @@ def normalize_text(raw: str) -> str:
     return " ".join(text.split())
 
 
-def merge_same_speaker(d: Dialogue) -> Dialogue:
-    """Concatenate consecutive turns by the same speaker into one turn (dual-turn form).
-
-    Texts are joined with a single space; turn order is otherwise preserved.
-    Idempotent.
-    """
-    merged: list[Turn] = []
-    for turn in d.turns:
-        if merged and merged[-1].role_index == turn.role_index:
-            merged[-1] = Turn(turn.role_index, merged[-1].text + " " + turn.text)
-        else:
-            merged.append(turn)
-    return Dialogue(id=d.id, source_dataset=d.source_dataset,
-                    roles=d.roles, turns=tuple(merged))
-
-
 @validated
 class IngestSpec(NamedTuple):
     """Field mapping for one raw dataset export."""

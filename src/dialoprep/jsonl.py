@@ -123,7 +123,9 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # Writes of 64 KB, not of the file system's block size (often 4 KB):
+        # a pairs file runs to megabytes.
+        with open(tmp, "w", encoding="utf-8", buffering=1 << 16) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -11,7 +11,9 @@ Five reconstruction tasks corrupt the input while the target stays the clean
 serialization of the original dialogue; the task-oriented pairs map the clean
 dialogue to a summary. Corruption counts use round-half-up of rate * n.
 All sampling flows through generators derived from (seed, dialogue id,
-ordinal), so generation order never depends on scheduling.
+ordinal), so generation order never depends on scheduling, and every draw
+goes through ``seeding``'s samplers, so outputs rest only on ``seed()``,
+``getrandbits()`` and ``random()``.
 
 Each record is escaped once, into a compact form: its roles and its turns'
 groups (``role <eor> utterance <eou>``) as JSON-escaped token-array text,
@@ -20,8 +22,9 @@ parallel record, its summary's rendered target and origin. ``pair_lines``,
 which ``noise`` writes, turns each record into this form as the corpus
 streams in and keeps only the forms. Each task draws a plan: the groups of
 its source, most of them intact turns. A plan renders straight to the pair's
-JSON line from the stored pieces, escaping nothing again; token masking,
-deletion and permutation split, draw and move escaped tokens. This is exact:
+JSON line from the stored pieces, escaping nothing again; permutation moves
+escaped utterances, and token masking and deletion edit one list of the
+clean array's escaped tokens. This is exact:
 role and utterance texts are whitespace-canonical (records guarantee it on
 load), escaping goes character by character and keeps spaces, so a text's
 token array is its escaped string with each space closed and reopened as
@@ -52,7 +55,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
 from .records import Dialogue, ParallelExample, SummaryRecord, Turn, validated
-from .seeding import derive_rng
+from .seeding import below, derive_rng, sample_range, shuffle
 from .tokens import tokenize_for_metrics
 
 BOS = "<s>"
@@ -275,9 +278,10 @@ def _token_lists(bodies: Sequence[str]) -> list[list[str]]:
 #
 # A task's plan is its source: the list of its groups, escaped as in
 # ``_Compact``, and the list of their token counts, which ``_line`` renders.
-# An intact turn is its group as stored; a changed one is rebuilt from the
-# group's tokens, ``group.split(_SEP)``, where the utterance starts after the
-# role's tokens and ``<eor>``.
+# An intact turn is its group as stored. The token tasks return the whole
+# source as one group: ``form.body.split(_SEP)``, the escaped tokens, edited
+# and joined again (``_line`` joins groups with the same ``_SEP``); a turn's
+# utterance starts there after its role's tokens and ``<eor>``.
 
 def _plan_token_mask(form: _Compact, cfg: NoisingConfig,
                      rng: random.Random) -> tuple[list[str], Sequence[int]]:
@@ -285,18 +289,18 @@ def _plan_token_mask(form: _Compact, cfg: NoisingConfig,
 
     Roles and structural markers are never touched.
     """
-    groups = _groups(form)
+    tokens = form.body.split(_SEP)
     rate, role_sizes = cfg.token_mask_rate, form.role_sizes
-    for i, (role, size) in enumerate(zip(form.speakers, form.sizes)):
-        start = role_sizes[role] + 1
-        n = size - start - 1
+    start = 0  # the first token of the turn's group
+    for role, size in zip(form.speakers, form.sizes):
+        first = start + role_sizes[role] + 1
+        n = size - role_sizes[role] - 2
         k = round_half_up(rate * n)
-        if k:  # sample(range(n), 0) draws nothing
-            tokens = groups[i].split(_SEP)
-            for position in rng.sample(range(n), k):
-                tokens[start + position] = MASK
-            groups[i] = _SEP.join(tokens)
-    return groups, form.sizes
+        if k:
+            for position in sample_range(rng, n, k):
+                tokens[first + position] = MASK
+        start += size
+    return [_SEP.join(tokens)], form.sizes
 
 
 def _plan_token_delete(form: _Compact, cfg: NoisingConfig,
@@ -307,22 +311,21 @@ def _plan_token_delete(form: _Compact, cfg: NoisingConfig,
     emptiness keeps its role and markers.
     """
     # Utterance tokens are numbered across the dialogue: turn i holds the
-    # numbers up to stops[i], and its first is at starts[i] in its group.
-    role_sizes = form.role_sizes
-    starts = [role_sizes[role] + 1 for role in form.speakers]
-    stops = list(accumulate([size - start - 1 for start, size in zip(starts, form.sizes)]))
-    doomed = rng.sample(range(stops[-1]), round_half_up(cfg.token_delete_rate * stops[-1]))
-    groups, sizes = _groups(form), list(form.sizes)
-    tokens_of: dict[int, list[str]] = {}
-    for j in sorted(doomed, reverse=True):  # later tokens first, so positions hold
+    # numbers below stops[i], and number j of it is token j + shifts[i].
+    role_sizes, sizes = form.role_sizes, list(form.sizes)
+    stops, shifts = [], []
+    start = stop = 0
+    for role, size in zip(form.speakers, sizes):
+        shifts.append(start + role_sizes[role] + 1 - stop)
+        stop += size - role_sizes[role] - 2
+        stops.append(stop)
+        start += size
+    tokens = form.body.split(_SEP)
+    for j in sample_range(rng, stop, round_half_up(cfg.token_delete_rate * stop)):
         i = bisect_right(stops, j)
-        if i not in tokens_of:
-            tokens_of[i] = groups[i].split(_SEP)
-        del tokens_of[i][starts[i] + j - (stops[i - 1] if i else 0)]
+        tokens[j + shifts[i]] = ""  # no token is empty
         sizes[i] -= 1
-    for i, tokens in tokens_of.items():
-        groups[i] = _SEP.join(tokens)
-    return groups, sizes
+    return [_SEP.join(filter(None, tokens))], sizes
 
 
 def sample_poisson(lam: float, rng: random.Random) -> int:
@@ -377,7 +380,7 @@ def _plan_infill(n_turns: int, budget: int, lam: float,
         length = min(length, budget - consumed, max(r[1] for r in runs))
         starts = [s for run_start, run_len in runs
                   for s in range(run_start, run_start + run_len - length + 1)]
-        start = starts[rng.randrange(len(starts))]
+        start = starts[below(rng, len(starts))]
         spans.append((start, length))
         for i in range(start, start + length):
             covered[i] = True
@@ -405,7 +408,7 @@ def _infill_groups(form: _Compact, spans: Sequence[tuple[int, int]], insertions:
             sizes.append(form.sizes[i])
             i += 1
     for _ in range(insertions):
-        at = rng.randrange(len(groups) + 1)
+        at = below(rng, len(groups) + 1)
         groups.insert(at, MASK)
         sizes.insert(at, 1)
     return groups, sizes
@@ -431,7 +434,7 @@ def _plan_uttr_permute(form: _Compact, cfg: NoisingConfig,
     so utterances may sit next to the wrong role: each slot keeps its role and
     takes the utterance of the turn the shuffle moves there."""
     order = list(range(len(form.ends)))
-    rng.shuffle(order)  # its draws depend only on the length
+    shuffle(rng, order)  # its draws depend only on the length
     heads, role_sizes, speakers, sizes = form.heads, form.role_sizes, form.speakers, form.sizes
     turns = _groups(form)
     groups, moved = [], []
@@ -581,36 +584,46 @@ def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
 # Multi-task mixing
 # ---------------------------------------------------------------------------
 
-def _draw(items: Sequence[_Compact], mix: TaskMix, ordinal: int,
+class _Draws(NamedTuple):
+    """A mix as the select draw reads it: its tasks of positive weight, in
+    ``ALL_TASKS`` order, with their running sums of weight."""
+
+    tasks: tuple[str, ...]
+    cumulative: tuple[float, ...]
+    total: float
+
+
+def _draws(mix: TaskMix) -> _Draws:
+    active = [(task, mix.weights[task]) for task in ALL_TASKS
+              if mix.weights.get(task, 0.0) > 0.0]
+    return _Draws(tuple([task for task, _ in active]),
+                  tuple(accumulate([w for _, w in active], initial=0.0))[1:],
+                  sum(w for _, w in active))
+
+
+def _draw(items: Sequence[_Compact], draws: _Draws, ordinal: int,
           seed: int) -> tuple[str, int]:
     """The task and the corpus position of the pair at ``ordinal``, from a
     generator derived from (seed, "select", ordinal)."""
     if not items:
         raise ValueError("cannot mix over an empty corpus")
-    active = [(task, mix.weights[task]) for task in ALL_TASKS
-              if mix.weights.get(task, 0.0) > 0.0]
-    total = sum(w for _, w in active)
     selector = derive_rng(seed, "select", ordinal)
-    draw = selector.random() * total
-    cumulative = 0.0
-    task = active[-1][0]
-    for name, weight in active:
-        cumulative += weight
-        if draw < cumulative:
-            task = name
-            break
-    position = selector.randrange(len(items))
+    # The first task whose running sum exceeds the draw, else the last.
+    tasks = draws.tasks
+    task = tasks[min(bisect_right(draws.cumulative, selector.random() * draws.total),
+                     len(tasks) - 1)]
+    position = below(selector, len(items))
     if task == "task_oriented" and items[position].summary is None:
         raise ValueError("task_oriented requires parallel examples")
     return task, position
 
 
-def _pair_line(items: Sequence[_Compact], mix: TaskMix, cfg: NoisingConfig, ordinal: int,
+def _pair_line(items: Sequence[_Compact], draws: _Draws, cfg: NoisingConfig, ordinal: int,
                seed: int, gaps: dict[int, tuple[int, ...]]) -> str:
-    """:func:`pair_line` over ``items``, the records' compact forms, with
-    ``gaps`` holding the gap selections already made, by corpus position; it
-    adds the one it makes."""
-    task, position = _draw(items, mix, ordinal, seed)
+    """:func:`pair_line` over ``items``, the records' compact forms, and
+    ``draws``, the mix's; ``gaps`` holds the gap selections already made, by
+    corpus position, and it adds the one it makes."""
+    task, position = _draw(items, draws, ordinal, seed)
     form = items[position]
     if task == "task_oriented":
         return _line(task, form, [form.body], form.sizes)
@@ -633,7 +646,7 @@ def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
     "pair", dialogue id, ordinal). Both depend only on their inputs, so any
     scheduling of ordinals yields the same stream.
     """
-    return _pair_line(list(map(_compact, items)), mix, cfg, ordinal, seed, {})
+    return _pair_line(list(map(_compact, items)), _draws(mix), cfg, ordinal, seed, {})
 
 
 def pair_lines(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
@@ -653,9 +666,10 @@ def pair_lines(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
 def _stream(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
             cfg: NoisingConfig, count: int, seed: int) -> Iterator[str]:
     forms = list(map(_compact, records))
+    draws = _draws(mix)
     gaps: dict[int, tuple[int, ...]] = {}
     for ordinal in range(count):
-        yield _pair_line(forms, mix, cfg, ordinal, seed, gaps)
+        yield _pair_line(forms, draws, cfg, ordinal, seed, gaps)
 
 
 def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,

@@ -30,7 +30,7 @@ from .records import (
     is_canonical,
     validated,
 )
-from .seeding import derive_rng
+from .seeding import derive_rng, sample_range
 
 
 @validated
@@ -77,7 +77,7 @@ def assign_role_group(d: Dialogue, pool: NamePool, seed: int,
     if not force and set(d.roles) <= set(pool.names):
         return d
     rng = derive_rng(seed, "roles", d.id)
-    new_roles = tuple(rng.sample(pool.names, len(d.roles)))
+    new_roles = tuple([pool.names[j] for j in sample_range(rng, len(pool), len(d.roles))])
     return Dialogue(id=d.id, source_dataset=d.source_dataset,
                     roles=new_roles, turns=d.turns)
 

@@ -14,7 +14,6 @@ from hypothesis import settings
 
 from dialoprep import noising
 from dialoprep.dedup import RemovalRecord
-from dialoprep.ingest import merge_same_speaker
 from dialoprep.metrics import EvalScores, ExampleStats, RougeScore
 from dialoprep.noising import BOS, EOR, EOS, EOU, MASK, UTTR_MASK, NoisedPair, SerializedInput
 from dialoprep.records import (
@@ -490,6 +489,22 @@ def normalize_text_oracle(raw: str) -> str:
         ch for ch in text
         if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
     return " ".join(text.split())
+
+
+def merge_same_speaker(d: Dialogue) -> Dialogue:
+    """Concatenate consecutive turns by the same speaker into one turn (dual-turn form).
+
+    Texts are joined with a single space; turn order is otherwise preserved.
+    Idempotent.
+    """
+    merged: list[Turn] = []
+    for turn in d.turns:
+        if merged and merged[-1].role_index == turn.role_index:
+            merged[-1] = Turn(turn.role_index, merged[-1].text + " " + turn.text)
+        else:
+            merged.append(turn)
+    return Dialogue(id=d.id, source_dataset=d.source_dataset,
+                    roles=d.roles, turns=tuple(merged))
 
 
 # ---------------------------------------------------------------------------

@@ -133,18 +133,27 @@ def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
 
 # pairs.jsonl's SHA-256 over the golden parallel corpus with all six tasks
 # weighted equally. No golden holds task_oriented pairs, so this pins them.
-@pytest.mark.parametrize("seed, digest", [
-    (3442, "3eee90513f318f5a3af95e1ba25af73615bf2dce4fc59e8599f0cde33463089b"),
-    (7, "1ad5f4f2f7881176be50ad164a59d1aef13965650eabc3a47f55e8326b486d95"),
-], ids=["seed-3442", "seed-7"])
-def test_noise_all_tasks_digest(tmp_path, seed, digest):
+# At token rates of 0.05 every golden dialogue (42-86 utterance tokens) loses
+# 2-4 tokens to token_delete, which sample(range(n), k) draws on its set
+# branch: that digest pins the branch the default rate reaches in one dialogue.
+@pytest.mark.parametrize("seed, token_rate, digest", [
+    (3442, None, "3eee90513f318f5a3af95e1ba25af73615bf2dce4fc59e8599f0cde33463089b"),
+    (7, None, "1ad5f4f2f7881176be50ad164a59d1aef13965650eabc3a47f55e8326b486d95"),
+    (3442, 0.05, "d6e15da21f327de7da0325bd38676c665322cddc96c21c5a602ae0dc8fa21ebb"),
+], ids=["seed-3442", "seed-7", "seed-3442-token-rate-0.05"])
+def test_noise_all_tasks_digest(tmp_path, seed, token_rate, digest):
     from dialoprep.noising import ALL_TASKS
 
     mix = tmp_path / "mix.json"
     mix.write_text(json.dumps({"weights": {task: 1 for task in ALL_TASKS}}))
+    config = []
+    if token_rate is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"token_mask_rate": token_rate, "token_delete_rate": token_rate}))
+        config = ["--config", str(tmp_path / "cfg.json")]
     out = tmp_path / "pairs.jsonl"
     assert main(["noise", "--in", str(SAMPLE / "golden" / "annotated.plx"), "--out", str(out),
-                 "--count", "300", "--seed", str(seed), "--mix", str(mix)]) == 0
+                 "--count", "300", "--seed", str(seed), "--mix", str(mix), *config]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

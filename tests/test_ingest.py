@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialoprep.errors import MalformedRecordError, UnmappedFieldError
-from dialoprep.ingest import _CHAR_MAP, IngestSpec, ingest, merge_same_speaker, normalize_text
+from dialoprep.ingest import _CHAR_MAP, IngestSpec, ingest, normalize_text
 from dialoprep.records import Dialogue, Turn, validate_dialogue
 
-from conftest import normalize_text_oracle, oracle_ingest
+from conftest import merge_same_speaker, normalize_text_oracle, oracle_ingest
 
 
 def test_normalize_curly_and_dash():

@@ -806,6 +806,20 @@ def test_pair_line_is_the_encoded_pair(corpus, task, rates, lam, seed, ordinal):
     assert pair_line(items, mix, cfg, ordinal, seed=seed) == jsonl.line(pair_to_obj(pair))
 
 
+@pytest.mark.parametrize("task", ["token_mask", "token_delete"])
+def test_token_tasks_match_the_oracle_on_samples_set_branch(task):
+    # At rate 0.2, sample(range(n), k) tracks drawn ints in a set for n of
+    # 22-27, 86-107 and 278-427 (and past 1045): utterances of 22-27 tokens
+    # for token_mask, and 13-16 of them (286-432 tokens) for token_delete.
+    # The property above draws no utterance over 4 tokens.
+    rng = random.Random(12)
+    for trial in range(25):
+        d = make_dialogue(rng, f"long{trial}", n_turns=rng.randint(13, 16),
+                          min_tokens=22, max_tokens=27)
+        plan = oracle_plan(task, d, CFG, random.Random(trial))
+        assert noise_dialogue(d, task, CFG, random.Random(trial)) == oracle_pair(task, d, plan)
+
+
 def test_pair_lines_are_the_saved_pairs(tmp_path):
     rng = random.Random(33)
     items = [make_example(rng, f"l{i}", n_turns=rng.randint(1, 8)) for i in range(5)]
