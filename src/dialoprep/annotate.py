@@ -2,11 +2,15 @@
 
 Prompts come in three fixed variants; the instruct variant (``Tl;dr:`` after
 the dialogue) is the default because it scores best in zero-shot use. The
-batch client POSTs a chat-completion body, retries retryable statuses with
-exponential backoff, respects a request budget, bounds in-flight concurrency,
-and appends every success to the output file as it lands so an interrupted
-run resumes by skipping already-annotated ids. Failures are reported, never
-silently dropped.
+batch client POSTs a chat-completion body, respects a request budget, bounds
+in-flight concurrency, and appends every success to the output file as it
+lands so an interrupted run resumes by skipping already-annotated ids.
+Failures are reported, never silently dropped.
+
+The retry rule is fixed: statuses 429, 500, 502, 503 and 504 are retried, and
+so is -1 (a refused connection or a timeout). Retry number ``k`` waits
+``base_backoff * 2 ** (k - 1)`` seconds, for up to ``max_attempts`` tries in
+all; :class:`RetryPolicy` holds those two values.
 
 The API key is read from the ``LLM_API_KEY`` environment variable and is
 never written to config files, reports, or logs.
@@ -60,26 +64,24 @@ def build_prompt(d: Dialogue, template: PromptTemplate = PromptTemplate.INSTRUCT
     return f"{dialogue}\n{_SUBSEQUENT_PROMPT}"
 
 
+RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})  # and -1: no reply at all
+BACKOFF_MULTIPLIER = 2.0
+
+
 @validated
 class RetryPolicy(NamedTuple):
     max_attempts: int = 3
     base_backoff: float = 1.0
-    backoff_multiplier: float = 2.0
-    retryable_statuses: frozenset[int] = frozenset({429, 500, 502, 503, 504})
 
     def _check(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not (math.isfinite(self.base_backoff) and self.base_backoff >= 0):
             raise ValueError("base_backoff must be a finite number >= 0")
-        if not (math.isfinite(self.backoff_multiplier) and self.backoff_multiplier >= 1):
-            raise ValueError("backoff_multiplier must be a finite number >= 1")
-        if type(self.retryable_statuses) is not frozenset:
-            return self._replace(retryable_statuses=frozenset(self.retryable_statuses))
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (1-based)."""
-        return self.base_backoff * self.backoff_multiplier ** (attempt - 1)
+        return self.base_backoff * BACKOFF_MULTIPLIER ** (attempt - 1)
 
 
 @validated
@@ -248,7 +250,7 @@ def _annotate_one(d: Dialogue, job: AnnotationJob, endpoint: AnnotationEndpoint,
                 raise EndpointError(status, "empty_summary")
             return summary, attempt - 1
         last_status, last_body = status, body
-        retryable = status == -1 or status in policy.retryable_statuses
+        retryable = status == -1 or status in RETRYABLE_STATUSES
         if not retryable or attempt == policy.max_attempts:
             break
         sleep(policy.backoff(attempt))

@@ -84,15 +84,12 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_clean(args) -> int:
     from . import dedup
-    if args.config:
-        cfg = dedup.DedupConfig.from_file(args.config)
-    else:
-        cfg = dedup.DedupConfig(
-            jaccard_threshold=args.jaccard_threshold,
-            shingle_k=args.shingle_k,
-            min_turns=args.min_turns,
-            min_tokens=args.min_tokens,
-        )
+    cfg = dedup.DedupConfig(
+        jaccard_threshold=args.jaccard_threshold,
+        shingle_k=args.shingle_k,
+        min_turns=args.min_turns,
+        min_tokens=args.min_tokens,
+    )
     dialogues = records.load_corpus(args.input, "dialogues")
     eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set or []]
     kept, removals = dedup.clean(dialogues, eval_sets, cfg)
@@ -187,7 +184,7 @@ def _cmd_noise(args) -> int:
            else noising.NoisingConfig())
     mix = (noising.TaskMix.from_file(args.mix) if args.mix
            else noising.TaskMix.equal_reconstruction())
-    kind = args.kind or _sniff_kind(args.input)
+    kind = _sniff_kind(args.input)
     if kind == "dialogues" and mix.weights.get("task_oriented", 0.0) > 0.0:
         raise PipelineError("the mix gives task_oriented a positive weight, which "
                             "needs a parallel corpus, but the input is a dialogue corpus")
@@ -343,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--eval-set", action="append", help="evaluation corpus to exclude against")
-    p.add_argument("--config", help="DedupConfig JSON (overrides the flags below)")
     p.add_argument("--jaccard-threshold", type=float, default=0.8)
     p.add_argument("--shingle-k", type=int, default=1)
     p.add_argument("--min-turns", type=int, default=4)
@@ -395,8 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config", help="NoisingConfig JSON")
     p.add_argument("--mix", help="TaskMix JSON")
-    p.add_argument("--kind", choices=["dialogues", "parallel"],
-                   help="input corpus kind (default: sniffed)")
     p.add_argument("--jobs", type=int, default=1,
                    help="deprecated no-op: pairs are generated serially and written "
                         "as produced; kept so existing commands still parse")

@@ -59,12 +59,6 @@ class DedupConfig(NamedTuple):
         if self.min_turns < 1 or self.min_tokens < 1:
             raise ValueError("min_turns and min_tokens must be >= 1")
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DedupConfig":
-        """Fields from a JSON object; each value has its default's type."""
-        return cls(**jsonl.read_object(path, {name: type(default) for name, default
-                                              in cls._field_defaults.items()}))
-
 
 class RemovalRecord(NamedTuple):
     removed_id: str

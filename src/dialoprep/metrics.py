@@ -30,7 +30,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyCorpusError, EmptySummaryError, PipelineError
-from .records import Dialogue, ParallelExample, render_dialogue_text
+from .records import ParallelExample, render_dialogue_text
 from .tokens import TOKENIZER_LABEL, tokenize_for_metrics  # both public here too
 
 
@@ -283,21 +283,10 @@ class CorpusStats(NamedTuple):
     redundant_ngram_pct: tuple[float, float, float]
 
 
-def novel_ngram_pct(summary_tokens: Sequence[str], dialogue_tokens: Sequence[str], n: int,
-                    set_based: bool = False) -> float:
-    """Percentage of summary n-grams that never occur in the dialogue.
-
-    Instance-based by default (each summary occurrence counts); ``set_based``
-    counts each distinct summary n-gram once.
-    """
-    if not set_based:
-        return _novel_instance_pct(_longest_matches(dialogue_tokens, summary_tokens), n)
-    types = set(_ngrams(list(summary_tokens), n))
-    if not types:
-        return 0.0
-    dialogue_grams = set(_ngrams(list(dialogue_tokens), n))
-    novel = sum(1 for g in types if g not in dialogue_grams)
-    return 100.0 * novel / len(types)
+def novel_ngram_pct(summary_tokens: Sequence[str], dialogue_tokens: Sequence[str],
+                    n: int) -> float:
+    """Percentage of summary n-gram instances that never occur in the dialogue."""
+    return _novel_instance_pct(_longest_matches(dialogue_tokens, summary_tokens), n)
 
 
 def _novel_instance_pct(matches: Sequence[tuple[int, int]], n: int) -> float:
@@ -309,24 +298,15 @@ def _novel_instance_pct(matches: Sequence[tuple[int, int]], n: int) -> float:
     return 100.0 * novel / total
 
 
-def redundant_ngram_pct(summary_tokens: Sequence[str], n: int,
-                        type_based: bool = False) -> float:
-    """Percentage of repeated n-gram instances within a summary: 100 * (1 - unique/total).
-
-    ``type_based`` instead reports the share of n-gram types occurring more
-    than once.
-    """
+def redundant_ngram_pct(summary_tokens: Sequence[str], n: int) -> float:
+    """Percentage of repeated n-gram instances within a summary: 100 * (1 - unique/total)."""
     grams = _ngrams(list(summary_tokens), n)
     if not grams:
         return 0.0
-    if type_based:
-        counts = Counter(grams)
-        return 100.0 * sum(1 for c in counts.values() if c > 1) / len(counts)
     return 100.0 * (1.0 - len(set(grams)) / len(grams))
 
 
-def example_stats(ex: ParallelExample, summary_index: int = 0,
-                  set_based_novelty: bool = False) -> ExampleStats:
+def example_stats(ex: ParallelExample, summary_index: int = 0) -> ExampleStats:
     """Compression, coverage, density, novelty and redundancy for one example.
 
     The dialogue side is the rendered ``role: utterance`` text, tokenized with
@@ -343,29 +323,23 @@ def example_stats(ex: ParallelExample, summary_index: int = 0,
             f"summary {summary_index} of dialogue {ex.dialogue.id!r} has no tokens")
     matches = _longest_matches(dialogue_tokens, summary_tokens)
     frags = _tile(matches)
-    if set_based_novelty:
-        novel = tuple(novel_ngram_pct(summary_tokens, dialogue_tokens, n, set_based=True)
-                      for n in (1, 2, 3))
-    else:
-        # The n-gram at i occurs in the dialogue iff the longest match there is >= n.
-        novel = tuple(_novel_instance_pct(matches, n) for n in (1, 2, 3))
     return ExampleStats(
         dialogue_tokens=len(dialogue_tokens),
         summary_tokens=len(summary_tokens),
         compression=len(dialogue_tokens) / len(summary_tokens),
         coverage=frags.coverage(),
         density=frags.density(),
-        novel_ngram_pct=novel,
+        # The n-gram at i occurs in the dialogue iff the longest match there is >= n.
+        novel_ngram_pct=tuple(_novel_instance_pct(matches, n) for n in (1, 2, 3)),
         redundant_ngram_pct=tuple(redundant_ngram_pct(summary_tokens, n) for n in (1, 2, 3)),
     )
 
 
-def corpus_report(examples: Sequence[ParallelExample], summary_index: int = 0,
-                  set_based_novelty: bool = False) -> CorpusStats:
+def corpus_report(examples: Sequence[ParallelExample], summary_index: int = 0) -> CorpusStats:
     """Unweighted per-example means of every statistic over a corpus."""
     if not examples:
         raise EmptyCorpusError("cannot compute statistics over an empty corpus")
-    per_example = [example_stats(ex, summary_index, set_based_novelty) for ex in examples]
+    per_example = [example_stats(ex, summary_index) for ex in examples]
 
     def mean(values) -> float:
         return math.fsum(values) / len(per_example)
@@ -429,14 +403,12 @@ def multi_reference_rouge(candidate: str | Sequence[str],
     )
 
 
-def select_training_reference(dialogue: str | Dialogue,
+def select_training_reference(dialogue: str,
                               references: Sequence[str | Sequence[str]]) -> int:
     """Index of the reference with the highest ROUGE-Avg (mean of R-1/R-2/R-L F1)
     against the dialogue text; lowest index wins ties."""
     if not references:
         raise ValueError("at least one reference is required")
-    if isinstance(dialogue, Dialogue):
-        dialogue = render_dialogue_text(dialogue)
     text = _Text(dialogue)
     best_index = 0
     best_score = -1.0

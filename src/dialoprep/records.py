@@ -16,8 +16,8 @@ inputs can never be confused with control tokens downstream.
 
 A record is written as :func:`record_line` assembles it from
 ``jsonl.string`` of each text, the escaper the JSON encoder itself calls, so
-the line is the encoder's line for :func:`record_to_obj` without building
-the object. Loading checks a record in the pass that builds its turns and
+the line is ``jsonl.line`` of the record's JSON object without building the
+object. Loading checks a record in the pass that builds its turns and
 calls :func:`validate_dialogue` only for a record that fails a cheap check,
 so every message still comes from the validator.
 
@@ -149,29 +149,6 @@ def render_dialogue_text(d: Dialogue) -> str:
     return "\n".join(f"{d.roles[t.role_index]}: {t.text}" for t in d.turns)
 
 
-def _dialogue_to_obj(d: Dialogue) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "id": d.id,
-        "source_dataset": d.source_dataset,
-        "roles": list(d.roles),
-        "turns": [{"role_index": t.role_index, "text": t.text} for t in d.turns],
-    }
-
-
-def _example_to_obj(ex: ParallelExample) -> dict:
-    obj = _dialogue_to_obj(ex.dialogue)
-    obj["summaries"] = [{"text": s.text, "origin": s.origin} for s in ex.summaries]
-    return obj
-
-
-def record_to_obj(record: Dialogue | ParallelExample) -> dict:
-    """The JSON object form of one corpus record, as written by save_corpus."""
-    if isinstance(record, ParallelExample):
-        return _example_to_obj(record)
-    return _dialogue_to_obj(record)
-
-
 def _dialogue_fields(d: Dialogue) -> str:
     string = jsonl.string
     turns = ", ".join([f'{{"role_index": {t.role_index}, "text": {string(t.text)}}}'
@@ -182,7 +159,7 @@ def _dialogue_fields(d: Dialogue) -> str:
 
 
 def record_line(record: Dialogue | ParallelExample) -> str:
-    """The line save_corpus writes for one record: ``jsonl.line(record_to_obj(record))``,
+    """The line save_corpus writes for one record: ``jsonl.line`` of its JSON object,
     assembled from ``jsonl.string`` of each text without building the object."""
     if not isinstance(record, ParallelExample):
         return _dialogue_fields(record) + "}\n"

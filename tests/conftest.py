@@ -18,6 +18,7 @@ from dialoprep.metrics import EvalScores, ExampleStats, RougeScore
 from dialoprep.noising import BOS, EOR, EOS, EOU, MASK, UTTR_MASK, NoisedPair, SerializedInput
 from dialoprep.records import (
     RESERVED_MARKERS,
+    SCHEMA_VERSION,
     SUMMARY_ORIGINS,
     Dialogue,
     ParallelExample,
@@ -86,6 +87,34 @@ def validate_example(ex: ParallelExample) -> list[str]:
         if s.origin not in SUMMARY_ORIGINS:
             violations.append(f"summary {i}: unknown origin {s.origin!r}")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Record oracle: the JSON object of one corpus record, built field by field.
+# ``records.record_line`` must equal ``jsonl.line`` of it.
+# ---------------------------------------------------------------------------
+
+def _dialogue_to_obj(d: Dialogue) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "id": d.id,
+        "source_dataset": d.source_dataset,
+        "roles": list(d.roles),
+        "turns": [{"role_index": t.role_index, "text": t.text} for t in d.turns],
+    }
+
+
+def _example_to_obj(ex: ParallelExample) -> dict:
+    obj = _dialogue_to_obj(ex.dialogue)
+    obj["summaries"] = [{"text": s.text, "origin": s.origin} for s in ex.summaries]
+    return obj
+
+
+def record_to_obj(record: Dialogue | ParallelExample) -> dict:
+    """The JSON object form of one corpus record, as written by save_corpus."""
+    if isinstance(record, ParallelExample):
+        return _example_to_obj(record)
+    return _dialogue_to_obj(record)
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +662,11 @@ def oracle_extractive_fragments(a, s) -> list[tuple[int, int, int]]:
     return fragments
 
 
-def oracle_novel_ngram_pct(summary, dialogue, n: int, set_based: bool) -> float:
+def oracle_novel_ngram_pct(summary, dialogue, n: int) -> float:
     grams = _oracle_grams(summary, n)
     if not grams:
         return 0.0
     dialogue_grams = set(_oracle_grams(dialogue, n))
-    if set_based:
-        types = set(grams)
-        return 100.0 * sum(1 for g in types if g not in dialogue_grams) / len(types)
     return 100.0 * sum(1 for g in grams if g not in dialogue_grams) / len(grams)
 
 
@@ -649,7 +675,7 @@ def _oracle_redundant_pct(summary, n: int) -> float:
     return 100.0 * (1.0 - len(set(grams)) / len(grams)) if grams else 0.0
 
 
-def oracle_example_stats(ex: ParallelExample, set_based_novelty: bool = False) -> ExampleStats:
+def oracle_example_stats(ex: ParallelExample) -> ExampleStats:
     dialogue = oracle_tokenize(render_dialogue_text(ex.dialogue))
     summary = oracle_tokenize(ex.summaries[0].text)
     lengths = [length for _, _, length in oracle_extractive_fragments(dialogue, summary)]
@@ -659,7 +685,6 @@ def oracle_example_stats(ex: ParallelExample, set_based_novelty: bool = False) -
         compression=len(dialogue) / len(summary),
         coverage=sum(lengths) / len(summary),
         density=sum(length ** 2 for length in lengths) / len(summary),
-        novel_ngram_pct=tuple(oracle_novel_ngram_pct(summary, dialogue, n, set_based_novelty)
-                              for n in (1, 2, 3)),
+        novel_ngram_pct=tuple(oracle_novel_ngram_pct(summary, dialogue, n) for n in (1, 2, 3)),
         redundant_ngram_pct=tuple(_oracle_redundant_pct(summary, n) for n in (1, 2, 3)),
     )

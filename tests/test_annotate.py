@@ -27,11 +27,10 @@ from dialoprep.records import (
     SummaryRecord,
     Turn,
     load_corpus,
-    record_to_obj,
     render_dialogue_text,
 )
 
-from conftest import make_dialogue
+from conftest import make_dialogue, record_to_obj
 
 
 def _dlg():
@@ -160,16 +159,16 @@ def test_retries_exhausted_reported(tmp_path):
 
 
 def test_backoff_schedule():
-    policy = RetryPolicy(max_attempts=4, base_backoff=0.5, backoff_multiplier=3.0)
+    policy = RetryPolicy(max_attempts=4, base_backoff=0.5)
     assert policy.backoff(1) == 0.5
-    assert policy.backoff(2) == 1.5
-    assert policy.backoff(3) == 4.5
+    assert policy.backoff(2) == 1.0
+    assert policy.backoff(3) == 2.0
 
 
 def test_backoff_sleep_injected(tmp_path):
     delays = []
     endpoint = ScriptedEndpoint([(429, "x"), (429, "x"), _ok()])
-    policy = RetryPolicy(max_attempts=3, base_backoff=0.25, backoff_multiplier=2.0)
+    policy = RetryPolicy(max_attempts=3, base_backoff=0.25)
     annotate_batch([_dlg()], JOB, endpoint, tmp_path / "o.plx", policy,
                    sleep=delays.append)
     assert delays == [0.25, 0.5]
@@ -343,8 +342,6 @@ def test_job_rejects_bad_temperature(value):
 
 @pytest.mark.parametrize("field, value", [
     ("base_backoff", -1.0), ("base_backoff", float("nan")), ("base_backoff", float("inf")),
-    ("backoff_multiplier", 0.5), ("backoff_multiplier", float("nan")),
-    ("backoff_multiplier", float("inf")),
 ])
 def test_retry_policy_rejects_bad_backoff(field, value):
     with pytest.raises(ValueError, match=field):

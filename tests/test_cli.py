@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from dialoprep import jsonl
-from dialoprep.cli import main
+from dialoprep.cli import _build_parser, main
 from dialoprep.dedup import DedupConfig
 from dialoprep.metrics import tokenize_for_metrics, truncate_summary
 from dialoprep.records import load_corpus, render_dialogue_text, save_corpus
@@ -27,6 +29,7 @@ from conftest import (
     oracle_multi_reference_rouge,
     oracle_score_pair,
     oracle_select_training_reference,
+    record_to_obj,
 )
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
@@ -53,6 +56,21 @@ def test_eval_modes_are_exclusive_exits_2(tmp_path, capsys):
                  "--select-train-ref", "--multi-ref"]) == 2
     assert "not allowed with" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["texts.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/c.json"],
+    ["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+     "--kind", "parallel"],
+], ids=["clean-config", "noise-kind"])
+def test_removed_flags_exit_2(tmp_path, capsys, argv):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"min_turns": 40}))
+    paths = {"named": SAMPLE / "golden" / "named.dlg", "out": tmp_path / "out",
+             "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_data_error_exits_1(tmp_path, capsys):
@@ -119,6 +137,14 @@ def test_noise_kind_sniffing_parallel(tmp_path):
                  "--count", "10", "--seed", "1", "--mix", str(mix)]) == 0
     tasks = {json.loads(line)["task"] for line in out.read_text().splitlines()}
     assert tasks == {"task_oriented"}
+
+
+def test_noise_sniffs_a_parallel_corpus_under_the_default_mix(tmp_path):
+    out = tmp_path / "pairs.jsonl"
+    assert main(["noise", "--in", str(SAMPLE / "golden" / "annotated.plx"), "--out", str(out),
+                 "--count", "20", "--seed", "3442"]) == 0
+    manifest = json.loads((tmp_path / "pairs.jsonl.manifest.json").read_text())
+    assert manifest["params"]["kind"] == "parallel"
 
 
 def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
@@ -212,8 +238,6 @@ def _edited(line: str, edit) -> str:
 _INPUT_FILES = {
     "empty.dlg": "",
     "mix.json": json.dumps({"weights": {"token_mask": 1, "uttr_mask": -1}}),
-    "dedup.json": json.dumps({"jaccard_threshold": 0.8, "shingle": 2}),
-    "dedup.txt": "jaccard_threshold = 0.8\n",
     "empty_mix.json": "{}",
     "string_mix.json": json.dumps({"weights": {"token_mask": "1"}}),
     "array.json": "[1]",
@@ -281,10 +305,6 @@ _INPUT_FILES = {
       "--max-in-flight", "0"], "max_in_flight"),
     (["clean", "--in", "{named}", "--out", "{out}", "--jaccard-threshold", "2"],
      "jaccard_threshold"),
-    (["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/dedup.json"],
-     "dedup.json: unknown field 'shingle'"),
-    (["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/dedup.txt"],
-     "dedup.txt: invalid JSON"),
     (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
       "--mix", "{tmp}/empty_mix.json"], "empty_mix.json: missing field 'weights'"),
     (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
@@ -426,8 +446,7 @@ _INPUT_FILES = {
     (["augment", "--in", "{annotated}", "--map", "{tmp}/spaced_map.json", "--out", "{out}"],
      "invalid role name 'Zed  Q'"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
-        "clean-threshold-2", "clean-config-unknown-key", "clean-config-not-json",
-        "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
+        "clean-threshold-2", "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
         "augment-map-array", "ingest-spec-array", "eval-candidate-without-text",
         "eval-reference-without-text", "eval-select-ref-bad-dialogue",
         "roles-repeated-id", "annotate-repeated-id", "eval-repeated-candidate-id",
@@ -639,8 +658,6 @@ def test_eval_select_train_ref_accepts_dialogue_records(tmp_path):
     d = make_dialogue(rng, "d0", n_turns=4)
     cands = tmp_path / "c.jsonl"
     refs = tmp_path / "r.jsonl"
-    from dialoprep.records import record_to_obj, render_dialogue_text
-
     _write_jsonl(cands, [record_to_obj(d)])
     _write_jsonl(refs, [{"id": d.id, "texts": [render_dialogue_text(d), "qqq"]}])
     out = tmp_path / "report.json"
@@ -736,3 +753,26 @@ def test_eval_line_without_id_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: record missing 'id' field\n"
     assert not out.exists()
 
+
+
+def _readme_usage_options() -> dict[str, set[str]]:
+    """The ``--options`` of each subcommand in README's first bash block under
+    "## Pipeline", continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("\n## Pipeline\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    options: dict[str, set[str]] = {}
+    for command in block.replace("\\\n", " ").splitlines():
+        words = command.split()
+        if words[:1] == ["dialoprep"]:
+            options[words[1]] = set(re.findall(r"--[a-z][a-z-]*", command))
+    return options
+
+
+def test_readme_usage_names_every_option():
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    expected = {name: {opt for action in p._actions for opt in action.option_strings
+                       if opt.startswith("--")} - {"--help"}
+                for name, p in sub.choices.items()}
+    assert _readme_usage_options() == expected

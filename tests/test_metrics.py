@@ -363,24 +363,16 @@ def test_redundant_bigrams():
     assert redundant_ngram_pct(["a", "b", "a", "b"], 2) == pytest.approx(100 * (1 - 2 / 3))
 
 
-def test_redundant_type_based():
-    # instances: [a b] x2, [b a] x1 -> one of two types repeats
-    tokens = ["a", "b", "a", "b"]
-    assert redundant_ngram_pct(tokens, 2, type_based=True) == pytest.approx(50.0)
-    assert redundant_ngram_pct(["x", "y", "z"], 2, type_based=True) == 0.0
-
-
 def test_novel_bigrams():
     # summary bigrams {a b, b x}; dialogue contains only "a b"
     assert novel_ngram_pct(["a", "b", "x"], ["a", "b", "c"], 2) == pytest.approx(50.0)
 
 
-def test_novel_set_based():
-    # instances: [a b] x2 + [b a]; types: {a b, b a}
+def test_novel_counts_instances():
+    # instances: [a b] x2 + [b a]; each occurrence counts
     summary = ["a", "b", "a", "b"]
     dialogue = ["a", "b"]
     assert novel_ngram_pct(summary, dialogue, 2) == pytest.approx(100 / 3)
-    assert novel_ngram_pct(summary, dialogue, 2, set_based=True) == pytest.approx(50.0)
 
 
 def test_empty_summary_raises():
@@ -394,17 +386,16 @@ def test_empty_summary_raises():
 @settings(max_examples=300, deadline=None)
 @given(turns=st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=12).map(" ".join),
                       min_size=1, max_size=5),
-       summary=st.lists(st.sampled_from("abcde"), min_size=1, max_size=15).map(" ".join),
-       set_based=st.booleans())
-def test_example_stats_match_oracle(turns, summary, set_based):
+       summary=st.lists(st.sampled_from("abcde"), min_size=1, max_size=15).map(" ".join))
+def test_example_stats_match_oracle(turns, summary):
     ex = _example(turns, summary)
-    assert example_stats(ex, set_based_novelty=set_based) == oracle_example_stats(ex, set_based)
+    assert example_stats(ex) == oracle_example_stats(ex)
     a = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
     s = tokenize_for_metrics(summary)
     assert [(f.summary_start, f.dialogue_start, f.length)
             for f in extractive_fragments(a, s).fragments] == oracle_extractive_fragments(a, s)
     for n in (1, 2, 3, 4):
-        assert novel_ngram_pct(s, a, n, set_based) == oracle_novel_ngram_pct(s, a, n, set_based)
+        assert novel_ngram_pct(s, a, n) == oracle_novel_ngram_pct(s, a, n)
 
 
 def test_corpus_report_single_equals_example():
@@ -486,11 +477,11 @@ def test_select_training_reference_worse_appended():
     assert select_training_reference("alice went home today", refs + ["zzz"]) == base
 
 
-def test_select_training_reference_accepts_dialogue():
+def test_select_training_reference_on_rendered_dialogue():
     d = Dialogue(id="d", source_dataset="u", roles=("A", "B"),
                  turns=(Turn(0, "alice went home"), Turn(1, "indeed she did")))
     refs = ["b indeed she did a alice went home", "unrelated words"]
-    assert select_training_reference(d, refs) == 0
+    assert select_training_reference(render_dialogue_text(d), refs) == 0
 
 
 def test_truncate_summary():

@@ -19,13 +19,18 @@ from dialoprep.records import (
     iter_corpus,
     load_corpus,
     record_line,
-    record_to_obj,
     render_dialogue_text,
     save_corpus,
     validate_dialogue,
 )
 
-from conftest import make_dialogue, make_example, oracle_validate_dialogue, validate_example
+from conftest import (
+    make_dialogue,
+    make_example,
+    oracle_validate_dialogue,
+    record_to_obj,
+    validate_example,
+)
 
 
 def two_turn():
