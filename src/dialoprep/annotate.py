@@ -33,7 +33,6 @@ from . import jsonl
 from .errors import BudgetExhaustedError, EndpointError
 from .records import (
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     load_corpus,
     record_line,
@@ -273,7 +272,7 @@ def existing_annotated_ids(out_path: str | Path) -> set[str]:
     """Dialogue ids already present in an annotation output file."""
     if not Path(out_path).exists():
         return set()
-    return {ex.dialogue.id for ex in load_corpus(out_path, "parallel")}
+    return {ex.id for ex in load_corpus(out_path, "parallel")}
 
 
 def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
@@ -339,10 +338,8 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
                 submit_next()
             if retry_count:
                 report.retries[d.id] = retry_count
-            example = ParallelExample(
-                dialogue=d,
-                summaries=(SummaryRecord(text=summary, origin="annotated"),))
-            out.write(record_line(example))
+            out.write(record_line(d._replace(
+                summaries=(SummaryRecord(text=summary, origin="annotated"),))))
             out.flush()
             report.completed.append(d.id)
     return report
@@ -350,6 +347,7 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
 
 def save_failure_report(report: AnnotationReport, path: str | Path) -> None:
     """Write the failure side of a run as line-delimited records."""
-    jsonl.write(path, [*({"kind": "failure", **failure} for failure in report.failures),
-                       *({"kind": "budget_exhausted", "dialogue_id": dialogue_id}
-                         for dialogue_id in report.not_attempted)])
+    jsonl.write_lines(path, map(jsonl.line, [
+        *({"kind": "failure", **failure} for failure in report.failures),
+        *({"kind": "budget_exhausted", "dialogue_id": dialogue_id}
+          for dialogue_id in report.not_attempted)]))

@@ -54,6 +54,15 @@ def _write_manifest(command: str, out_path: str, inputs: list[str],
     jsonl.write_json(f"{out_path}.manifest.json", manifest)
 
 
+def _distinct_outputs(args) -> None:
+    """Refuse a run two of whose outputs are one file, before it reads anything."""
+    seen: dict[Path, str] = {}
+    for flag in ("--out", "--report", "--failures", "the manifest"):
+        path = getattr(args, flag[2:], None) if flag[0] == "-" else f"{args.out}.manifest.json"
+        if path and seen.setdefault(Path(path).resolve(), flag) != flag:
+            raise PipelineError(f"{seen[Path(path).resolve()]} and {flag} both name {path}")
+
+
 def _sniff_kind(path: str) -> str:
     """Dialogue or parallel corpus? Decided by the first record's fields."""
     for _, obj in jsonl.read(path):
@@ -372,8 +381,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True, help="parallel corpus output (appended; resumable)")
     p.add_argument("--model", default="gpt-3.5-turbo-0301")
-    p.add_argument("--endpoint", help="base URL of a chat-completion-compatible service")
-    p.add_argument("--mock", help="offline endpoint: 'fixed:<text>', 'head:<k>' or 'digest:<k>'")
+    endpoint = p.add_mutually_exclusive_group()
+    endpoint.add_argument("--endpoint", help="base URL of a chat-completion-compatible service")
+    endpoint.add_argument("--mock",
+                          help="offline endpoint: 'fixed:<text>', 'head:<k>' or 'digest:<k>'")
     p.add_argument("--template", choices=["preceding", "instruct", "subsequent"],
                    default="instruct")
     p.add_argument("--temperature", type=float, default=0.0)
@@ -425,6 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _distinct_outputs(args)
         return args.fn(args)
     except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,7 +76,7 @@ class RemovalRecord(NamedTuple):
 
 
 def save_removal_report(records: Iterable[RemovalRecord], path: str | Path) -> int:
-    return jsonl.write(path, (r.to_dict() for r in records))
+    return jsonl.write_lines(path, (jsonl.line(r.to_dict()) for r in records))
 
 
 def _shingles(tokens: Sequence[str], k: int) -> frozenset:

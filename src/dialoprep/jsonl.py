@@ -1,8 +1,9 @@
 """The one parser and the one formatter of JSON: record files, config files, HTTP bodies.
 
 Each stage hands its work to the next as a UTF-8 file of one JSON object per
-line. Whole files are written to a temporary file beside the target that
-replaces it only after the last byte, so a failure leaves any earlier file.
+line, which :func:`write_lines` writes. Whole files are written to a
+temporary file beside the target that replaces it only after the last byte,
+so a failure leaves any earlier file.
 A config file holds one JSON object; the annotation endpoint exchanges JSON
 bodies. A record line is decoded where it starts, and only a line that is
 not one whole value (leading whitespace, extra data, a byte-order mark,
@@ -141,11 +142,6 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
         for count, text in enumerate(lines, start=1):
             fh.write(text)
     return count
-
-
-def write(path: str | Path, objs: Iterable[dict]) -> int:
-    """Replace ``path`` with one line per object, written as drawn from ``objs``; the count."""
-    return write_lines(path, map(line, objs))
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -30,7 +30,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyCorpusError, EmptySummaryError, PipelineError
-from .records import ParallelExample, render_dialogue_text
+from .records import Dialogue, render_dialogue_text
 from .tokens import TOKENIZER_LABEL, tokenize_for_metrics  # both public here too
 
 
@@ -306,7 +306,7 @@ def redundant_ngram_pct(summary_tokens: Sequence[str], n: int) -> float:
     return 100.0 * (1.0 - len(set(grams)) / len(grams))
 
 
-def example_stats(ex: ParallelExample, summary_index: int = 0) -> ExampleStats:
+def example_stats(ex: Dialogue, summary_index: int = 0) -> ExampleStats:
     """Compression, coverage, density, novelty and redundancy for one example.
 
     The dialogue side is the rendered ``role: utterance`` text, tokenized with
@@ -314,13 +314,13 @@ def example_stats(ex: ParallelExample, summary_index: int = 0) -> ExampleStats:
     summaries; a negative index is refused, not counted from the end.
     """
     if not 0 <= summary_index < len(ex.summaries):
-        raise PipelineError(f"dialogue {ex.dialogue.id!r} has no summary {summary_index} "
+        raise PipelineError(f"dialogue {ex.id!r} has no summary {summary_index} "
                             f"(it has {len(ex.summaries)})")
-    dialogue_tokens = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
+    dialogue_tokens = tokenize_for_metrics(render_dialogue_text(ex))
     summary_tokens = tokenize_for_metrics(ex.summaries[summary_index].text)
     if not summary_tokens:
         raise EmptySummaryError(
-            f"summary {summary_index} of dialogue {ex.dialogue.id!r} has no tokens")
+            f"summary {summary_index} of dialogue {ex.id!r} has no tokens")
     matches = _longest_matches(dialogue_tokens, summary_tokens)
     frags = _tile(matches)
     return ExampleStats(
@@ -335,7 +335,7 @@ def example_stats(ex: ParallelExample, summary_index: int = 0) -> ExampleStats:
     )
 
 
-def corpus_report(examples: Sequence[ParallelExample], summary_index: int = 0) -> CorpusStats:
+def corpus_report(examples: Sequence[Dialogue], summary_index: int = 0) -> CorpusStats:
     """Unweighted per-example means of every statistic over a corpus."""
     if not examples:
         raise EmptyCorpusError("cannot compute statistics over an empty corpus")

@@ -28,16 +28,18 @@ clean array's escaped tokens. This is exact:
 role and utterance texts are whitespace-canonical (records guarantee it on
 load), escaping goes character by character and keeps spaces, so a text's
 token array is its escaped string with each space closed and reopened as
-``", "``, and ``", "`` occurs in it only between tokens. ``pair_line``
-returns the same lines one at a time. The token-tuple API returns them
-decoded: ``mixed_pair`` a pair of the stream, ``noise_dialogue`` one
-reconstruction task's pair, ``make_task_oriented_pair`` a summary pair and
-``serialize_dialogue`` the clean source.
+``", "``, and ``", "`` occurs in it only between tokens. The token-tuple
+API returns the lines decoded: ``mixed_pair`` a pair of the stream,
+``noise_dialogue`` one reconstruction task's pair,
+``make_task_oriented_pair`` a summary pair and ``serialize_dialogue`` the
+clean source.
 
 Utterance masking's greedy gap selection runs once per dialogue of a
-stream, on the dialogue decoded back from its form: ``pair_lines`` keeps it,
-a few turn indices, by corpus position until the stream ends. Nothing else
-outlives a pair, so memory beyond the forms stays flat at any pair count.
+stream, on the utterance texts that ``_utterances`` decodes from the form's
+groups, each group without its role's tokens, ``<eor>`` and ``<eou>``.
+``pair_lines`` keeps the selection, a few turn indices, by corpus position
+until the stream ends. Nothing else outlives a pair, so memory beyond the
+forms stays flat at any pair count.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
-from .records import Dialogue, ParallelExample, SummaryRecord, Turn, validated
+from .records import Dialogue, SummaryRecord, validated
 from .seeding import below, derive_rng, sample_range, shuffle
 from .tokens import tokenize_for_metrics
 
@@ -199,13 +201,12 @@ class _Compact(NamedTuple):
     origin: str | None = None    # and that summary's origin
 
 
-def _compact(item: Dialogue | ParallelExample) -> _Compact:
+def _compact(item: Dialogue) -> _Compact:
     summary = origin = None
-    if isinstance(item, ParallelExample):
+    if item.summaries:
         chosen = _summary(item)
         summary = ", ".join(map(jsonl.string, chosen.text.split()))
         origin = chosen.origin
-        item = item.dialogue
     heads = tuple([_escaped(role) + _EOR_SEP for role in item.roles])
     role_sizes = tuple([role.count(" ") + 1 for role in item.roles])
     groups = [heads[t.role_index] + _escaped(t.text) + _EOU_SEP for t in item.turns]
@@ -259,17 +260,12 @@ def serialize_dialogue(d: Dialogue) -> SerializedInput:
     return _pair_of_line(_line("", form, [form.body], form.sizes)).source
 
 
-def _decoded(form: _Compact) -> Dialogue:
-    """The dialogue whose texts ``form`` holds (its source dataset is not kept)."""
-    roles = _token_lists([head[:-len(_EOR_SEP)] for head in form.heads])
-    return Dialogue(form.id, "", tuple(map(" ".join, roles)),
-                    tuple([Turn(r, " ".join(tokens[form.role_sizes[r] + 1:-1]))
-                           for r, tokens in zip(form.speakers, _token_lists(_groups(form)))]))
-
-
-def _token_lists(bodies: Sequence[str]) -> list[list[str]]:
-    """The token arrays whose escaped bodies are ``bodies``, decoded."""
-    return jsonl.decode('[["' + '"], ["'.join(bodies) + '"]]')
+def _utterances(form: _Compact) -> list[str]:
+    """The utterance texts of ``form``'s turns: its groups decoded, each
+    without its role's tokens, ``<eor>`` and ``<eou>``."""
+    groups = jsonl.decode('[["' + '"], ["'.join(_groups(form)) + '"]]')
+    return [" ".join(tokens[form.role_sizes[r] + 1:-1])
+            for r, tokens in zip(form.speakers, groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +444,8 @@ def _plan_uttr_permute(form: _Compact, cfg: NoisingConfig,
     return groups, moved
 
 
-def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
-    """Greedy principal-utterance selection.
+def select_gap_utterances(utterances: Sequence[str], k: int) -> list[int]:
+    """Greedy principal-utterance selection over a dialogue's utterance texts.
 
     Repeat k times: add the turn index maximizing ROUGE-1 F1 (unigram types
     counted once) between the selected utterances and the remaining ones.
@@ -460,10 +456,10 @@ def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
     unique_ngrams=True).f1`` bit for bit: both sides empty score 1.0, one
     side empty scores 0.0.
     """
-    n = len(d.turns)
+    n = len(utterances)
     if not 1 <= k <= n:
         raise ValueError("k must be in [1, turns]")
-    type_sets = [set(tokenize_for_metrics(t.text)) for t in d.turns]
+    type_sets = [set(tokenize_for_metrics(text)) for text in utterances]
     # Per type, the number of unselected turns that contain it.
     remaining = Counter(t for types in type_sets for t in types)
     remaining_size = len(remaining)  # types in at least one unselected turn
@@ -520,19 +516,13 @@ def select_gap_utterances(d: Dialogue, k: int) -> list[int]:
 def _gap_selection(form: _Compact, cfg: NoisingConfig) -> tuple[int, ...]:
     """The turns ``uttr_mask`` masks in ``form``'s dialogue."""
     k = max(1, round_half_up(cfg.uttr_mask_rate * len(form.ends)))
-    return tuple(select_gap_utterances(_decoded(form), k))
+    return tuple(select_gap_utterances(_utterances(form), k))
 
 
-def _plan_uttr_mask(form: _Compact, cfg: NoisingConfig, rng: random.Random | None,
-                    chosen: tuple[int, ...] | None = None) -> tuple[list[str], list[int]]:
-    """Replace the max(1, round(rate * turns)) principal gap-utterances with
-    ``<uttr-mask>``, keeping each slot's role and markers.
-
-    Selection is greedy, not random: it draws nothing from ``rng``, which may
-    be None. ``chosen`` is ``_gap_selection(form, cfg)``, when that is already
-    made."""
-    if chosen is None:
-        chosen = _gap_selection(form, cfg)
+def _plan_uttr_mask(form: _Compact, chosen: Sequence[int]) -> tuple[list[str], list[int]]:
+    """Replace the turns ``chosen``, the max(1, round(rate * turns)) principal
+    gap-utterances of :func:`_gap_selection`, with ``<uttr-mask>``, keeping
+    each slot's role and markers. Selection is greedy: it draws nothing."""
     groups, sizes = _groups(form), list(form.sizes)
     for i in chosen:
         role = form.speakers[i]
@@ -546,7 +536,6 @@ _PLANS = {
     "token_delete": _plan_token_delete,
     "uttr_infill": _plan_uttr_infill,
     "uttr_permute": _plan_uttr_permute,
-    "uttr_mask": _plan_uttr_mask,
 }
 
 
@@ -559,23 +548,27 @@ def noise_dialogue(d: Dialogue, task: str, cfg: NoisingConfig,
     """Apply one reconstruction task to a dialogue: the decoded line of its
     plan (see the ``_plan_*`` functions), drawn from ``rng``, which may be
     None for ``uttr_mask``."""
-    if task not in _PLANS:
+    if task not in RECONSTRUCTION_TASKS:
         raise ValueError(f"unknown reconstruction task {task!r}")
     form = _compact(d)
-    return _pair_of_line(_line(task, form, *_PLANS[task](form, cfg, rng)))
+    plan = (_plan_uttr_mask(form, _gap_selection(form, cfg)) if task == "uttr_mask"
+            else _PLANS[task](form, cfg, rng))
+    return _pair_of_line(_line(task, form, *plan))
 
 
-def _summary(ex: ParallelExample) -> SummaryRecord:
+def _summary(ex: Dialogue) -> SummaryRecord:
     """The first summary with origin ``annotated``, else the first summary."""
     return next((s for s in ex.summaries if s.origin == "annotated"), ex.summaries[0])
 
 
-def make_task_oriented_pair(ex: ParallelExample) -> NoisedPair:
+def make_task_oriented_pair(ex: Dialogue) -> NoisedPair:
     """Clean dialogue serialization paired with a summary token sequence.
 
     Uses the first summary with origin ``annotated``; falls back to the first
     summary otherwise and flags the fallback origin in the pair.
     """
+    if not ex.summaries:
+        raise ValueError("task_oriented requires parallel examples")
     form = _compact(ex)
     return _pair_of_line(_line("task_oriented", form, [form.body], form.sizes))
 
@@ -618,53 +611,38 @@ def _draw(items: Sequence[_Compact], draws: _Draws, ordinal: int,
     return task, position
 
 
-def _pair_line(items: Sequence[_Compact], draws: _Draws, cfg: NoisingConfig, ordinal: int,
+def _pair_line(forms: Sequence[_Compact], draws: _Draws, cfg: NoisingConfig, ordinal: int,
                seed: int, gaps: dict[int, tuple[int, ...]]) -> str:
-    """:func:`pair_line` over ``items``, the records' compact forms, and
-    ``draws``, the mix's; ``gaps`` holds the gap selections already made, by
-    corpus position, and it adds the one it makes."""
-    task, position = _draw(items, draws, ordinal, seed)
-    form = items[position]
+    """The line of the pair at ``ordinal`` over ``forms``, the records'
+    compact forms, and ``draws``, the mix's; ``gaps`` holds the gap selections
+    already made, by corpus position, and it adds the one it makes."""
+    task, position = _draw(forms, draws, ordinal, seed)
+    form = forms[position]
     if task == "task_oriented":
         return _line(task, form, [form.body], form.sizes)
     if task == "uttr_mask":
         chosen = gaps.get(position)
         if chosen is None:
             chosen = gaps[position] = _gap_selection(form, cfg)
-        return _line(task, form, *_plan_uttr_mask(form, cfg, None, chosen))
+        return _line(task, form, *_plan_uttr_mask(form, chosen))
     pair_rng = derive_rng(seed, "pair", form.id, ordinal)
     return _line(task, form, *_PLANS[task](form, cfg, pair_rng))
 
 
-def pair_line(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-              cfg: NoisingConfig, ordinal: int, *, seed: int) -> str:
-    """The line of the pair at position ``ordinal`` of the mixed stream, as
-    :func:`save_pairs` writes it.
+def pair_lines(records: Iterable[Dialogue], mix: TaskMix, cfg: NoisingConfig,
+               count: int, *, seed: int) -> Iterator[str]:
+    """The lines of the pairs at ordinals 0 to ``count - 1`` of the mixed
+    stream, as :func:`save_pairs` writes them.
 
     Task and dialogue are drawn from a generator derived from (seed,
     "select", ordinal); corruption uses a generator derived from (seed,
     "pair", dialogue id, ordinal). Both depend only on their inputs, so any
-    scheduling of ordinals yields the same stream.
-    """
-    return _pair_line(list(map(_compact, items)), _draws(mix), cfg, ordinal, seed, {})
-
-
-def pair_lines(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
-               cfg: NoisingConfig, count: int, *, seed: int) -> Iterator[str]:
-    """The lines of the pairs at ordinals 0 to ``count - 1``: each
-    :func:`pair_line`, but each dialogue's gap selection made once per
-    stream.
-
-    ``records`` is read to its end, each record turned into its compact form
-    as it comes, before the first line; only the compact forms are kept.
+    scheduling of ordinals yields the same stream. At the first line, a
+    negative ``count`` raises ValueError, or else ``records`` is read to its
+    end and only their compact forms are kept.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _stream(records, mix, cfg, count, seed)
-
-
-def _stream(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
-            cfg: NoisingConfig, count: int, seed: int) -> Iterator[str]:
     forms = list(map(_compact, records))
     draws = _draws(mix)
     gaps: dict[int, tuple[int, ...]] = {}
@@ -672,11 +650,12 @@ def _stream(records: Iterable[Dialogue | ParallelExample], mix: TaskMix,
         yield _pair_line(forms, draws, cfg, ordinal, seed, gaps)
 
 
-def mixed_pair(items: Sequence[Dialogue | ParallelExample], mix: TaskMix,
-               cfg: NoisingConfig, ordinal: int, *, seed: int) -> NoisedPair:
-    """The pair at position ``ordinal`` of the mixed stream: the decoded
-    :func:`pair_line`."""
-    return _pair_of_line(pair_line(items, mix, cfg, ordinal, seed=seed))
+def mixed_pair(items: Sequence[Dialogue], mix: TaskMix, cfg: NoisingConfig,
+               ordinal: int, *, seed: int) -> NoisedPair:
+    """The pair at position ``ordinal`` of the mixed stream: the decoded line
+    that :func:`pair_lines` writes there."""
+    return _pair_of_line(_pair_line(list(map(_compact, items)), _draws(mix), cfg,
+                                    ordinal, seed, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +679,6 @@ def pair_to_obj(pair: NoisedPair) -> dict:
 def save_pairs(pairs: Iterable[NoisedPair], path: str | Path) -> int:
     """Write pairs one line each as they are drawn from ``pairs``; the count.
 
-    ``path`` is replaced only after the last pair (see :func:`jsonl.write`).
+    ``path`` is replaced only after the last pair (see :func:`jsonl.write_lines`).
     """
-    return jsonl.write(path, map(pair_to_obj, pairs))
+    return jsonl.write_lines(path, map(jsonl.line, map(pair_to_obj, pairs)))

@@ -2,10 +2,11 @@
 
 A corpus file holds one JSON record per line (UTF-8). Dialogue records carry
 ``schema_version``, ``id``, ``source_dataset``, ``roles`` and ``turns``;
-parallel records additionally carry ``summaries``. The records, and the
-configs of every layer, are immutable values, safe to share across threads:
-``NamedTuple`` types, compared and hashed field for field. A config type
-checks its fields in the constructor, through :func:`validated`.
+parallel records additionally carry ``summaries``. In memory both are a
+:class:`Dialogue`, a parallel record's with ``summaries`` not empty. The
+records, and the configs of every layer, are immutable values, safe to share
+across threads: ``NamedTuple`` types, compared and hashed field for field. A
+config type checks its fields in the constructor, through :func:`validated`.
 
 Utterance and role texts are stored whitespace-canonical (non-empty, equal to
 ``" ".join(text.split())``: single U+0020 spaces, no other whitespace, none at
@@ -66,25 +67,20 @@ class Turn(NamedTuple):
     text: str
 
 
-class Dialogue(NamedTuple):
-    """A multi-turn dialogue in dual-turn form (no two consecutive turns share a speaker)."""
-
-    id: str
-    source_dataset: str
-    roles: tuple[str, ...]
-    turns: tuple[Turn, ...]
-
-
 class SummaryRecord(NamedTuple):
     text: str
     origin: str  # one of SUMMARY_ORIGINS
 
 
-class ParallelExample(NamedTuple):
-    """A dialogue paired with at least one summary."""
+class Dialogue(NamedTuple):
+    """A multi-turn dialogue in dual-turn form (no two consecutive turns share
+    a speaker); a parallel record is one whose ``summaries`` is not empty."""
 
-    dialogue: Dialogue
-    summaries: tuple[SummaryRecord, ...]
+    id: str
+    source_dataset: str
+    roles: tuple[str, ...]
+    turns: tuple[Turn, ...]
+    summaries: tuple[SummaryRecord, ...] = ()
 
 
 class CorpusManifest(NamedTuple):
@@ -158,15 +154,16 @@ def _dialogue_fields(d: Dialogue) -> str:
             f'"roles": [{", ".join(map(string, d.roles))}], "turns": [{turns}]')
 
 
-def record_line(record: Dialogue | ParallelExample) -> str:
+def record_line(d: Dialogue) -> str:
     """The line save_corpus writes for one record: ``jsonl.line`` of its JSON object,
-    assembled from ``jsonl.string`` of each text without building the object."""
-    if not isinstance(record, ParallelExample):
-        return _dialogue_fields(record) + "}\n"
+    assembled from ``jsonl.string`` of each text without building the object;
+    ``"summaries"`` is written when there are any."""
+    if not d.summaries:
+        return _dialogue_fields(d) + "}\n"
     string = jsonl.string
     summaries = ", ".join([f'{{"text": {string(s.text)}, "origin": {string(s.origin)}}}'
-                           for s in record.summaries])
-    return f'{_dialogue_fields(record.dialogue)}, "summaries": [{summaries}]}}\n'
+                           for s in d.summaries])
+    return f'{_dialogue_fields(d)}, "summaries": [{summaries}]}}\n'
 
 
 def _require(obj: dict, key: str, line_number: int):
@@ -234,7 +231,7 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
     return d
 
 
-def _example_from_obj(obj: dict, line_number: int) -> ParallelExample:
+def _example_from_obj(obj: dict, line_number: int) -> Dialogue:
     dialogue = dialogue_from_obj(obj, line_number)
     raw = _require(obj, "summaries", line_number)
     if not isinstance(raw, list) or not raw:
@@ -250,13 +247,13 @@ def _example_from_obj(obj: dict, line_number: int) -> ParallelExample:
         if not s["text"]:
             raise MalformedRecordError(line_number, "summary text is empty")
         summaries.append(SummaryRecord(text=s["text"], origin=s["origin"]))
-    return ParallelExample(dialogue=dialogue, summaries=tuple(summaries))
+    return dialogue._replace(summaries=tuple(summaries))
 
 
-def iter_corpus(path: str | Path,
-                kind: str) -> Iterator[Dialogue] | Iterator[ParallelExample]:
+def iter_corpus(path: str | Path, kind: str) -> Iterator[Dialogue]:
     """The records of a corpus file, each yielded as soon as its line is read;
-    ``kind`` is ``"dialogues"`` or ``"parallel"``.
+    ``kind`` is ``"dialogues"`` (``summaries`` left empty) or ``"parallel"``
+    (``summaries`` required and filled).
 
     Every yielded record is fully validated, and dialogue ids are unique;
     the first bad line, or the second line with an id, raises
@@ -265,28 +262,26 @@ def iter_corpus(path: str | Path,
     """
     if kind not in ("dialogues", "parallel"):
         raise ValueError(f"unknown corpus kind {kind!r}")
-    return _records(path, kind == "parallel")
+    return _records(path, _example_from_obj if kind == "parallel" else dialogue_from_obj)
 
 
-def _records(path: str | Path, parallel: bool) -> Iterator:
-    parse = _example_from_obj if parallel else dialogue_from_obj
+def _records(path: str | Path, parse) -> Iterator[Dialogue]:
     first_lines: dict[str, int] = {}
     for line_number, obj in jsonl.read(path):
         record = parse(obj, line_number)
-        dialogue_id = record.dialogue.id if parallel else record.id
-        first = first_lines.setdefault(dialogue_id, line_number)
+        first = first_lines.setdefault(record.id, line_number)
         if first != line_number:
             raise MalformedRecordError(
-                line_number, f"dialogue id {dialogue_id!r} reappears (first at line {first})")
+                line_number, f"dialogue id {record.id!r} reappears (first at line {first})")
         yield record
 
 
-def load_corpus(path: str | Path, kind: str) -> list[Dialogue] | list[ParallelExample]:
+def load_corpus(path: str | Path, kind: str) -> list[Dialogue]:
     """The records of a corpus file, as a list: see :func:`iter_corpus`."""
     return list(iter_corpus(path, kind))
 
 
-def save_corpus(records: Iterable[Dialogue | ParallelExample], path: str | Path) -> int:
+def save_corpus(records: Iterable[Dialogue], path: str | Path) -> int:
     """Write records to ``path``, one JSON object per line. Returns the count written.
 
     Output bytes are a pure function of the records: field order and JSON
@@ -295,17 +290,12 @@ def save_corpus(records: Iterable[Dialogue | ParallelExample], path: str | Path)
     return jsonl.write_lines(path, map(record_line, records))
 
 
-def corpus_manifest(name: str, records: Sequence[Dialogue | ParallelExample],
+def corpus_manifest(name: str, records: Sequence[Dialogue],
                     seed: int | None = None) -> CorpusManifest:
     """Build a manifest for a corpus about to be stored."""
-    datasets: list[str] = []
-    for r in records:
-        d = r.dialogue if isinstance(r, ParallelExample) else r
-        if d.source_dataset not in datasets:
-            datasets.append(d.source_dataset)
     return CorpusManifest(
         name=name,
         examples=len(records),
         created_with_seed=seed,
-        source_datasets=tuple(datasets),
+        source_datasets=tuple(dict.fromkeys(d.source_dataset for d in records)),
     )

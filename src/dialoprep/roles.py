@@ -24,7 +24,6 @@ from .errors import AmbiguousMapError, PoolTooSmallError
 from .records import (
     RESERVED_MARKERS,
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     Turn,
     is_canonical,
@@ -52,7 +51,8 @@ class NamePool(NamedTuple):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "NamePool":
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark is not part of the first name.
+        with open(path, encoding="utf-8-sig") as fh:
             names = [line.strip() for line in fh if line.strip()]
         return cls(names=tuple(names))
 
@@ -78,8 +78,7 @@ def assign_role_group(d: Dialogue, pool: NamePool, seed: int,
         return d
     rng = derive_rng(seed, "roles", d.id)
     new_roles = tuple([pool.names[j] for j in sample_range(rng, len(pool), len(d.roles))])
-    return Dialogue(id=d.id, source_dataset=d.source_dataset,
-                    roles=new_roles, turns=d.turns)
+    return d._replace(roles=new_roles)
 
 
 @validated
@@ -127,7 +126,7 @@ def _combined_pattern(names: list[str]) -> re.Pattern:
     return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)")
 
 
-def augment_role_replace(ex: ParallelExample, role_map: RoleMap) -> ParallelExample:
+def augment_role_replace(ex: Dialogue, role_map: RoleMap) -> Dialogue:
     """Replace every word-boundary occurrence of each old name in roles,
     utterances and summaries with its new name, simultaneously.
 
@@ -137,15 +136,15 @@ def augment_role_replace(ex: ParallelExample, role_map: RoleMap) -> ParallelExam
     """
     if not role_map.pairs:
         return ex
-    mentioned = set(ex.dialogue.roles)
+    mentioned = set(ex.roles)
     unknown = set(role_map.pairs) - mentioned
     if unknown:
         raise AmbiguousMapError(
-            f"map keys {sorted(unknown)} are not role names of dialogue {ex.dialogue.id!r}")
+            f"map keys {sorted(unknown)} are not role names of dialogue {ex.id!r}")
     # A new name that is not itself remapped would merge with pre-existing
     # occurrences and break invertibility; refuse such examples.
-    texts = [*ex.dialogue.roles,
-             *(t.text for t in ex.dialogue.turns),
+    texts = [*ex.roles,
+             *(t.text for t in ex.turns),
              *(s.text for s in ex.summaries)]
     for old, new in role_map.pairs.items():
         if new in role_map.pairs:
@@ -153,22 +152,17 @@ def augment_role_replace(ex: ParallelExample, role_map: RoleMap) -> ParallelExam
         pattern = _word_pattern(new)
         if any(pattern.search(text) for text in texts):
             raise AmbiguousMapError(
-                f"new name {new!r} already occurs in dialogue {ex.dialogue.id!r}")
+                f"new name {new!r} already occurs in dialogue {ex.id!r}")
 
     pattern = _combined_pattern(list(role_map.pairs))
 
     def substitute(text: str) -> str:
         return pattern.sub(lambda m: role_map.pairs[m.group(0)], text)
 
-    dialogue = Dialogue(
-        id=ex.dialogue.id,
-        source_dataset=ex.dialogue.source_dataset,
-        roles=tuple(substitute(r) for r in ex.dialogue.roles),
-        turns=tuple(Turn(t.role_index, substitute(t.text)) for t in ex.dialogue.turns),
-    )
-    summaries = []
-    for s in ex.summaries:
+    def summary(s: SummaryRecord) -> SummaryRecord:
         new_text = substitute(s.text)
-        origin = "augmented" if new_text != s.text else s.origin
-        summaries.append(SummaryRecord(text=new_text, origin=origin))
-    return ParallelExample(dialogue=dialogue, summaries=tuple(summaries))
+        return SummaryRecord(new_text, "augmented" if new_text != s.text else s.origin)
+
+    return ex._replace(roles=tuple(map(substitute, ex.roles)),
+                       turns=tuple(Turn(t.role_index, substitute(t.text)) for t in ex.turns),
+                       summaries=tuple(map(summary, ex.summaries)))

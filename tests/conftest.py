@@ -21,7 +21,6 @@ from dialoprep.records import (
     SCHEMA_VERSION,
     SUMMARY_ORIGINS,
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     Turn,
     render_dialogue_text,
@@ -70,15 +69,15 @@ def make_dialogue(rng: random.Random, dialogue_id: str, n_turns: int | None = No
 
 
 def make_example(rng: random.Random, dialogue_id: str, origin: str = "annotated",
-                 **kwargs) -> ParallelExample:
+                 **kwargs) -> Dialogue:
     d = make_dialogue(rng, dialogue_id, **kwargs)
     summary = " ".join(rng.choices(WORDS, k=rng.randint(3, 8)))
-    return ParallelExample(dialogue=d, summaries=(SummaryRecord(summary, origin),))
+    return d._replace(summaries=(SummaryRecord(summary, origin),))
 
 
-def validate_example(ex: ParallelExample) -> list[str]:
+def validate_example(ex: Dialogue) -> list[str]:
     """Violations of a parallel example: dialogue invariants plus summary rules."""
-    violations = validate_dialogue(ex.dialogue)
+    violations = validate_dialogue(ex)
     if not ex.summaries:
         violations.append("example has no summaries")
     for i, s in enumerate(ex.summaries):
@@ -94,27 +93,19 @@ def validate_example(ex: ParallelExample) -> list[str]:
 # ``records.record_line`` must equal ``jsonl.line`` of it.
 # ---------------------------------------------------------------------------
 
-def _dialogue_to_obj(d: Dialogue) -> dict:
-    return {
+def record_to_obj(d: Dialogue) -> dict:
+    """The JSON object form of one corpus record, as written by save_corpus:
+    a parallel record's has ``summaries``, a dialogue record's has none."""
+    obj = {
         "schema_version": SCHEMA_VERSION,
         "id": d.id,
         "source_dataset": d.source_dataset,
         "roles": list(d.roles),
         "turns": [{"role_index": t.role_index, "text": t.text} for t in d.turns],
     }
-
-
-def _example_to_obj(ex: ParallelExample) -> dict:
-    obj = _dialogue_to_obj(ex.dialogue)
-    obj["summaries"] = [{"text": s.text, "origin": s.origin} for s in ex.summaries]
+    if d.summaries:
+        obj["summaries"] = [{"text": s.text, "origin": s.origin} for s in d.summaries]
     return obj
-
-
-def record_to_obj(record: Dialogue | ParallelExample) -> dict:
-    """The JSON object form of one corpus record, as written by save_corpus."""
-    if isinstance(record, ParallelExample):
-        return _example_to_obj(record)
-    return _dialogue_to_obj(record)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +205,7 @@ def _oracle_uttr_permute(d: Dialogue, cfg, rng: random.Random) -> list:
 
 def _oracle_uttr_mask(d: Dialogue, cfg, rng: random.Random | None) -> list:
     k = max(1, noising.round_half_up(cfg.uttr_mask_rate * len(d.turns)))
-    chosen = noising.select_gap_utterances(d, k)
+    chosen = noising.select_gap_utterances([turn.text for turn in d.turns], k)
     return [(turn.role_index, UTTR_MASK) if i in chosen else i
             for i, turn in enumerate(d.turns)]
 
@@ -675,8 +666,8 @@ def _oracle_redundant_pct(summary, n: int) -> float:
     return 100.0 * (1.0 - len(set(grams)) / len(grams)) if grams else 0.0
 
 
-def oracle_example_stats(ex: ParallelExample) -> ExampleStats:
-    dialogue = oracle_tokenize(render_dialogue_text(ex.dialogue))
+def oracle_example_stats(ex: Dialogue) -> ExampleStats:
+    dialogue = oracle_tokenize(render_dialogue_text(ex))
     summary = oracle_tokenize(ex.summaries[0].text)
     lengths = [length for _, _, length in oracle_extractive_fragments(dialogue, summary)]
     return ExampleStats(

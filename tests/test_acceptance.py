@@ -102,7 +102,6 @@ def test_c02_fragment_oracle():
 def test_c03_gap_selection_oracle():
     from dialoprep.metrics import rouge_n, tokenize_for_metrics
     from dialoprep.noising import select_gap_utterances
-    from dialoprep.records import Dialogue, Turn
 
     def stepwise_oracle(token_lists, k):
         selected: list[int] = []
@@ -123,9 +122,7 @@ def test_c03_gap_selection_oracle():
 
     with criterion(3, "gap-utterance selection matches stepwise-exhaustive "
                       "argmax (500 random dialogues)", budget_seconds=30.0):
-        worked = Dialogue(
-            id="w", source_dataset="u", roles=("A", "B"),
-            turns=(Turn(0, "alice books"), Turn(1, "bob books"), Turn(0, "weather today")))
+        worked = ["alice books", "bob books", "weather today"]
         assert select_gap_utterances(worked, 1) == [0]
 
         rng = random.Random(3443)
@@ -133,7 +130,8 @@ def test_c03_gap_selection_oracle():
             d = make_dialogue(rng, f"g{i}", n_turns=rng.randint(2, 8), max_tokens=6)
             token_lists = [tokenize_for_metrics(t.text) for t in d.turns]
             k = rng.randint(1, len(d.turns))
-            assert select_gap_utterances(d, k) == stepwise_oracle(token_lists, k)
+            assert (select_gap_utterances([t.text for t in d.turns], k)
+                    == stepwise_oracle(token_lists, k))
 
 
 def test_c04_noising_invariants():
@@ -317,7 +315,7 @@ def test_c06_dedup_and_leakage():
 
 
 def test_c07_role_pipeline():
-    from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
+    from dialoprep.records import Dialogue, SummaryRecord, Turn
     from dialoprep.roles import NamePool, RoleMap, assign_role_group, augment_role_replace
 
     with criterion(7, "role assignment stability, swap involution, "
@@ -329,20 +327,19 @@ def test_c07_role_pipeline():
         second = [assign_role_group(d, pool, seed=3442) for d in dialogues]
         assert first == second
 
-        support = ParallelExample(
-            dialogue=Dialogue(
-                id="cs", source_dataset="u", roles=("Agent", "Customer"),
-                turns=(Turn(0, "hello this is Agent speaking"),
-                       Turn(1, "hi Agent my parcel is missing"),
-                       Turn(0, "sorry Customer let me check"))),
+        support = Dialogue(
+            id="cs", source_dataset="u", roles=("Agent", "Customer"),
+            turns=(Turn(0, "hello this is Agent speaking"),
+                   Turn(1, "hi Agent my parcel is missing"),
+                   Turn(0, "sorry Customer let me check")),
             summaries=(SummaryRecord(
                 "Customer reports a missing parcel and Agent investigates.",
                 "annotated"),))
         renamed = augment_role_replace(
             support, RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"}))
-        all_tokens = [tok for t in renamed.dialogue.turns for tok in t.text.split()]
+        all_tokens = [tok for t in renamed.turns for tok in t.text.split()]
         all_tokens += renamed.summaries[0].text.replace(".", "").split()
-        all_tokens += [tok for r in renamed.dialogue.roles for tok in r.split()]
+        all_tokens += [tok for r in renamed.roles for tok in r.split()]
         assert "Agent" not in all_tokens and "Customer" not in all_tokens
         assert renamed.summaries[0].origin == "augmented"
 

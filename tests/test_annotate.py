@@ -23,7 +23,6 @@ from dialoprep.annotate import (
 from dialoprep import jsonl
 from dialoprep.records import (
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     Turn,
     load_corpus,
@@ -102,7 +101,7 @@ def test_appended_line_is_the_encoded_record(tmp_path):
     out.write_text("")
     annotate_batch(dialogues, JOB, MockEndpoint(f"fixed:{summary}"), out, NO_BACKOFF)
     expected = "".join(
-        jsonl.line(record_to_obj(ParallelExample(d, (SummaryRecord(summary, "annotated"),))))
+        jsonl.line(record_to_obj(d._replace(summaries=(SummaryRecord(summary, "annotated"),))))
         for d in dialogues)
     assert out.read_bytes() == expected.encode("utf-8")
 
@@ -299,7 +298,7 @@ def test_submitted_work_bounded_by_in_flight(tmp_path, monkeypatch, bound):
     ids = [d.id for d in dialogues]
     assert sorted(report.completed + report.not_attempted) == sorted(ids)
     assert report.completed == [i for i in ids if i in report.completed]  # input order
-    assert [ex.dialogue.id for ex in load_corpus(out, "parallel")] == report.completed
+    assert [ex.id for ex in load_corpus(out, "parallel")] == report.completed
     if bound == 1:  # one request at a time: the budget covers a prefix
         assert report.completed == ids[:9]
 

@@ -58,6 +58,43 @@ def test_eval_modes_are_exclusive_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["texts.jsonl"]
 
 
+def test_annotate_mock_and_endpoint_are_exclusive_exits_2(tmp_path, capsys):
+    assert main(["annotate", "--in", str(SAMPLE / "golden" / "named.dlg"),
+                 "--out", str(tmp_path / "a.plx"), "--mock", "digest:3",
+                 "--endpoint", "http://127.0.0.1:9"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Two outputs of one run that are one file: the later write would replace the
+# earlier one, a corpus with its removal report or paid annotations with an
+# empty failure report.
+@pytest.mark.parametrize("argv, clash", [
+    (["ingest", "--in", "{raw}", "--spec", "{spec}", "--out", "{tmp}/c.dlg",
+      "--report", "{tmp}/c.dlg"], "--out and --report"),
+    (["ingest", "--in", "{raw}", "--spec", "{spec}", "--out", "{tmp}/c.dlg",
+      "--report", "{tmp}/c.dlg.manifest.json"], "--report and the manifest"),
+    (["clean", "--in", "{corpus}", "--out", "{tmp}/c.dlg", "--report", "{tmp}/c.dlg"],
+     "--out and --report"),
+    (["clean", "--in", "{corpus}", "--out", "{tmp}/c.dlg",
+      "--report", "{tmp}/sub/../c.dlg.manifest.json"], "--report and the manifest"),
+    (["annotate", "--in", "{named}", "--out", "{tmp}/a.plx", "--mock", "digest:3",
+      "--failures", "{tmp}/./a.plx"], "--out and --failures"),
+    (["annotate", "--in", "{named}", "--out", "{tmp}/a.plx", "--mock", "digest:3",
+      "--failures", "{tmp}/a.plx.manifest.json"], "--failures and the manifest"),
+], ids=["ingest-out-report", "ingest-report-manifest", "clean-out-report",
+        "clean-report-manifest", "annotate-out-failures", "annotate-failures-manifest"])
+def test_one_file_for_two_outputs_exits_1_and_writes_nothing(tmp_path, capsys, argv, clash):
+    paths = {"tmp": tmp_path, "raw": SAMPLE / "raw_sample.jsonl",
+             "spec": SAMPLE / "ingest_spec.json", "corpus": SAMPLE / "golden" / "corpus.dlg",
+             "named": SAMPLE / "golden" / "named.dlg"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert clash in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/c.json"],
     ["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
@@ -494,18 +531,48 @@ def test_roles_cli_uses_bundled_pool(tmp_path):
     assert all(r not in ("Ava", "Ben") for d in renamed for r in d.roles)
 
 
+def test_roles_pool_with_a_byte_order_mark_writes_no_u_feff(tmp_path):
+    # U+FEFF is not whitespace: read as plain UTF-8, it stays on the first name.
+    pool = tmp_path / "pool.txt"
+    pool.write_bytes(b"\xef\xbb\xbfAnn\nBo\nCy\nDee\n")
+    out = tmp_path / "named.dlg"
+    assert main(["roles", "--in", str(SAMPLE / "golden" / "cleaned.dlg"), "--out", str(out),
+                 "--seed", "3442", "--names", str(pool)]) == 0
+    assert "\ufeff" not in out.read_text(encoding="utf-8")
+    assert {r for d in load_corpus(out, "dialogues") for r in d.roles} == {"Ann", "Bo", "Cy",
+                                                                            "Dee"}
+
+
+# augment's bytes over a parallel corpus of the sample: two pool names, so
+# every dialogue (each has two roles) takes the one swap map. Computed before
+# a parallel record became a Dialogue with summaries; no golden covers it.
+def test_augment_swap_digest(tmp_path):
+    pool, swap = tmp_path / "pool.txt", tmp_path / "swap.json"
+    pool.write_text("Ann\nBo\n", encoding="utf-8")
+    swap.write_text(json.dumps({"Ann": "Bo", "Bo": "Ann"}))
+    named, annotated, out = (tmp_path / name for name in ("two.dlg", "two.plx", "swapped.plx"))
+    assert main(["roles", "--in", str(SAMPLE / "golden" / "cleaned.dlg"), "--out", str(named),
+                 "--seed", "3442", "--names", str(pool)]) == 0
+    assert main(["annotate", "--in", str(named), "--out", str(annotated),
+                 "--mock", "digest:12"]) == 0
+    assert main(["augment", "--in", str(annotated), "--map", str(swap),
+                 "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "c9e065de9f223d8c7a65494a8589b6ddbeaa6b799e9bf2b90ebf618a8751362c")
+
+
 def test_augment_cli(tmp_path):
     rng = random.Random(3)
     ex = make_example(rng, "e0")
     corpus = tmp_path / "in.plx"
     save_corpus([ex], corpus)
     role_map = tmp_path / "map.json"
-    role_map.write_text(json.dumps({ex.dialogue.roles[0]: "Zora"}))
+    role_map.write_text(json.dumps({ex.roles[0]: "Zora"}))
     out = tmp_path / "aug.plx"
     assert main(["augment", "--in", str(corpus), "--map", str(role_map),
                  "--out", str(out)]) == 0
     augmented = load_corpus(out, "parallel")[0]
-    assert augmented.dialogue.roles[0] == "Zora"
+    assert augmented.roles[0] == "Zora"
 
 
 def test_annotate_cli_requires_endpoint_or_mock(tmp_path, capsys):
@@ -665,6 +732,25 @@ def test_eval_select_train_ref_accepts_dialogue_records(tmp_path):
                  "--out", str(out), "--select-train-ref"]) == 0
     report = json.loads(out.read_text())
     assert report["per_example"][d.id]["selected_reference"] == 0
+
+
+# eval's report bytes in each mode over the sample's fixed candidates (the
+# annotated summaries, or the named dialogues' records) and 1-4 references
+# per id. Computed before the record types changed; no golden covers eval.
+@pytest.mark.parametrize("candidates, mode, digest", [
+    ("eval_candidates.jsonl", [],
+     "dc677ff8db3da0e88100354154eb7042a879c92e87435da0464659bae7a91ba2"),
+    ("eval_candidates.jsonl", ["--multi-ref"],
+     "28f93a28cbc80d8181369ec3fbf4133bbca394a51551f5595831c61db97c35b4"),
+    ("golden/named.dlg", ["--select-train-ref"],
+     "d0d2a515d7656e56c6e922ce71d650bdb01fb6f1352fb6241da064ac548ea5d6"),
+], ids=["single-ref", "multi-ref", "select-train-ref"])
+def test_eval_digest(tmp_path, candidates, mode, digest):
+    out = tmp_path / "report.json"
+    assert main(["eval", "--candidates", str(SAMPLE / candidates),
+                 "--references", str(SAMPLE / "eval_references.jsonl"),
+                 "--out", str(out), *mode]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _oracle_eval_report(candidates: dict, references: dict, multi_ref: bool,

@@ -26,7 +26,7 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 def test_write_read_round_trip(tmp_path_factory, objs):
     objs = [{**obj, "note": "naïve — 日本語 ✓"} for obj in objs]
     path = tmp_path_factory.mktemp("round") / "records.jsonl"
-    assert jsonl.write(path, iter(objs)) == len(objs)
+    assert jsonl.write_lines(path, map(jsonl.line, iter(objs))) == len(objs)
     data = path.read_bytes()
     assert data == "".join(jsonl.line(obj) for obj in objs).encode("utf-8")
     assert data.count("日本語".encode("utf-8")) == len(objs)
@@ -85,7 +85,7 @@ def _interrupted(items):
 
 
 @pytest.mark.parametrize("write", [
-    lambda path: jsonl.write(path, _interrupted([{"a": 1}, {"b": "ü"}])),
+    lambda path: jsonl.write_lines(path, map(jsonl.line, _interrupted([{"a": 1}, {"b": "ü"}]))),
     lambda path: jsonl.write_json(path, {"a": 1, "b": object()}),
     lambda path: jsonl.write_json(path, {"temperature": float("nan")}),
     lambda path: jsonl.write_json(path, {"scores": [1.0, float("-inf")]}),

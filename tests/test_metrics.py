@@ -36,7 +36,6 @@ from dialoprep.metrics import (
 )
 from dialoprep.records import (
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     Turn,
     render_dialogue_text,
@@ -340,12 +339,11 @@ def test_density_at_least_coverage():
 # Example and corpus statistics
 # ---------------------------------------------------------------------------
 
-def _example(dialogue_texts: list[str], summary: str) -> ParallelExample:
+def _example(dialogue_texts: list[str], summary: str) -> Dialogue:
     roles = ("A", "B")
     turns = tuple(Turn(i % 2, t) for i, t in enumerate(dialogue_texts))
-    return ParallelExample(
-        dialogue=Dialogue(id="s", source_dataset="u", roles=roles, turns=turns),
-        summaries=(SummaryRecord(summary, "annotated"),))
+    return Dialogue(id="s", source_dataset="u", roles=roles, turns=turns,
+                    summaries=(SummaryRecord(summary, "annotated"),))
 
 
 def test_compression_ratio():
@@ -390,7 +388,7 @@ def test_empty_summary_raises():
 def test_example_stats_match_oracle(turns, summary):
     ex = _example(turns, summary)
     assert example_stats(ex) == oracle_example_stats(ex)
-    a = tokenize_for_metrics(render_dialogue_text(ex.dialogue))
+    a = tokenize_for_metrics(render_dialogue_text(ex))
     s = tokenize_for_metrics(summary)
     assert [(f.summary_start, f.dialogue_start, f.length)
             for f in extractive_fragments(a, s).fragments] == oracle_extractive_fragments(a, s)

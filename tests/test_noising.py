@@ -25,7 +25,6 @@ from dialoprep.noising import (
     make_task_oriented_pair,
     mixed_pair,
     noise_dialogue,
-    pair_line,
     pair_lines,
     pair_to_obj,
     round_half_up,
@@ -34,8 +33,7 @@ from dialoprep.noising import (
     select_gap_utterances,
     serialize_dialogue,
 )
-from dialoprep.records import (RESERVED_MARKERS, Dialogue, ParallelExample, SummaryRecord, Turn,
-                               validate_dialogue)
+from dialoprep.records import RESERVED_MARKERS, Dialogue, SummaryRecord, Turn, validate_dialogue
 from dialoprep.seeding import derive_rng
 
 from conftest import (apply_infill, assign_speaker_ids, deserialize_dialogue, load_pairs,
@@ -52,8 +50,9 @@ def _dlg(texts, roles=("A", "B"), indices=None):
                     turns=tuple(Turn(i, t) for i, t in zip(indices, texts)))
 
 
-def _dialogue_of(item: Dialogue | ParallelExample) -> Dialogue:
-    return item.dialogue if isinstance(item, ParallelExample) else item
+def _texts(d: Dialogue) -> list[str]:
+    """The utterance texts of ``d``, as gap selection takes them."""
+    return [t.text for t in d.turns]
 
 
 # Independent structural parser used as the test-side oracle.
@@ -374,14 +373,11 @@ def test_permutation_preserves_utterance_multiset():
 # ---------------------------------------------------------------------------
 
 def test_gap_selection_worked_example():
-    d = _dlg(["alice books", "bob books", "weather today"],
-             roles=("A", "B"), indices=[0, 1, 0])
-    assert select_gap_utterances(d, 1) == [0]
+    assert select_gap_utterances(["alice books", "bob books", "weather today"], 1) == [0]
 
 
 def test_gap_selection_k_equals_turns():
-    d = _dlg(["a b", "c d", "e f"], roles=("A", "B"), indices=[0, 1, 0])
-    assert select_gap_utterances(d, 3) == [0, 1, 2]
+    assert select_gap_utterances(["a b", "c d", "e f"], 3) == [0, 1, 2]
 
 
 def _stepwise_oracle(token_lists, k):
@@ -422,30 +418,28 @@ def test_gap_selection_matches_stepwise_oracle():
     for d in dialogues:
         token_lists = [tokenize_for_metrics(t.text) for t in d.turns]
         for k in range(1, len(d.turns) + 1):  # up to k = n
-            assert select_gap_utterances(d, k) == _stepwise_oracle(token_lists, k)
+            assert select_gap_utterances(_texts(d), k) == _stepwise_oracle(token_lists, k)
 
 
 def test_gap_selection_deterministic():
     rng = random.Random(16)
     d = make_dialogue(rng, "dd", n_turns=6)
-    assert select_gap_utterances(d, 2) == select_gap_utterances(d, 2)
+    assert select_gap_utterances(_texts(d), 2) == select_gap_utterances(_texts(d), 2)
 
 
 def test_gap_selection_case_invariant():
     rng = random.Random(26)
     for i in range(10):
         d = make_dialogue(rng, f"c{i}", n_turns=5)
-        upper = Dialogue(id=d.id, source_dataset=d.source_dataset, roles=d.roles,
-                         turns=tuple(Turn(t.role_index, t.text.upper()) for t in d.turns))
-        assert select_gap_utterances(d, 2) == select_gap_utterances(upper, 2)
+        upper = [text.upper() for text in _texts(d)]
+        assert select_gap_utterances(_texts(d), 2) == select_gap_utterances(upper, 2)
 
 
 def test_gap_selection_bounds():
-    d = _dlg(["a", "b"])
     with pytest.raises(ValueError):
-        select_gap_utterances(d, 0)
+        select_gap_utterances(["a", "b"], 0)
     with pytest.raises(ValueError):
-        select_gap_utterances(d, 3)
+        select_gap_utterances(["a", "b"], 3)
 
 
 def test_utterance_masking_five_turns_masks_one():
@@ -475,7 +469,7 @@ def test_utterance_masking_follows_the_rate_on_a_reused_dialogue():
         pair = noise_dialogue(d, "uttr_mask", NoisingConfig(uttr_mask_rate=rate), None)
         masked = [i for i, (g, _) in enumerate(parse_turn_groups(pair.source))
                   if g[1] == [UTTR_MASK]]
-        assert masked == select_gap_utterances(d, round_half_up(rate * 10))
+        assert masked == select_gap_utterances(_texts(d), round_half_up(rate * 10))
 
 
 def test_utterance_masking_single_turn_min_one():
@@ -491,7 +485,7 @@ def test_utterance_masking_single_turn_min_one():
 def test_task_oriented_uses_annotated_summary():
     rng = random.Random(17)
     d = make_dialogue(rng, "t1")
-    ex = ParallelExample(dialogue=d, summaries=(
+    ex = d._replace(summaries=(
         SummaryRecord("a reference text", "reference"),
         SummaryRecord("the annotated one", "annotated")))
     pair = make_task_oriented_pair(ex)
@@ -502,8 +496,8 @@ def test_task_oriented_uses_annotated_summary():
 
 def test_task_oriented_reference_fallback_flagged():
     rng = random.Random(18)
-    ex = ParallelExample(dialogue=make_dialogue(rng, "t2"),
-                         summaries=(SummaryRecord("only reference", "reference"),))
+    ex = make_dialogue(rng, "t2")._replace(
+        summaries=(SummaryRecord("only reference", "reference"),))
     pair = make_task_oriented_pair(ex)
     assert pair.target_tokens == ("only", "reference")
     assert pair.target_origin == "reference"
@@ -634,7 +628,7 @@ def test_pairs_file_round_trip(tmp_path):
     rng = random.Random(25)
     items = [make_example(rng, f"e{i}") for i in range(3)]
     pairs = [make_task_oriented_pair(ex) for ex in items]
-    pairs.append(noise_dialogue(items[0].dialogue, "token_mask", CFG, random.Random(0)))
+    pairs.append(noise_dialogue(items[0], "token_mask", CFG, random.Random(0)))
     path = tmp_path / "pairs.jsonl"
     assert save_pairs(pairs, path) == 4
     assert load_pairs(path) == pairs
@@ -658,7 +652,7 @@ def _corpora(draw):
                       for j in range(n))
         d = Dialogue(id=f"h{i}", source_dataset="h", roles=("A", "B")[:min(n, 2)],
                      turns=turns)
-        items.append(ParallelExample(d, (SummaryRecord("a b", "annotated"),))
+        items.append(d._replace(summaries=(SummaryRecord("a b", "annotated"),))
                      if parallel else d)
     return items, parallel
 
@@ -681,7 +675,7 @@ def test_mixed_pairs_share_no_state(corpus, weights, rates, lam, seed):
     cfg = NoisingConfig(token_mask_rate=rates[0], token_delete_rate=rates[1],
                         infill_lambda=lam, infill_utterance_budget_rate=rates[2],
                         uttr_mask_rate=rates[3])
-    dialogues = {d.id: d for d in map(_dialogue_of, items)}
+    dialogues = {d.id: d for d in items}
     for ordinal, pair in enumerate(mixed_pairs(items, mix, cfg, 12, seed=seed)):
         assert pair == mixed_pair(copy.deepcopy(items), mix, cfg, ordinal, seed=seed)
         if pair.task == "task_oriented":
@@ -692,16 +686,16 @@ def test_mixed_pairs_share_no_state(corpus, weights, rates, lam, seed):
             k = max(1, round_half_up(cfg.uttr_mask_rate * len(d.turns)))
             masked = [i for i, ((_, utterance), _) in enumerate(parse_turn_groups(pair.source))
                       if utterance == [UTTR_MASK]]
-            assert masked == select_gap_utterances(d, k)
+            assert masked == select_gap_utterances(_texts(d), k)
 
 
 def test_gap_selection_runs_once_per_dialogue(monkeypatch):
     calls = Counter()
     select = noising.select_gap_utterances
 
-    def counting(d, k):
-        calls[d.id] += 1
-        return select(d, k)
+    def counting(utterances, k):
+        calls[tuple(utterances)] += 1
+        return select(utterances, k)
 
     monkeypatch.setattr(noising, "select_gap_utterances", counting)
     rng = random.Random(31)
@@ -709,11 +703,11 @@ def test_gap_selection_runs_once_per_dialogue(monkeypatch):
     mix = TaskMix(weights={"uttr_mask": 1.0})
     pairs = list(mixed_pairs(items, mix, CFG, 120, seed=5))
     assert {p.dialogue_id for p in pairs} == {d.id for d in items}
-    assert calls == Counter({d.id: 1 for d in items})
+    assert calls == Counter({tuple(_texts(d)): 1 for d in items})
     # Nothing outlives a stream: a second one selects each dialogue's gaps again.
     lines = list(pair_lines(items, mix, CFG, 120, seed=5))
     assert [noising._pair_of_line(line) for line in lines] == pairs
-    assert calls == Counter({d.id: 2 for d in items})
+    assert calls == Counter({tuple(_texts(d)): 2 for d in items})
 
 
 @settings(max_examples=80, deadline=None)
@@ -730,7 +724,8 @@ def test_pair_lines_are_each_ordinals_pair_line(corpus, weights, rates, lam, see
                         infill_lambda=lam, infill_utterance_budget_rate=rates[2],
                         uttr_mask_rate=rates[3])
     assert ("".join(pair_lines(iter(items), mix, cfg, count, seed=seed))
-            == "".join(pair_line(items, mix, cfg, o, seed=seed) for o in range(count)))
+            == "".join(jsonl.line(pair_to_obj(mixed_pair(items, mix, cfg, o, seed=seed)))
+                       for o in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +764,7 @@ def _canonical_items(draw):
             origins = st.sampled_from(["annotated", "reference", "augmented"])
             summaries = draw(st.lists(st.builds(SummaryRecord, _SUMMARY, origins),
                                       min_size=1, max_size=2))
-            items.append(ParallelExample(d, tuple(summaries)))
+            items.append(d._replace(summaries=tuple(summaries)))
         else:
             items.append(d)
     return items, parallel
@@ -790,11 +785,10 @@ def test_pair_line_is_the_encoded_pair(corpus, task, rates, lam, seed, ordinal):
                         uttr_mask_rate=rates[3])
     pair = mixed_pair(items, mix, cfg, ordinal, seed=seed)
     assert pair.task == task
-    item = next(i for i in items if _dialogue_of(i).id == pair.dialogue_id)
-    d = _dialogue_of(item)
+    d = next(i for i in items if i.id == pair.dialogue_id)
     if task == "task_oriented":
-        expected = oracle_pair(task, d, summary=noising._summary(item))
-        assert make_task_oriented_pair(item) == expected
+        expected = oracle_pair(task, d, summary=noising._summary(d))
+        assert make_task_oriented_pair(d) == expected
     else:
         # The plan drawn from the raw texts with the pair's own generator.
         plan = oracle_plan(task, d, cfg, derive_rng(seed, "pair", d.id, ordinal))
@@ -803,7 +797,11 @@ def test_pair_line_is_the_encoded_pair(corpus, task, rates, lam, seed, ordinal):
     # The stream's pair, drawn and rendered from the compact form.
     assert pair == expected
     assert serialize_dialogue(d) == oracle_pair(task, d).source
-    assert pair_line(items, mix, cfg, ordinal, seed=seed) == jsonl.line(pair_to_obj(pair))
+    # The line the stream writes at the ordinal, drawn alone: the stream has
+    # no shortcut to an ordinal as far as 10**6.
+    line = noising._pair_line(list(map(noising._compact, items)), noising._draws(mix), cfg,
+                              ordinal, seed, {})
+    assert line == jsonl.line(pair_to_obj(pair))
 
 
 @pytest.mark.parametrize("task", ["token_mask", "token_delete"])
@@ -826,5 +824,6 @@ def test_pair_lines_are_the_saved_pairs(tmp_path):
     mix = TaskMix(weights={task: 1.0 for task in noising.ALL_TASKS})
     path = tmp_path / "pairs.jsonl"
     save_pairs(mixed_pairs(items, mix, CFG, 200, seed=9), path)
-    lines = [pair_line(items, mix, CFG, ordinal, seed=9) for ordinal in range(200)]
+    lines = [jsonl.line(pair_to_obj(mixed_pair(items, mix, CFG, ordinal, seed=9)))
+             for ordinal in range(200)]
     assert "".join(lines) == path.read_text(encoding="utf-8")

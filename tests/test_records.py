@@ -11,7 +11,6 @@ from dialoprep.errors import MalformedRecordError
 from dialoprep.records import (
     RESERVED_MARKERS,
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     Turn,
     corpus_manifest,
@@ -139,15 +138,14 @@ _LINE_DIALOGUES = st.builds(
 @given(d=_LINE_DIALOGUES,
        summaries=st.lists(st.builds(SummaryRecord, _LINE_TEXT, _LINE_TEXT), max_size=3))
 def test_record_line_is_the_encoded_object(d, summaries):
-    for record in (d, ParallelExample(dialogue=d, summaries=tuple(summaries))):
+    for record in (d, d._replace(summaries=tuple(summaries))):
         assert record_line(record) == jsonl.line(record_to_obj(record))
 
 
 def test_validate_example_requires_summary():
-    ex = ParallelExample(dialogue=two_turn(), summaries=())
+    ex = two_turn()._replace(summaries=())
     assert any("no summaries" in v for v in validate_example(ex))
-    ex = ParallelExample(dialogue=two_turn(),
-                         summaries=(SummaryRecord("ok", "nonsense"),))
+    ex = two_turn()._replace(summaries=(SummaryRecord("ok", "nonsense"),))
     assert any("unknown origin" in v for v in validate_example(ex))
 
 
@@ -163,13 +161,13 @@ def test_round_trip_single_dialogue(tmp_path):
 
 
 def test_round_trip_parallel(tmp_path):
-    ex = ParallelExample(
-        dialogue=two_turn(),
+    ex = two_turn()._replace(
         summaries=(SummaryRecord("Ava greets Ben.", "annotated"),
                    SummaryRecord("A greeting.", "reference")))
     path = tmp_path / "one.plx"
     save_corpus([ex], path)
     assert load_corpus(path, "parallel") == [ex]
+    assert load_corpus(path, "dialogues") == [two_turn()]
 
 
 def test_save_empty(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from dialoprep.errors import AmbiguousMapError, PoolTooSmallError
 from dialoprep.records import (
     Dialogue,
-    ParallelExample,
     SummaryRecord,
     Turn,
     validate_dialogue,
@@ -111,15 +110,13 @@ def test_assign_pool_too_small():
 # Role-replaced augmentation
 # ---------------------------------------------------------------------------
 
-def _support_example() -> ParallelExample:
-    d = Dialogue(
+def _support_example() -> Dialogue:
+    return Dialogue(
         id="cs1", source_dataset="u", roles=("Agent", "Customer"),
         turns=(Turn(0, "hello this is Agent speaking"),
                Turn(1, "hi Agent my parcel is missing"),
                Turn(0, "sorry Customer let me check"),
-               Turn(1, "thanks")))
-    return ParallelExample(
-        dialogue=d,
+               Turn(1, "thanks")),
         summaries=(SummaryRecord(
             "Customer reports a missing parcel and Agent checks. "
             "Agent's reply is pending.", "annotated"),))
@@ -128,8 +125,8 @@ def _support_example() -> ParallelExample:
 def test_customer_service_map_rewrites_everywhere():
     augmented = augment_role_replace(
         _support_example(), RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"}))
-    assert augmented.dialogue.roles == ("Danny", "Alejandra")
-    joined = " ".join(t.text for t in augmented.dialogue.turns)
+    assert augmented.roles == ("Danny", "Alejandra")
+    joined = " ".join(t.text for t in augmented.turns)
     summary = augmented.summaries[0].text
     for old in ("Agent", "Customer"):
         assert old not in joined.split() and old not in summary.split()
@@ -145,30 +142,29 @@ def test_empty_map_identity():
 
 
 def test_word_boundary_no_substring_corruption():
-    d = Dialogue(id="w", source_dataset="u", roles=("Ann", "Bo"),
-                 turns=(Turn(0, "the Annual report from Ann"), Turn(1, "ok Ann")))
-    ex = ParallelExample(dialogue=d, summaries=(SummaryRecord("Ann and Bo talk.",
-                                                              "annotated"),))
+    ex = Dialogue(id="w", source_dataset="u", roles=("Ann", "Bo"),
+                  turns=(Turn(0, "the Annual report from Ann"), Turn(1, "ok Ann")),
+                  summaries=(SummaryRecord("Ann and Bo talk.", "annotated"),))
     out = augment_role_replace(ex, RoleMap(pairs={"Ann": "Priya", "Bo": "Wei"}))
-    assert out.dialogue.turns[0].text == "the Annual report from Priya"
+    assert out.turns[0].text == "the Annual report from Priya"
     assert out.summaries[0].text == "Priya and Wei talk."
 
 
 def test_replacement_is_case_sensitive():
-    d = Dialogue(id="c", source_dataset="u", roles=("Max", "Jo"),
-                 turns=(Turn(0, "the max value and Max agree"), Turn(1, "fine")))
-    ex = ParallelExample(dialogue=d, summaries=(SummaryRecord("Max wins.", "annotated"),))
+    ex = Dialogue(id="c", source_dataset="u", roles=("Max", "Jo"),
+                  turns=(Turn(0, "the max value and Max agree"), Turn(1, "fine")),
+                  summaries=(SummaryRecord("Max wins.", "annotated"),))
     out = augment_role_replace(ex, RoleMap(pairs={"Max": "Omar", "Jo": "Ben"}))
-    assert out.dialogue.turns[0].text == "the max value and Omar agree"
+    assert out.turns[0].text == "the max value and Omar agree"
 
 
 def test_swap_map_involution_on_texts():
     ex = _support_example()
     swap = RoleMap(pairs={"Agent": "Customer", "Customer": "Agent"})
     once = augment_role_replace(ex, swap)
-    assert once.dialogue.roles == ("Customer", "Agent")
+    assert once.roles == ("Customer", "Agent")
     twice = augment_role_replace(once, swap)
-    assert twice.dialogue == ex.dialogue
+    assert twice._replace(summaries=ex.summaries) == ex
     assert [s.text for s in twice.summaries] == [s.text for s in ex.summaries]
 
 
@@ -184,7 +180,7 @@ def test_inverse_map_restores_texts():
     forward = RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"})
     applied = augment_role_replace(ex, forward)
     back = augment_role_replace(applied, forward.inverse())
-    assert back.dialogue == ex.dialogue
+    assert back._replace(summaries=ex.summaries) == ex
     assert [s.text for s in back.summaries] == [s.text for s in ex.summaries]
 
 
@@ -211,9 +207,9 @@ def test_map_rejects_word_boundary_collision_between_old_names():
 
 
 def test_new_name_already_present_is_ambiguous():
-    d = Dialogue(id="amb", source_dataset="u", roles=("Agent", "Customer"),
-                 turns=(Turn(0, "i spoke to Danny yesterday"), Turn(1, "ok")))
-    ex = ParallelExample(dialogue=d, summaries=(SummaryRecord("They talk.", "annotated"),))
+    ex = Dialogue(id="amb", source_dataset="u", roles=("Agent", "Customer"),
+                  turns=(Turn(0, "i spoke to Danny yesterday"), Turn(1, "ok")),
+                  summaries=(SummaryRecord("They talk.", "annotated"),))
     with pytest.raises(AmbiguousMapError):
         augment_role_replace(ex, RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"}))
 
@@ -222,5 +218,5 @@ def test_token_count_preserved_for_single_token_names():
     ex = _support_example()
     out = augment_role_replace(
         ex, RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"}))
-    for before, after in zip(ex.dialogue.turns, out.dialogue.turns):
+    for before, after in zip(ex.turns, out.turns):
         assert len(before.text.split()) == len(after.text.split())

@@ -14,7 +14,7 @@ import math
 import random
 
 from dialoprep import noising, roles
-from dialoprep.records import Dialogue, ParallelExample, SummaryRecord, Turn
+from dialoprep.records import Dialogue, SummaryRecord, Turn
 from dialoprep.seeding import below, sample_range, shuffle
 
 
@@ -111,11 +111,11 @@ def test_below_refuses_an_empty_range():
             raise AssertionError(f"a draw below {n} did not raise")
 
 
-def _example(rng: random.Random, i: int, words: int) -> ParallelExample:
+def _example(rng: random.Random, i: int, words: int) -> Dialogue:
     turns = tuple(Turn(j % 2, " ".join(rng.choices("abcdefgh", k=rng.randint(1, words))))
                   for j in range(rng.randint(1, 14)))
-    dialogue = Dialogue(f"d{i}", "s", ("A", "B")[:len(turns)], turns)
-    return ParallelExample(dialogue, (SummaryRecord("a b", "annotated"),))
+    return Dialogue(f"d{i}", "s", ("A", "B")[:len(turns)], turns,
+                    (SummaryRecord("a b", "annotated"),))
 
 
 def test_outputs_draw_only_seed_getrandbits_and_random():
@@ -137,7 +137,7 @@ def test_outputs_draw_only_seed_getrandbits_and_random():
         for name in refused:
             setattr(random.Random, name, refuse)
         lines = list(noising.pair_lines(items, mix, noising.NoisingConfig(), 300, seed=2))
-        named = [roles.assign_role_group(ex.dialogue, pool, seed=3) for ex in items]
+        named = [roles.assign_role_group(ex, pool, seed=3) for ex in items]
     finally:
         for name, method in saved.items():
             if method is None:

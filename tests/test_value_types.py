@@ -17,7 +17,7 @@ from dialoprep.metrics import (
     RougeScore,
 )
 from dialoprep.noising import NoisedPair, NoisingConfig, SerializedInput, TaskMix
-from dialoprep.records import CorpusManifest, Dialogue, ParallelExample, SummaryRecord, Turn
+from dialoprep.records import CorpusManifest, Dialogue, SummaryRecord, Turn
 from dialoprep.roles import NamePool, RoleMap
 
 _TURNS = (Turn(0, "hello there"), Turn(1, "hi"))
@@ -29,12 +29,10 @@ _REPORT = IngestReport()
 _CASES = [
     (Turn, lambda: {"role_index": 0, "text": "a b"}, "text", "a c", True),
     (Dialogue, lambda: {"id": "d1", "source_dataset": "unit", "roles": ("Ava", "Ben"),
-                        "turns": _TURNS}, "roles", ("Ava", "Bo"), True),
+                        "turns": _TURNS, "summaries": (SummaryRecord("s", "annotated"),)},
+     "roles", ("Ava", "Bo"), True),
     (SummaryRecord, lambda: {"text": "they talk", "origin": "annotated"},
      "origin", "augmented", True),
-    (ParallelExample, lambda: {"dialogue": Dialogue("d1", "unit", ("A", "B"), _TURNS),
-                               "summaries": (SummaryRecord("s", "annotated"),)},
-     "summaries", (SummaryRecord("t", "annotated"),), True),
     (CorpusManifest, lambda: {"name": "c.dlg", "examples": 3, "created_with_seed": 7,
                               "source_datasets": ("a", "b")}, "created_with_seed", None, True),
     (DedupConfig, lambda: {"jaccard_threshold": 0.5, "shingle_k": 2}, "min_turns", 3, True),
