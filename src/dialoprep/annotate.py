@@ -192,7 +192,6 @@ class AnnotationReport:
         self.skipped_existing: list[str] = []
         self.failures: list[dict] = []
         self.retries: dict[str, int] = {}
-        self.budget_exhausted = False
         self.not_attempted: list[str] = []
 
 
@@ -324,7 +323,6 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
             try:
                 summary, retry_count = future.result()
             except BudgetExhaustedError:
-                report.budget_exhausted = True
                 report.not_attempted.append(d.id)
                 continue
             except EndpointError as exc:

@@ -9,8 +9,10 @@ A command imports only its own layer, inside its ``_cmd_*`` function, so
 
 Every run writes ``<out>.manifest.json`` next to its primary output,
 recording the command, parameters, seed, and SHA-256 digests of the inputs,
-enough to re-run the stage identically. Exit codes: 0 success, 1 data error
-or invalid value (message on stderr), 2 usage error.
+enough to re-run the stage identically, and a stored corpus's counts. A flag
+that sets a config field has no default here: the config type holds it. Exit
+codes: 0 success, 1 data error or invalid value (message on stderr), 2 usage
+error.
 
 All randomness flows from ``--seed``; no stage reads the clock or OS entropy,
 so a fixed config and seed reproduce outputs byte-for-byte. ``--jobs`` is
@@ -24,6 +26,7 @@ import hashlib
 import math
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__, jsonl, records
 from .errors import IdMismatchError, MalformedRecordError, PipelineError
@@ -39,7 +42,9 @@ def _sha256(path: str | Path) -> str:
 
 def _write_manifest(command: str, out_path: str, inputs: list[str],
                     params: dict, seed: int | None = None,
-                    corpus: records.CorpusManifest | None = None) -> None:
+                    corpus: Sequence[records.Dialogue] | None = None) -> None:
+    """Write ``<out>.manifest.json``; ``corpus``, the records stored at
+    ``out_path``, adds the ``corpus`` block."""
     manifest = {
         "schema_version": records.SCHEMA_VERSION,
         "package": f"dialoprep {__version__}",
@@ -50,17 +55,46 @@ def _write_manifest(command: str, out_path: str, inputs: list[str],
         "outputs": [Path(out_path).name],
     }
     if corpus is not None:
-        manifest["corpus"] = corpus._asdict()
+        manifest["corpus"] = {
+            "name": Path(out_path).name,
+            "examples": len(corpus),
+            "created_with_seed": seed,
+            "source_datasets": list(dict.fromkeys(d.source_dataset for d in corpus)),
+        }
     jsonl.write_json(f"{out_path}.manifest.json", manifest)
 
 
-def _distinct_outputs(args) -> None:
-    """Refuse a run two of whose outputs are one file, before it reads anything."""
-    seen: dict[Path, str] = {}
-    for flag in ("--out", "--report", "--failures", "the manifest"):
-        path = getattr(args, flag[2:], None) if flag[0] == "-" else f"{args.out}.manifest.json"
-        if path and seen.setdefault(Path(path).resolve(), flag) != flag:
-            raise PipelineError(f"{seen[Path(path).resolve()]} and {flag} both name {path}")
+_INPUT_FLAGS = ("--in", "--spec", "--eval-set", "--names", "--map", "--mix", "--config",
+                "--candidates", "--references")
+
+
+def _paths(args, flags: tuple[str, ...]):
+    """(flag, path) for each path that one of ``flags`` gives the run."""
+    for flag in flags:
+        value = getattr(args, "input" if flag == "--in" else flag[2:].replace("-", "_"), None)
+        for path in value if isinstance(value, list) else [value] if value else []:
+            yield flag, path
+
+
+def _failures_path(args) -> str:
+    return args.failures or f"{args.out}.failures.jsonl"
+
+
+def _distinct_paths(args) -> None:
+    """Refuse a run, before it reads anything, two of whose outputs are one
+    file or one of whose outputs is one of its inputs."""
+    seen = {Path(path).resolve(): flag for flag, path in _paths(args, _INPUT_FLAGS)}
+    failures = [("--failures", _failures_path(args))] if args.command == "annotate" else []
+    for flag, path in [*_paths(args, ("--out", "--report")), *failures,
+                       ("the manifest", f"{args.out}.manifest.json")]:
+        first = seen.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise PipelineError(f"{first} and {flag} both name {path}")
+
+
+def _given(args, config) -> dict:
+    """The fields of the config type ``config`` that the command line gives."""
+    return {name: value for name, value in vars(args).items() if name in config._fields}
 
 
 def _sniff_kind(path: str) -> str:
@@ -80,11 +114,10 @@ def _cmd_ingest(args) -> int:
     result = ingest.ingest(args.input, spec)
     records.save_corpus(result.dialogues, args.out)
     if args.report:
-        jsonl.write_json(args.report, vars(result.report))
-    _write_manifest(
-        "ingest", args.out, [args.input, args.spec],
-        params={"spec": Path(args.spec).name},
-        corpus=records.corpus_manifest(Path(args.out).name, result.dialogues))
+        jsonl.write_json(args.report, {"dialogues": len(result.dialogues),
+                                       **vars(result.report)})
+    _write_manifest("ingest", args.out, [args.input, args.spec],
+                    params={"spec": Path(args.spec).name}, corpus=result.dialogues)
     print(f"ingest: {len(result.dialogues)} dialogues "
           f"({len(result.report.dropped_empty_dialogues)} empty, "
           f"{len(result.report.dropped_invalid_dialogues)} invalid dropped)")
@@ -93,12 +126,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_clean(args) -> int:
     from . import dedup
-    cfg = dedup.DedupConfig(
-        jaccard_threshold=args.jaccard_threshold,
-        shingle_k=args.shingle_k,
-        min_turns=args.min_turns,
-        min_tokens=args.min_tokens,
-    )
+    cfg = dedup.DedupConfig(**_given(args, dedup.DedupConfig))
     dialogues = records.load_corpus(args.input, "dialogues")
     eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set or []]
     kept, removals = dedup.clean(dialogues, eval_sets, cfg)
@@ -111,7 +139,7 @@ def _cmd_clean(args) -> int:
             **cfg._asdict(),
             "minhash": bool(args.minhash),  # recorded as given; the flag is a no-op
         },
-        corpus=records.corpus_manifest(Path(args.out).name, kept))
+        corpus=kept)
     print(f"clean: kept {len(kept)} of {len(dialogues)} dialogues "
           f"({len(removals)} removed)")
     return 0
@@ -129,8 +157,7 @@ def _cmd_roles(args) -> int:
         "roles", args.out,
         [args.input] + ([args.names] if args.names else []),
         params={"force": not args.no_force, "pool_size": len(pool)},
-        seed=args.seed,
-        corpus=records.corpus_manifest(Path(args.out).name, renamed, seed=args.seed))
+        seed=args.seed, corpus=renamed)
     print(f"roles: assigned role groups to {len(renamed)} dialogues")
     return 0
 
@@ -141,10 +168,8 @@ def _cmd_augment(args) -> int:
     examples = records.load_corpus(args.input, "parallel")
     augmented = [roles.augment_role_replace(ex, role_map) for ex in examples]
     records.save_corpus(augmented, args.out)
-    _write_manifest(
-        "augment", args.out, [args.input, args.map],
-        params={"map": Path(args.map).name},
-        corpus=records.corpus_manifest(Path(args.out).name, augmented))
+    _write_manifest("augment", args.out, [args.input, args.map],
+                    params={"map": Path(args.map).name}, corpus=augmented)
     print(f"augment: rewrote {len(augmented)} examples")
     return 0
 
@@ -157,29 +182,17 @@ def _cmd_annotate(args) -> int:
         endpoint = annotate.HttpEndpoint(args.endpoint)
     else:
         raise PipelineError("annotate needs --endpoint URL or --mock BEHAVIOR")
-    job = annotate.AnnotationJob(
-        model=args.model,
-        temperature=args.temperature,
-        template=annotate.PromptTemplate(args.template),
-        max_in_flight=args.max_in_flight,
-        budget=args.budget,
-    )
-    policy = annotate.RetryPolicy(max_attempts=args.max_attempts,
-                                  base_backoff=args.base_backoff)
+    fields = _given(args, annotate.AnnotationJob)
+    if "template" in fields:
+        fields["template"] = annotate.PromptTemplate(fields["template"])
+    job = annotate.AnnotationJob(**fields)
+    policy = annotate.RetryPolicy(**_given(args, annotate.RetryPolicy))
     dialogues = records.load_corpus(args.input, "dialogues")
     report = annotate.annotate_batch(dialogues, job, endpoint, args.out, policy)
-    failures_path = args.failures or f"{args.out}.failures.jsonl"
-    annotate.save_failure_report(report, failures_path)
+    annotate.save_failure_report(report, _failures_path(args))
     _write_manifest(
         "annotate", args.out, [args.input],
-        params={
-            "model": job.model,
-            "temperature": job.temperature,
-            "template": job.template.value,
-            "max_in_flight": job.max_in_flight,
-            "budget": job.budget,
-            "mock": args.mock,
-        })
+        params={**job._asdict(), "template": job.template.value, "mock": args.mock})
     print(f"annotate: {len(report.completed)} annotated, "
           f"{len(report.skipped_existing)} skipped, "
           f"{len(report.failures)} failed, "
@@ -292,7 +305,6 @@ def _cmd_eval(args) -> int:
             per_example[example_id] = {"selected_reference": index}
         report = {"mode": "select_train_ref", "per_example": per_example}
     else:
-        f1_sums = {"rouge1": [], "rouge2": [], "rougeL": []}
         for example_id in ids:
             cand = metrics.tokenize_for_metrics(_entry_text(candidates[example_id]))
             if args.max_length is not None:
@@ -302,15 +314,9 @@ def _cmd_eval(args) -> int:
                 scores = metrics.multi_reference_rouge(cand, refs)
             else:
                 scores = metrics.score_pair(cand, refs[0])
-            per_example[example_id] = {
-                "rouge1": scores.rouge1.f1,
-                "rouge2": scores.rouge2.f1,
-                "rougeL": scores.rougeL.f1,
-            }
-            for key in f1_sums:
-                f1_sums[key].append(per_example[example_id][key])
-        mean = {key: (math.fsum(vals) / len(vals) if vals else 0.0)
-                for key, vals in f1_sums.items()}
+            per_example[example_id] = {key: score.f1 for key, score in scores._asdict().items()}
+        mean = {key: (math.fsum(f1[key] for f1 in per_example.values()) / len(ids) if ids
+                      else 0.0) for key in metrics.EvalScores._fields}
         report = {
             "mode": "multi_ref" if args.multi_ref else "single_ref",
             "max_length": args.max_length,
@@ -349,10 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--eval-set", action="append", help="evaluation corpus to exclude against")
-    p.add_argument("--jaccard-threshold", type=float, default=0.8)
-    p.add_argument("--shingle-k", type=int, default=1)
-    p.add_argument("--min-turns", type=int, default=4)
-    p.add_argument("--min-tokens", type=int, default=32)
+    cfg = p.add_argument_group("settings (an unset one takes DedupConfig's default)",
+                               argument_default=argparse.SUPPRESS)
+    cfg.add_argument("--jaccard-threshold", type=float)
+    cfg.add_argument("--shingle-k", type=int)
+    cfg.add_argument("--min-turns", type=int)
+    cfg.add_argument("--min-tokens", type=int)
     p.add_argument("--minhash", action="store_true",
                    help="deprecated no-op: the one exact pair search always runs; "
                         "kept so existing commands still parse")
@@ -385,13 +393,14 @@ def _build_parser() -> argparse.ArgumentParser:
     endpoint.add_argument("--endpoint", help="base URL of a chat-completion-compatible service")
     endpoint.add_argument("--mock",
                           help="offline endpoint: 'fixed:<text>', 'head:<k>' or 'digest:<k>'")
-    p.add_argument("--template", choices=["preceding", "instruct", "subsequent"],
-                   default="instruct")
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--max-in-flight", type=int, default=1)
+    cfg = p.add_argument_group("settings (an unset one takes the default of AnnotationJob "
+                               "or RetryPolicy)", argument_default=argparse.SUPPRESS)
+    cfg.add_argument("--template", choices=["preceding", "instruct", "subsequent"])
+    cfg.add_argument("--temperature", type=float)
+    cfg.add_argument("--max-in-flight", type=int)
     p.add_argument("--budget", type=int)
-    p.add_argument("--max-attempts", type=int, default=3)
-    p.add_argument("--base-backoff", type=float, default=1.0)
+    cfg.add_argument("--max-attempts", type=int)
+    cfg.add_argument("--base-backoff", type=float)
     p.add_argument("--failures", help="failure report path")
     p.set_defaults(fn=_cmd_annotate)
 
@@ -436,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _distinct_outputs(args)
+        _distinct_paths(args)
         return args.fn(args)
     except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

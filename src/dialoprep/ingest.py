@@ -75,24 +75,17 @@ class IngestSpec(NamedTuple):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "IngestSpec":
-        obj = jsonl.read_object(path, {"speaker_field": str, "utterance_field": str,
-                                       "id_field": str, "dataset_tag": str, "aliases": dict})
+        mapped = [name for name in cls._fields if name not in cls._field_defaults]
+        obj = jsonl.read_object(path, {**dict.fromkeys(mapped, str), "aliases": dict})
         if not all(isinstance(alias, str) for alias in obj.get("aliases", {}).values()):
             raise ValueError(f"{path}: every alias must be a string")
-        return cls(
-            speaker_field=obj.get("speaker_field", ""),
-            utterance_field=obj.get("utterance_field", ""),
-            id_field=obj.get("id_field", ""),
-            dataset_tag=obj.get("dataset_tag", ""),
-            aliases=dict(obj.get("aliases", {})),
-        )
+        return cls(**{**dict.fromkeys(mapped, ""), **obj})  # "" fails _check
 
 
 class IngestReport:
     """What happened to the raw records that did not become dialogue content."""
 
     def __init__(self):
-        self.dialogues = 0
         self.dropped_empty_utterances = 0
         self.dropped_empty_dialogues: list[str] = []
         self.dropped_invalid_dialogues: list[str] = []
@@ -198,5 +191,4 @@ def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
             current_raw, current = raw, []
         current.append((speaker, text))
     flush()
-    report.dialogues = len(dialogues)
     return IngestResult(dialogues=tuple(dialogues), report=report)

@@ -5,7 +5,7 @@ with whitespace-split content tokens (subword vocabularies are downstream
 territory). Every token carries a speaker id; ids alternate 0/1 over the
 top-level groups of the sequence (turn groups, and mask groups produced by
 infilling), so they stay binary for any number of roles and remain consistent
-on corrupted inputs.
+on corrupted inputs. The markers, ``BOS`` to ``UTTR_MASK``, come from ``records``.
 
 Five reconstruction tasks corrupt the input while the target stays the clean
 serialization of the original dialogue; the task-oriented pairs map the clean
@@ -56,16 +56,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import jsonl
-from .records import Dialogue, SummaryRecord, validated
+from .records import (BOS, EOR, EOS, EOU, MASK, UTTR_MASK, Dialogue, SummaryRecord,
+                      validated)
 from .seeding import below, derive_rng, sample_range, shuffle
 from .tokens import tokenize_for_metrics
-
-BOS = "<s>"
-EOS = "</s>"
-EOR = "<eor>"
-EOU = "<eou>"
-MASK = "<mask>"
-UTTR_MASK = "<uttr-mask>"
 
 RECONSTRUCTION_TASKS = ("token_mask", "token_delete", "uttr_infill",
                         "uttr_permute", "uttr_mask")
@@ -115,7 +109,7 @@ class TaskMix(NamedTuple):
             raise ValueError("task weights must be finite and within float range")
         if not any(w > 0 for w in weights):
             raise ValueError("at least one task weight must be positive")
-        if not sum(map(float, weights)) <= sys.float_info.max:  # _draw scales by the sum
+        if not sum(map(float, weights)) <= sys.float_info.max:  # _draw scales by the running sum
             raise ValueError("task weights must sum to a finite number")
 
     @classmethod
@@ -583,15 +577,13 @@ class _Draws(NamedTuple):
 
     tasks: tuple[str, ...]
     cumulative: tuple[float, ...]
-    total: float
 
 
 def _draws(mix: TaskMix) -> _Draws:
     active = [(task, mix.weights[task]) for task in ALL_TASKS
               if mix.weights.get(task, 0.0) > 0.0]
     return _Draws(tuple([task for task, _ in active]),
-                  tuple(accumulate([w for _, w in active], initial=0.0))[1:],
-                  sum(w for _, w in active))
+                  tuple(accumulate([w for _, w in active], initial=0.0))[1:])
 
 
 def _draw(items: Sequence[_Compact], draws: _Draws, ordinal: int,
@@ -601,9 +593,9 @@ def _draw(items: Sequence[_Compact], draws: _Draws, ordinal: int,
     if not items:
         raise ValueError("cannot mix over an empty corpus")
     selector = derive_rng(seed, "select", ordinal)
-    # The first task whose running sum exceeds the draw, else the last.
-    tasks = draws.tasks
-    task = tasks[min(bisect_right(draws.cumulative, selector.random() * draws.total),
+    # The first task whose running sum exceeds the draw scaled to the total, else the last.
+    tasks, cumulative = draws
+    task = tasks[min(bisect_right(cumulative, selector.random() * cumulative[-1]),
                      len(tasks) - 1)]
     position = below(selector, len(items))
     if task == "task_oriented" and items[position].summary is None:

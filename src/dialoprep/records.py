@@ -10,10 +10,10 @@ config type checks its fields in the constructor, through :func:`validated`.
 
 Utterance and role texts are stored whitespace-canonical (non-empty, equal to
 ``" ".join(text.split())``: single U+0020 spaces, no other whitespace, none at
-the ends) and must not contain the reserved marker strings used by the
-serialization layer. Both rules are enforced by
-:func:`validate_dialogue` rather than escaped at write time, so corrupted
-inputs can never be confused with control tokens downstream.
+the ends) and must not contain the reserved marker strings, ``BOS`` to
+``UTTR_MASK``, defined here for the serialization layer. Both rules are
+enforced by :func:`validate_dialogue` rather than escaped at write time, so
+corrupted inputs can never be confused with control tokens downstream.
 
 A record is written as :func:`record_line` assembles it from
 ``jsonl.string`` of each text, the escaper the JSON encoder itself calls, so
@@ -31,15 +31,19 @@ never holds them all. :func:`load_corpus` is its list.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from . import jsonl
 from .errors import MalformedRecordError
 
 SCHEMA_VERSION = 1
 
+#: Serialization markers (see ``noising``): dialogue start and end, role and
+#: utterance ends, a masked span, a masked utterance.
+BOS, EOS, EOR, EOU, MASK, UTTR_MASK = "<s>", "</s>", "<eor>", "<eou>", "<mask>", "<uttr-mask>"
+
 #: Strings that may never occur inside role or utterance text.
-RESERVED_MARKERS = ("<s>", "</s>", "<eor>", "<eou>", "<mask>", "<uttr-mask>")
+RESERVED_MARKERS = (BOS, EOS, EOR, EOU, MASK, UTTR_MASK)
 
 SUMMARY_ORIGINS = ("annotated", "reference", "augmented")
 
@@ -81,15 +85,6 @@ class Dialogue(NamedTuple):
     roles: tuple[str, ...]
     turns: tuple[Turn, ...]
     summaries: tuple[SummaryRecord, ...] = ()
-
-
-class CorpusManifest(NamedTuple):
-    """Provenance sidecar for a stored corpus."""
-
-    name: str
-    examples: int
-    created_with_seed: int | None = None
-    source_datasets: tuple[str, ...] = ()
 
 
 def is_canonical(text: str) -> bool:
@@ -289,13 +284,3 @@ def save_corpus(records: Iterable[Dialogue], path: str | Path) -> int:
     """
     return jsonl.write_lines(path, map(record_line, records))
 
-
-def corpus_manifest(name: str, records: Sequence[Dialogue],
-                    seed: int | None = None) -> CorpusManifest:
-    """Build a manifest for a corpus about to be stored."""
-    return CorpusManifest(
-        name=name,
-        examples=len(records),
-        created_with_seed=seed,
-        source_datasets=tuple(dict.fromkeys(d.source_dataset for d in records)),
-    )

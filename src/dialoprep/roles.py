@@ -4,7 +4,7 @@
 distinct names from a shipped pool, deterministically per (dialogue id, seed).
 ``augment_role_replace`` rewrites role names simultaneously across the role
 table, every utterance, and every summary, so swap maps are legal and the
-whole transformation is invertible by applying the inverse map.
+whole transformation is undone by the map with its pairs swapped.
 
 Names are matched as whole words, case-sensitive; possessive forms survive
 because the trailing ``'s`` sits outside the word boundary. Pronouns are never
@@ -102,9 +102,6 @@ class RoleMap(NamedTuple):
                 if a != b and _word_pattern(a).search(b):
                     raise AmbiguousMapError(
                         f"old name {a!r} collides with old name {b!r} at a word boundary")
-
-    def inverse(self) -> "RoleMap":
-        return RoleMap(pairs={new: old for old, new in self.pairs.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RoleMap":

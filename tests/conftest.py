@@ -565,7 +565,7 @@ def _oracle_build_dialogue(raw_id: str, utterances, spec, report: dict):
 
 
 def oracle_ingest(path: str | Path, spec) -> tuple[tuple[Dialogue, ...], dict]:
-    """The dialogues and report fields ``ingest`` gives for a raw export whose
+    """The dialogues and the report ``ingest --report`` writes for a raw export whose
     rows all map the spec's fields to well-typed values, each raw id in one run."""
     report = {"dialogues": 0, "dropped_empty_utterances": 0,
               "dropped_empty_dialogues": [], "dropped_invalid_dialogues": []}

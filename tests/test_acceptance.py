@@ -507,7 +507,7 @@ def test_c12_annotation_client_mock(tmp_path):
         report = annotate_batch(dialogues, AnnotationJob(model="m", budget=2),
                                 MockEndpoint("fixed:s."), out, no_backoff)
         assert len(report.completed) == 2
-        assert report.budget_exhausted and len(report.not_attempted) == 4
+        assert report.not_attempted and len(report.not_attempted) == 4
         report = annotate_batch(dialogues, AnnotationJob(model="m"),
                                 MockEndpoint("fixed:s."), out, no_backoff)
         assert len(report.completed) == 4

@@ -180,7 +180,7 @@ def test_budget_two_of_five(tmp_path):
     out = tmp_path / "out.plx"
     report = annotate_batch(dialogues, job, MockEndpoint("fixed:s."), out, NO_BACKOFF)
     assert len(report.completed) == 2
-    assert report.budget_exhausted
+    assert report.not_attempted
     assert len(report.not_attempted) == 3
     # resumable: a second run with fresh budget picks up the rest
     report2 = annotate_batch(dialogues, AnnotationJob(model="m"),

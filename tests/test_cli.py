@@ -34,6 +34,15 @@ from conftest import (
 
 SAMPLE = Path(__file__).resolve().parent.parent / "data" / "sample"
 
+# The pinned SHA-256 of each file that a digest test below writes, by file
+# name, in the `sha256sum` format that CI checks the same files against.
+DIGESTS = {name: digest for digest, name in
+           map(str.split, (SAMPLE / "digests.sha256").read_text("utf-8").splitlines())}
+
+
+def _matches_digest(path: Path) -> bool:
+    return hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[path.name]
+
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
@@ -93,6 +102,61 @@ def test_one_file_for_two_outputs_exits_1_and_writes_nothing(tmp_path, capsys, a
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
     assert clash in err
     assert list(tmp_path.iterdir()) == []
+
+
+# An output that is an input would replace it, and the manifest would then
+# give the input the output's digest. The files are copies, so a write shows.
+_SAMPLE_INPUTS = {"raw.jsonl": "raw_sample.jsonl", "spec.json": "ingest_spec.json",
+                  "c.dlg": "golden/corpus.dlg", "n.dlg": "golden/named.dlg",
+                  "a.plx": "golden/annotated.plx", "c.jsonl": "eval_candidates.jsonl",
+                  "r.jsonl": "eval_references.jsonl",
+                  # inputs named as an output of the run beside them is named
+                  "n.dlg.manifest.json": "golden/named.dlg",
+                  "a.plx.failures.jsonl": "golden/named.dlg"}
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["ingest", "--in", "raw.jsonl", "--spec", "spec.json", "--out", "c2.dlg",
+      "--report", "spec.json"], "--spec and --report"),
+    (["ingest", "--in", "raw.jsonl", "--spec", "spec.json", "--out", "raw.jsonl"],
+     "--in and --out"),
+    (["clean", "--in", "c.dlg", "--out", "d.dlg", "--report", "c.dlg"], "--in and --report"),
+    (["clean", "--in", "c.dlg", "--eval-set", "n.dlg", "--eval-set", "a.plx",
+      "--out", "sub/../a.plx"], "--eval-set and --out"),
+    (["roles", "--in", "n.dlg", "--out", "n.dlg", "--seed", "1"], "--in and --out"),
+    (["roles", "--in", "c.dlg", "--out", "n.dlg", "--seed", "1",
+      "--names", "n.dlg.manifest.json"], "--names and the manifest"),
+    (["augment", "--in", "a.plx", "--map", "c.jsonl", "--out", "c.jsonl"], "--map and --out"),
+    (["annotate", "--in", "n.dlg", "--out", "a2.plx", "--mock", "digest:3",
+      "--failures", "n.dlg"], "--in and --failures"),
+    (["annotate", "--in", "a.plx.failures.jsonl", "--out", "a.plx", "--mock", "digest:3"],
+     "--in and --failures"),
+    (["noise", "--in", "n.dlg", "--out", "p.jsonl", "--count", "3", "--seed", "1",
+      "--mix", "p.jsonl.manifest.json"], "--mix and the manifest"),
+    (["noise", "--in", "n.dlg", "--out", "c.jsonl", "--count", "3", "--seed", "1",
+      "--config", "c.jsonl"], "--config and --out"),
+    (["stats", "--in", "a.plx", "--out", "a.plx"], "--in and --out"),
+    (["eval", "--candidates", "c.jsonl", "--references", "r.jsonl", "--out", "r.jsonl"],
+     "--references and --out"),
+    (["eval", "--candidates", "c.jsonl.manifest.json", "--references", "r.jsonl",
+      "--out", "c.jsonl"], "--candidates and the manifest"),
+], ids=["ingest-spec-report", "ingest-in-out", "clean-in-report", "clean-eval-set-out",
+        "roles-in-place", "roles-names-manifest", "augment-map-out", "annotate-in-failures",
+        "annotate-in-default-failures", "noise-mix-manifest", "noise-config-out",
+        "stats-in-out", "eval-references-out", "eval-candidates-manifest"])
+def test_an_output_that_is_an_input_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               argv, clash):
+    for name, source in _SAMPLE_INPUTS.items():
+        (tmp_path / name).write_bytes((SAMPLE / source).read_bytes())
+    (tmp_path / "sub").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert clash in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,12 +263,12 @@ def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
 # At token rates of 0.05 every golden dialogue (42-86 utterance tokens) loses
 # 2-4 tokens to token_delete, which sample(range(n), k) draws on its set
 # branch: that digest pins the branch the default rate reaches in one dialogue.
-@pytest.mark.parametrize("seed, token_rate, digest", [
-    (3442, None, "3eee90513f318f5a3af95e1ba25af73615bf2dce4fc59e8599f0cde33463089b"),
-    (7, None, "1ad5f4f2f7881176be50ad164a59d1aef13965650eabc3a47f55e8326b486d95"),
-    (3442, 0.05, "d6e15da21f327de7da0325bd38676c665322cddc96c21c5a602ae0dc8fa21ebb"),
+@pytest.mark.parametrize("seed, token_rate, name", [
+    (3442, None, "all_tasks.jsonl"),
+    (7, None, "all_tasks_seed7.jsonl"),
+    (3442, 0.05, "low_rates.jsonl"),
 ], ids=["seed-3442", "seed-7", "seed-3442-token-rate-0.05"])
-def test_noise_all_tasks_digest(tmp_path, seed, token_rate, digest):
+def test_noise_all_tasks_digest(tmp_path, seed, token_rate, name):
     from dialoprep.noising import ALL_TASKS
 
     mix = tmp_path / "mix.json"
@@ -214,10 +278,10 @@ def test_noise_all_tasks_digest(tmp_path, seed, token_rate, digest):
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"token_mask_rate": token_rate, "token_delete_rate": token_rate}))
         config = ["--config", str(tmp_path / "cfg.json")]
-    out = tmp_path / "pairs.jsonl"
+    out = tmp_path / name
     assert main(["noise", "--in", str(SAMPLE / "golden" / "annotated.plx"), "--out", str(out),
                  "--count", "300", "--seed", str(seed), "--mix", str(mix), *config]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _matches_digest(out)
 
 
 def test_noise_interrupted_leaves_earlier_output(tmp_path, monkeypatch):
@@ -557,8 +621,7 @@ def test_augment_swap_digest(tmp_path):
                  "--mock", "digest:12"]) == 0
     assert main(["augment", "--in", str(annotated), "--map", str(swap),
                  "--out", str(out)]) == 0
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "c9e065de9f223d8c7a65494a8589b6ddbeaa6b799e9bf2b90ebf618a8751362c")
+    assert _matches_digest(out)
 
 
 def test_augment_cli(tmp_path):
@@ -641,6 +704,20 @@ def test_clean_cli_tiny_threshold_matches_oracle(tmp_path, threshold):
     removals = [json.loads(line)
                 for line in (tmp_path / "removals.jsonl").read_text().splitlines()]
     assert removals == [r.to_dict() for r in duplicates + small]
+
+
+# The sample pipeline cleans without an eval set: clean the golden corpus
+# again with its first 12 dialogues as one, which removes for all four reasons.
+def test_clean_eval_set_digest(tmp_path):
+    eval_set = tmp_path / "eval.dlg"
+    lines = (SAMPLE / "golden" / "corpus.dlg").read_text(encoding="utf-8").splitlines(True)
+    eval_set.write_text("".join(lines[:12]), encoding="utf-8")
+    out, report = tmp_path / "ev.dlg", tmp_path / "ev.rem"
+    assert main(["clean", "--in", str(SAMPLE / "golden" / "corpus.dlg"),
+                 "--eval-set", str(eval_set), "--out", str(out), "--report", str(report)]) == 0
+    assert {json.loads(line)["reason"] for line in report.read_text().splitlines()} == {
+        "duplicate", "eval_overlap", "too_few_turns", "too_few_tokens"}
+    assert _matches_digest(out) and _matches_digest(report)
 
 
 def _write_jsonl(path, rows):
@@ -737,20 +814,17 @@ def test_eval_select_train_ref_accepts_dialogue_records(tmp_path):
 # eval's report bytes in each mode over the sample's fixed candidates (the
 # annotated summaries, or the named dialogues' records) and 1-4 references
 # per id. Computed before the record types changed; no golden covers eval.
-@pytest.mark.parametrize("candidates, mode, digest", [
-    ("eval_candidates.jsonl", [],
-     "dc677ff8db3da0e88100354154eb7042a879c92e87435da0464659bae7a91ba2"),
-    ("eval_candidates.jsonl", ["--multi-ref"],
-     "28f93a28cbc80d8181369ec3fbf4133bbca394a51551f5595831c61db97c35b4"),
-    ("golden/named.dlg", ["--select-train-ref"],
-     "d0d2a515d7656e56c6e922ce71d650bdb01fb6f1352fb6241da064ac548ea5d6"),
+@pytest.mark.parametrize("candidates, mode, name", [
+    ("eval_candidates.jsonl", [], "single.json"),
+    ("eval_candidates.jsonl", ["--multi-ref"], "multi.json"),
+    ("golden/named.dlg", ["--select-train-ref"], "select.json"),
 ], ids=["single-ref", "multi-ref", "select-train-ref"])
-def test_eval_digest(tmp_path, candidates, mode, digest):
-    out = tmp_path / "report.json"
+def test_eval_digest(tmp_path, candidates, mode, name):
+    out = tmp_path / name
     assert main(["eval", "--candidates", str(SAMPLE / candidates),
                  "--references", str(SAMPLE / "eval_references.jsonl"),
                  "--out", str(out), *mode]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _matches_digest(out)
 
 
 def _oracle_eval_report(candidates: dict, references: dict, multi_ref: bool,

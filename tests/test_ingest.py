@@ -234,7 +234,7 @@ def test_ingest_matches_per_row_oracle(tmp_path_factory, dialogues, int_ids):
     result = ingest(raw, spec)
     expected, report = oracle_ingest(raw, spec)
     assert result.dialogues == expected
-    assert vars(result.report) == report
+    assert {"dialogues": len(result.dialogues), **vars(result.report)} == report
 
 
 def test_spec_requires_mapping():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from dialoprep.records import (
     Dialogue,
     SummaryRecord,
     Turn,
-    corpus_manifest,
     dialogue_from_obj,
     iter_corpus,
     load_corpus,
@@ -273,10 +273,14 @@ def test_missing_file():
         load_corpus("/nonexistent/path.dlg", "dialogues")
 
 
-def test_corpus_manifest_counts():
+def test_corpus_manifest_counts(tmp_path):
+    from dialoprep.cli import main
+
     rng = random.Random(3)
     ds = [make_dialogue(rng, f"d{i}", source=f"set{i % 2}") for i in range(5)]
-    manifest = corpus_manifest("demo", ds, seed=42)
-    assert manifest.examples == 5
-    assert manifest.created_with_seed == 42
-    assert manifest.source_datasets == ("set0", "set1")
+    save_corpus(ds, tmp_path / "in.dlg")
+    assert main(["roles", "--in", str(tmp_path / "in.dlg"), "--out", str(tmp_path / "demo"),
+                 "--seed", "42"]) == 0
+    manifest = json.loads((tmp_path / "demo.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["corpus"] == {"name": "demo", "examples": 5, "created_with_seed": 42,
+                                  "source_datasets": ["set0", "set1"]}

@@ -179,7 +179,8 @@ def test_inverse_map_restores_texts():
     ex = _support_example()
     forward = RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"})
     applied = augment_role_replace(ex, forward)
-    back = augment_role_replace(applied, forward.inverse())
+    inverse = RoleMap(pairs={new: old for old, new in forward.pairs.items()})
+    back = augment_role_replace(applied, inverse)
     assert back._replace(summaries=ex.summaries) == ex
     assert [s.text for s in back.summaries] == [s.text for s in ex.summaries]
 

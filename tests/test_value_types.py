@@ -17,7 +17,7 @@ from dialoprep.metrics import (
     RougeScore,
 )
 from dialoprep.noising import NoisedPair, NoisingConfig, SerializedInput, TaskMix
-from dialoprep.records import CorpusManifest, Dialogue, SummaryRecord, Turn
+from dialoprep.records import Dialogue, SummaryRecord, Turn
 from dialoprep.roles import NamePool, RoleMap
 
 _TURNS = (Turn(0, "hello there"), Turn(1, "hi"))
@@ -33,8 +33,6 @@ _CASES = [
      "roles", ("Ava", "Bo"), True),
     (SummaryRecord, lambda: {"text": "they talk", "origin": "annotated"},
      "origin", "augmented", True),
-    (CorpusManifest, lambda: {"name": "c.dlg", "examples": 3, "created_with_seed": 7,
-                              "source_datasets": ("a", "b")}, "created_with_seed", None, True),
     (DedupConfig, lambda: {"jaccard_threshold": 0.5, "shingle_k": 2}, "min_turns", 3, True),
     (RemovalRecord, lambda: {"removed_id": "b", "reason": "duplicate", "matched_id": "a",
                              "score": 0.9}, "score", 0.8, True),
