@@ -10,34 +10,41 @@ evaluation leak with its lowest evaluation dialogue. The join only finds the
 rows that have any match, which does not depend on what was kept. A row
 without one is kept as it is met; every other row is looked up among the
 references posted so far (the dialogues kept before it, or all evaluation
-dialogues), its candidates verified lowest first. The join verifies a pair
+dialogues), its candidates verified lowest first. Where the postings under its
+probe prefix hold more entries than there are references posted, it scans all
+of these in order instead of sorting their union. The join verifies a pair
 only while its row has no match, so a cluster of k mutually similar
 dialogues costs about k verifications, not k * k / 2. It meets each distinct
 shingle set once; a later row with an equal set, and an empty set, which it
 skips, are looked up.
 
-The join is AllPairs (Bayardo et al., WWW 2007). Shingles become integer ids,
-rarest first, and the sets are swept in (size, row) order, so every set met
-before is at most as large as the one probing. The length filter is then a
-start position in that order. A set probes the postings with the prefix that
-any set at or above the threshold must share a shingle with, and is posted
-under the shorter prefix that suffices against sets no smaller than itself.
-Each candidate pair is verified at most once, on integer bitsets; where the
-postings a probe would scan outnumber the sets in its length range, the whole
-range is its candidates. The filters only skip pairs that cannot reach the
-threshold, and their bounds are tested with the verifier's own float
-division, so the result is the brute-force scan's. :func:`clean` tokenizes
-each dialogue once, into a row that serves all three passes.
+The join is AllPairs (Bayardo et al., WWW 2007). Each dialogue's shingles take
+integer ids as it is tokenized, a new shingle the next id in one dict over
+all dialogues, and only its list of ids is kept, no set of strings. Once all
+are read, the ids are renumbered rarest first, ties broken by the shingle, so
+the numbering does not follow the hash order a set iterates in. The sets are
+swept in (size, row) order, so every set met before is at most as large as
+the one probing. The length filter is then a start position in that order. A
+set probes the postings with the prefix that any set at or above the
+threshold must share a shingle with, and is posted under the shorter prefix
+that suffices against sets no smaller than itself. Each candidate pair is
+verified at most once, on integer bitsets: one AND and a bit count, where a
+merge of sorted id lists would loop in Python over about as many ids as the
+sets hold. Where the postings a probe would scan outnumber the sets in its
+length range, the whole range is its candidates. The filters only skip pairs
+that cannot reach the threshold, and their bounds are tested with the
+verifier's own float division, so the result is the brute-force scan's.
+:func:`clean` tokenizes each dialogue once, into a row that serves all three
+passes.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import jsonl
 from .records import Dialogue, validated
@@ -135,10 +142,8 @@ def _profile(d: Dialogue, shingle_k: int) -> _Profile:
     """Tokenizes the joined text, as ``dialogue_shingles`` does. Neither a
     token nor the context of a case mapping (final sigma) crosses the space
     ``dialogue_text`` joins turns with, so the token count is also the sum of
-    the turns' token counts. Tokens are interned: ``_rows`` holds the sets of
-    all dialogues at once, and then holds one string per distinct token
-    instead of one per occurrence."""
-    tokens = list(map(sys.intern, tokenize_for_metrics(dialogue_text(d))))
+    the turns' token counts."""
+    tokens = tokenize_for_metrics(dialogue_text(d))
     return _Profile(_shingles(tokens, shingle_k), len(tokens))
 
 
@@ -146,24 +151,43 @@ def _rows(dialogues: Iterable[Dialogue], cfg: DedupConfig) -> list[tuple]:
     """One row per dialogue, in order: (dialogue, utterance token count, set
     encoded as (size, bitset, probe prefix, lo, index prefix length)), where
     lo is the fewest shingles the set shares with any set it reaches the
-    threshold with. The sets are numbered together, rarest shingle first,
-    ties broken by the shingle itself, and not kept. Any fixed numbering
-    leaves the joins' matches unchanged, since prefix filtering is exact."""
-    profiles = [(d, _profile(d, cfg.shingle_k)) for d in dialogues]
-    freq: Counter = Counter()
-    for _, profile in profiles:
-        freq.update(profile.shingles)
-    # By (count, shingle): a stable sort by count of the shingles in order.
-    ids = {g: i for i, g in enumerate(sorted(sorted(freq), key=freq.__getitem__))}
+    threshold with.
+
+    Each set is read into a list of ids as its dialogue is tokenized, a
+    shingle met for the first time taking the next id. Neither the sets nor
+    interned tokens are kept: one string (or tuple) per distinct shingle, as
+    the key of that id, until the ids are renumbered over all rows, rarest
+    shingle first, ties broken by the shingle itself. The numbering then
+    depends on the sets alone and not on the order a set iterates in, and any
+    fixed numbering leaves the joins' matches unchanged, since prefix
+    filtering is exact. Each sorted id list is encoded as a bitset, so that a
+    pair is verified with one AND and a bit count, not a Python loop over ids."""
+    ids: dict = {}  # shingle -> id, in the order first read
+    read = []
+    for d in dialogues:
+        profile = _profile(d, cfg.shingle_k)
+        ids.update(zip(profile.shingles.difference(ids), count(len(ids))))
+        read.append((d, profile.tokens, list(map(ids.__getitem__, profile.shingles))))
+    freq = Counter(chain.from_iterable(row[2] for row in read))
+    shingles = list(ids)  # by id
+    del ids
+    # By (count, shingle): a stable sort by count of the ids in shingle order.
+    ranked = sorted(sorted(range(len(shingles)), key=shingles.__getitem__),
+                    key=freq.__getitem__)
+    del shingles  # the strings go before the bitsets are built
+    rank = [0] * len(ranked)
+    for i, g in enumerate(ranked):
+        rank[g] = i
     bounds: dict[int, tuple[int, int]] = {}
-    return [(d, profile.tokens, _encode(profile.shingles, ids, cfg.jaccard_threshold, bounds))
-            for d, profile in profiles]
+    for row, (d, tokens, read_ids) in enumerate(read):  # each id list dropped as it is encoded
+        read[row] = d, tokens, _encode(sorted(map(rank.__getitem__, read_ids)),
+                                       cfg.jaccard_threshold, bounds)
+    return read
 
 
-def _encode(shingles: frozenset, ids: dict, threshold: float, bounds: dict) -> tuple:
-    if not shingles:
+def _encode(sorted_ids: list[int], threshold: float, bounds: dict) -> tuple:
+    if not sorted_ids:
         return 0, 0, [], 0, 0
-    sorted_ids = sorted(map(ids.__getitem__, shingles))
     size = len(sorted_ids)
     if size not in bounds:
         bounds[size] = _overlap_bounds(size, threshold)
@@ -184,14 +208,6 @@ def _score(a: tuple, b: tuple) -> float:
     inter = (a[1] & b[1]).bit_count()
     union = a[0] + b[0] - inter
     return inter / union if union else 1.0
-
-
-def _flagged(flags: bytearray, start: int, stop: int) -> Iterator[int]:
-    """The positions in [start, stop) whose flag is set."""
-    pos = flags.find(1, start, stop)
-    while pos >= 0:
-        yield pos
-        pos = flags.find(1, pos + 1, stop)
 
 
 def _join(rows: dict[int, tuple], refs: dict[int, tuple] | None, threshold: float) -> set[int]:
@@ -243,7 +259,7 @@ def _join(rows: dict[int, tuple], refs: dict[int, tuple] | None, threshold: floa
                     bound = start
             if not target:
                 # Then only the pairs whose row is a pool row without a match.
-                for pos in (_flagged(open_, start, bound) if whole_range
+                for pos in (compress(range(start, bound), open_[start:bound]) if whole_range
                             else (pos for pos in unvisited if open_[pos])):
                     if ((cross or keys[pos] > key)
                             and (inter := (bits & bitsets[pos]).bit_count()) >= lo
@@ -263,20 +279,25 @@ def _join(rows: dict[int, tuple], refs: dict[int, tuple] | None, threshold: floa
 _EMPTY = (-1,)  # the posting key of the empty set, which shares no shingle
 
 
-def _post(postings: dict[int, list[int]], e: tuple, ref: int) -> None:
+def _post(postings: dict[int, list[int]], posted: list[int], e: tuple, ref: int) -> None:
     for g in e[2] or _EMPTY:
         postings.setdefault(g, []).append(ref)
+    posted.append(ref)
 
 
-def _lowest_match(e: tuple, postings: dict[int, list[int]], ref_entries: Sequence[tuple],
-                  threshold: float) -> tuple[int, float] | None:
+def _lowest_match(e: tuple, postings: dict[int, list[int]], posted: list[int],
+                  ref_entries: Sequence[tuple], threshold: float) -> tuple[int, float] | None:
     """(reference, score) of the lowest posted reference that ``e`` reaches the
     threshold with, or None. References are posted under their whole probe
-    prefix, since they may be larger or smaller than ``e``; the candidates
-    pass the length filter both ways and are verified lowest first."""
+    prefix, since they may be larger or smaller than ``e``, and in ``posted``
+    in ascending order; the candidates pass the length filter both ways and
+    are verified lowest first. Where the postings under ``e``'s prefix hold
+    more entries than ``posted``, all of ``posted`` are the candidates: any
+    reference that reaches the threshold shares a prefix shingle with ``e``."""
     size, _, prefix, lo, _ = e
-    for ref in sorted(set(chain.from_iterable(map(postings.get, prefix or _EMPTY,
-                                                   repeat(()))))):
+    lists = list(map(postings.get, prefix or _EMPTY, repeat(())))
+    for ref in (posted if sum(map(len, lists)) > len(posted)
+                else sorted(set(chain.from_iterable(lists)))):
         other = ref_entries[ref]
         if other[0] >= lo and size >= other[3]:
             score = _score(e, other)
@@ -307,23 +328,24 @@ def _drop_similar(rows: Sequence[tuple], references: Sequence[tuple] | None,
     # does not meet is looked up like a matched one.
     firsts = {i: e for i, e in _distinct(entries).items() if e[0]}
     postings: dict[int, list[int]] = {}
+    posted: list[int] = []
     if self_join:
         matched = _join(firsts, None, threshold)
     else:
         distinct_refs = _distinct(ref_entries)
         matched = _join(firsts, {ref: e for ref, e in distinct_refs.items() if e[0]}, threshold)
         for ref, e in distinct_refs.items():
-            _post(postings, e, ref)
+            _post(postings, posted, e, ref)
 
     kept: list[tuple] = []
     removed: list[RemovalRecord] = []
     for i, (row, e) in enumerate(zip(rows, entries)):
-        match = (_lowest_match(e, postings, ref_entries, threshold)
+        match = (_lowest_match(e, postings, posted, ref_entries, threshold)
                  if i in matched or i not in firsts else None)
         if match is None:
             kept.append(row)
             if self_join:
-                _post(postings, e, i)
+                _post(postings, posted, e, i)
         else:
             ref, score = match
             removed.append(RemovalRecord(removed_id=row[0].id, reason=reason,

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,7 @@ from dialoprep.dedup import (
     remove_eval_overlap,
     save_removal_report,
 )
-from dialoprep.records import Dialogue, Turn, load_corpus
+from dialoprep.records import Dialogue, Turn, load_corpus, save_corpus
 
 from conftest import (
     brute_force_dedup,
@@ -342,29 +346,50 @@ def test_join_finds_exactly_the_rows_with_a_match_edited_copies():
             assert dedup_corpus(corpus, cfg) == brute_force_dedup(corpus, cfg)
 
 
-_SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample" / "golden" / "corpus.dlg"
+_ROOT = Path(__file__).resolve().parent.parent
+_SAMPLE_CORPUS = _ROOT / "data" / "sample" / "golden" / "corpus.dlg"
 
 
+def _sample_vocabulary() -> list[str]:
+    return sorted({w for d in load_corpus(_SAMPLE_CORPUS, "dialogues")
+                   for t in d.turns for w in t.text.split()})
+
+
+def _near_copy(rng: random.Random, d: Dialogue, vocabulary: list[str],
+               dialogue_id: str) -> Dialogue:
+    """``d`` with one word replaced."""
+    texts = [t.text.split() for t in d.turns]
+    turn = rng.randrange(len(texts))
+    texts[turn][rng.randrange(len(texts[turn]))] = rng.choice(vocabulary)
+    return _dlg(dialogue_id, [" ".join(words) for words in texts])
+
+
+def _sample_vocabulary_corpus(rng: random.Random, vocabulary: list[str],
+                              n: int) -> list[Dialogue]:
+    """``n`` dialogues over ``vocabulary``, about 30 % of them a near copy of
+    an earlier one."""
+    corpus: list[Dialogue] = []
+    for i in range(n):
+        if corpus and rng.random() < 0.3:
+            corpus.append(_near_copy(rng, rng.choice(corpus), vocabulary, f"s{i}"))
+        else:
+            corpus.append(_dlg(f"s{i}", [" ".join(rng.choices(vocabulary, k=rng.randint(2, 14)))
+                                         for _ in range(rng.randint(1, 9))]))
+    return corpus
+
+
+@pytest.mark.parametrize("shingle_k", [1, 2, 10**18])
 @pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9])
-def test_join_matches_brute_force_sample_vocabulary(threshold):
+def test_join_matches_brute_force_sample_vocabulary(threshold, shingle_k):
     # The sample corpus's small vocabulary makes pairwise Jaccard high, and the
     # sizes spread from a few shingles to about a hundred, so the length ranges
-    # and postings the probes meet are long
-    vocabulary = sorted({w for d in load_corpus(_SAMPLE_CORPUS, "dialogues")
-                         for t in d.turns for w in t.text.split()})
+    # and postings the probes meet are long. Tuple shingles take their ids
+    # through the same dict as strings, and a k longer than every dialogue
+    # gives only empty sets, which all match each other
     rng = random.Random(f"sample-vocabulary:{threshold}")
-    corpus = []
-    for i in range(300):
-        if corpus and rng.random() < 0.3:  # a near copy of an earlier row
-            texts = [t.text.split() for t in rng.choice(corpus).turns]
-            turn = rng.randrange(len(texts))
-            texts[turn][rng.randrange(len(texts[turn]))] = rng.choice(vocabulary)
-            texts = [" ".join(words) for words in texts]
-        else:
-            texts = [" ".join(rng.choices(vocabulary, k=rng.randint(2, 14)))
-                     for _ in range(rng.randint(1, 9))]
-        corpus.append(_dlg(f"s{i}", texts))
-    cfg = DedupConfig(jaccard_threshold=threshold, min_turns=1, min_tokens=1)
+    corpus = _sample_vocabulary_corpus(rng, _sample_vocabulary(), 300)
+    cfg = DedupConfig(jaccard_threshold=threshold, shingle_k=shingle_k, min_turns=1,
+                      min_tokens=1)
     kept, removed = dedup_corpus(corpus, cfg)
     assert (kept, removed) == brute_force_dedup(corpus, cfg)
     assert len(removed) > 30
@@ -373,6 +398,35 @@ def test_join_matches_brute_force_sample_vocabulary(threshold):
             == brute_force_eval_overlap(kept, eval_sets, cfg))
     _assert_join_exact(corpus, None, cfg)
     _assert_join_exact(kept, [*eval_sets[0], *eval_sets[1]], cfg)
+
+
+@pytest.mark.parametrize("shingle_k", [1, 2])
+def test_clean_output_does_not_follow_the_hash_seed(tmp_path, shingle_k):
+    # A shingle's first id follows the order a set of strings iterates in,
+    # which the hash seed sets; only the renumbering may reach the output
+    rng = random.Random(f"hash-seed:{shingle_k}")
+    vocabulary = _sample_vocabulary()
+    corpus = _sample_vocabulary_corpus(rng, vocabulary, 400)
+    # Evaluation dialogues: training rows, half of them with one word replaced
+    leaks = [_near_copy(rng, d, vocabulary, f"e{i}") if i % 2 else d._replace(id=f"e{i}")
+             for i, d in enumerate(rng.sample(corpus, 40))]
+    save_corpus(corpus, tmp_path / "corpus.dlg")
+    save_corpus(leaks, tmp_path / "eval.dlg")
+    outputs = []
+    for seed in ("0", "1"):
+        out, report = tmp_path / f"out{seed}.dlg", tmp_path / f"removals{seed}.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "dialoprep.cli", "clean", "--in", str(tmp_path / "corpus.dlg"),
+             "--eval-set", str(tmp_path / "eval.dlg"), "--out", str(out), "--report", str(report),
+             "--shingle-k", str(shingle_k)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(_ROOT / "src")})
+        assert done.returncode == 0, done.stderr
+        outputs.append((out.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    reasons = {json.loads(line)["reason"] for line in outputs[0][1].splitlines()}
+    assert {"duplicate", "eval_overlap"} <= reasons
+    assert outputs[0][0].count(b"\n") > 100
 
 
 _WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "..."])
