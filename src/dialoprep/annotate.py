@@ -305,6 +305,7 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
             pending.append(d)
 
     budget = _Budget(job.budget)
+    workers = max(1, min(job.max_in_flight, len(pending)))
     queue = iter(pending)
     in_flight: deque[tuple[Dialogue, Future]] = deque()
 
@@ -315,8 +316,8 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
                                               policy, budget, sleep)))
 
     with open(out_path, "a", encoding="utf-8") as out, \
-            ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
-        for _ in range(job.max_in_flight):
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in range(workers):
             submit_next()
         while in_flight:
             d, future = in_flight.popleft()

@@ -133,13 +133,8 @@ def _cmd_clean(args) -> int:
     records.save_corpus(kept, args.out)
     if args.report:
         dedup.save_removal_report(removals, args.report)
-    _write_manifest(
-        "clean", args.out, [args.input, *(args.eval_set or [])],
-        params={
-            **cfg._asdict(),
-            "minhash": bool(args.minhash),  # recorded as given; the flag is a no-op
-        },
-        corpus=kept)
+    _write_manifest("clean", args.out, [args.input, *(args.eval_set or [])],
+                    params=cfg._asdict(), corpus=kept)
     print(f"clean: kept {len(kept)} of {len(dialogues)} dialogues "
           f"({len(removals)} removed)")
     return 0
@@ -150,13 +145,12 @@ def _cmd_roles(args) -> int:
     pool = (roles.NamePool.from_file(args.names) if args.names
             else roles.bundled_name_pool())
     dialogues = records.load_corpus(args.input, "dialogues")
-    renamed = [roles.assign_role_group(d, pool, args.seed, force=not args.no_force)
-               for d in dialogues]
+    renamed = [roles.assign_role_group(d, pool, args.seed) for d in dialogues]
     records.save_corpus(renamed, args.out)
     _write_manifest(
         "roles", args.out,
         [args.input] + ([args.names] if args.names else []),
-        params={"force": not args.no_force, "pool_size": len(pool)},
+        params={"pool_size": len(pool)},
         seed=args.seed, corpus=renamed)
     print(f"roles: assigned role groups to {len(renamed)} dialogues")
     return 0
@@ -228,13 +222,11 @@ def _cmd_noise(args) -> int:
 def _cmd_stats(args) -> int:
     from . import metrics
     examples = records.load_corpus(args.input, "parallel")
-    report = metrics.corpus_report(examples, summary_index=args.summary_index)
+    report = metrics.corpus_report(examples)
     jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL,
                                 **report._asdict()})
-    _write_manifest(
-        "stats", args.out, [args.input],
-        params={"summary_index": args.summary_index,
-                "tokenizer": metrics.TOKENIZER_LABEL})
+    _write_manifest("stats", args.out, [args.input],
+                    params={"tokenizer": metrics.TOKENIZER_LABEL})
     print(metrics.format_stats_table(report))
     return 0
 
@@ -358,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cfg = p.add_argument_group("settings (an unset one takes DedupConfig's default)",
                                argument_default=argparse.SUPPRESS)
     cfg.add_argument("--jaccard-threshold", type=float)
-    cfg.add_argument("--shingle-k", type=int)
     cfg.add_argument("--min-turns", type=int)
     cfg.add_argument("--min-tokens", type=int)
     p.add_argument("--minhash", action="store_true",
@@ -372,8 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--names", help="name pool file (default: bundled pool)")
-    p.add_argument("--no-force", action="store_true",
-                   help="keep role tables already drawn from the pool")
     p.add_argument("--jobs", type=int, default=1,
                    help="deprecated no-op: the stage runs serially; kept so existing "
                         "commands still parse")
@@ -419,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus statistics report")
     p.add_argument("--in", dest="input", required=True, help="parallel corpus")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--summary-index", type=int, default=0)
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser("eval", help="ROUGE evaluation of candidate summaries")

@@ -1,8 +1,9 @@
 """Duplicate removal, evaluation-set leakage removal, and minimum-size filtering.
 
-Similarity is Jaccard over shingle sets built from utterance text only (role
-names are randomized later and would only add noise). Decisions are exact and
-sequential in input order, first occurrence wins, so results are order-stable.
+Similarity is Jaccard over the sets of token types (unigram shingles) of
+utterance text only (role names are randomized later and would only add
+noise). Decisions are exact and sequential in input order, first occurrence
+wins, so results are order-stable.
 
 Each pass first runs one exact similarity join, then decides in input order:
 a duplicate is matched with its lowest earlier dialogue that is still kept, an
@@ -54,15 +55,12 @@ from .tokens import tokenize_for_metrics
 @validated
 class DedupConfig(NamedTuple):
     jaccard_threshold: float = 0.8
-    shingle_k: int = 1  # 1 = unigram token sets; k > 1 = k-token shingles
     min_turns: int = 4
     min_tokens: int = 32
 
     def _check(self):
         if not 0.0 < self.jaccard_threshold <= 1.0:
             raise ValueError("jaccard_threshold must be in (0, 1]")
-        if self.shingle_k < 1:
-            raise ValueError("shingle_k must be >= 1")
         if self.min_turns < 1 or self.min_tokens < 1:
             raise ValueError("min_turns and min_tokens must be >= 1")
 
@@ -86,19 +84,22 @@ def save_removal_report(records: Iterable[RemovalRecord], path: str | Path) -> i
     return jsonl.write_lines(path, (jsonl.line(r.to_dict()) for r in records))
 
 
-def _shingles(tokens: Sequence[str], k: int) -> frozenset:
-    if k == 1:
-        return frozenset(tokens)
-    return frozenset(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
-
-
 def dialogue_text(d: Dialogue) -> str:
     """Utterance text of a dialogue, roles excluded."""
     return " ".join(t.text for t in d.turns)
 
 
-def dialogue_shingles(d: Dialogue, shingle_k: int = 1) -> frozenset:
-    return _shingles(tokenize_for_metrics(dialogue_text(d)), shingle_k)
+def _utterance_tokens(d: Dialogue) -> list[str]:
+    """The tokens of the joined text; their count is what ``filter_min_size``
+    bounds. Neither a token nor the context of a case mapping (final sigma)
+    crosses the space ``dialogue_text`` joins turns with, so the count is
+    also the sum of the turns' token counts."""
+    return tokenize_for_metrics(dialogue_text(d))
+
+
+def dialogue_shingles(d: Dialogue) -> frozenset:
+    """The set of a dialogue's utterance token types, which Jaccard compares."""
+    return frozenset(_utterance_tokens(d))
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +132,6 @@ def _overlap_bounds(size: int, threshold: float) -> tuple[int, int]:
             _fewest(lambda a: a / (2 * size - a) >= threshold, size))
 
 
-class _Profile(NamedTuple):
-    """What the clean filters read of one dialogue, from one tokenization."""
-
-    shingles: frozenset
-    tokens: int  # utterance tokens, the count ``filter_min_size`` bounds
-
-
-def _profile(d: Dialogue, shingle_k: int) -> _Profile:
-    """Tokenizes the joined text, as ``dialogue_shingles`` does. Neither a
-    token nor the context of a case mapping (final sigma) crosses the space
-    ``dialogue_text`` joins turns with, so the token count is also the sum of
-    the turns' token counts."""
-    tokens = tokenize_for_metrics(dialogue_text(d))
-    return _Profile(_shingles(tokens, shingle_k), len(tokens))
-
-
 def _rows(dialogues: Iterable[Dialogue], cfg: DedupConfig) -> list[tuple]:
     """One row per dialogue, in order: (dialogue, utterance token count, set
     encoded as (size, bitset, probe prefix, lo, index prefix length)), where
@@ -155,19 +140,20 @@ def _rows(dialogues: Iterable[Dialogue], cfg: DedupConfig) -> list[tuple]:
 
     Each set is read into a list of ids as its dialogue is tokenized, a
     shingle met for the first time taking the next id. Neither the sets nor
-    interned tokens are kept: one string (or tuple) per distinct shingle, as
-    the key of that id, until the ids are renumbered over all rows, rarest
-    shingle first, ties broken by the shingle itself. The numbering then
-    depends on the sets alone and not on the order a set iterates in, and any
+    interned tokens are kept: one string per distinct shingle, as the key of
+    that id, until the ids are renumbered over all rows, rarest shingle
+    first, ties broken by the shingle itself. The numbering then depends on
+    the sets alone and not on the order a set iterates in, and any
     fixed numbering leaves the joins' matches unchanged, since prefix
     filtering is exact. Each sorted id list is encoded as a bitset, so that a
     pair is verified with one AND and a bit count, not a Python loop over ids."""
     ids: dict = {}  # shingle -> id, in the order first read
     read = []
     for d in dialogues:
-        profile = _profile(d, cfg.shingle_k)
-        ids.update(zip(profile.shingles.difference(ids), count(len(ids))))
-        read.append((d, profile.tokens, list(map(ids.__getitem__, profile.shingles))))
+        tokens = _utterance_tokens(d)
+        types = frozenset(tokens)
+        ids.update(zip(types.difference(ids), count(len(ids))))
+        read.append((d, len(tokens), list(map(ids.__getitem__, types))))
     freq = Counter(chain.from_iterable(row[2] for row in read))
     shingles = list(ids)  # by id
     del ids
@@ -415,5 +401,5 @@ def filter_min_size(dialogues: Sequence[Dialogue], cfg: DedupConfig
     """Keep dialogues with at least ``min_turns`` turns AND ``min_tokens`` utterance
     tokens (metrics tokenizer, roles excluded). Boundaries are inclusive."""
     # Rows cut to (dialogue, token count): this pass needs no encoded sets.
-    kept, removed = _drop_small([(d, _profile(d, cfg.shingle_k).tokens) for d in dialogues], cfg)
+    kept, removed = _drop_small([(d, len(_utterance_tokens(d))) for d in dialogues], cfg)
     return [row[0] for row in kept], removed

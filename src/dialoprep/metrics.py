@@ -306,21 +306,19 @@ def redundant_ngram_pct(summary_tokens: Sequence[str], n: int) -> float:
     return 100.0 * (1.0 - len(set(grams)) / len(grams))
 
 
-def example_stats(ex: Dialogue, summary_index: int = 0) -> ExampleStats:
-    """Compression, coverage, density, novelty and redundancy for one example.
+def example_stats(ex: Dialogue) -> ExampleStats:
+    """Compression, coverage, density, novelty and redundancy for one example,
+    against its first summary.
 
     The dialogue side is the rendered ``role: utterance`` text, tokenized with
-    the metrics tokenizer. ``summary_index`` must name one of the example's
-    summaries; a negative index is refused, not counted from the end.
+    the metrics tokenizer.
     """
-    if not 0 <= summary_index < len(ex.summaries):
-        raise PipelineError(f"dialogue {ex.id!r} has no summary {summary_index} "
-                            f"(it has {len(ex.summaries)})")
+    if not ex.summaries:
+        raise PipelineError(f"dialogue {ex.id!r} has no summary")
     dialogue_tokens = tokenize_for_metrics(render_dialogue_text(ex))
-    summary_tokens = tokenize_for_metrics(ex.summaries[summary_index].text)
+    summary_tokens = tokenize_for_metrics(ex.summaries[0].text)
     if not summary_tokens:
-        raise EmptySummaryError(
-            f"summary {summary_index} of dialogue {ex.id!r} has no tokens")
+        raise EmptySummaryError(f"summary 0 of dialogue {ex.id!r} has no tokens")
     matches = _longest_matches(dialogue_tokens, summary_tokens)
     frags = _tile(matches)
     return ExampleStats(
@@ -335,11 +333,11 @@ def example_stats(ex: Dialogue, summary_index: int = 0) -> ExampleStats:
     )
 
 
-def corpus_report(examples: Sequence[Dialogue], summary_index: int = 0) -> CorpusStats:
+def corpus_report(examples: Sequence[Dialogue]) -> CorpusStats:
     """Unweighted per-example means of every statistic over a corpus."""
     if not examples:
         raise EmptyCorpusError("cannot compute statistics over an empty corpus")
-    per_example = [example_stats(ex, summary_index) for ex in examples]
+    per_example = [example_stats(ex) for ex in examples]
 
     def mean(values) -> float:
         return math.fsum(values) / len(per_example)

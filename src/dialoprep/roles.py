@@ -63,19 +63,16 @@ def bundled_name_pool() -> NamePool:
     return NamePool(names=tuple(line for line in text.splitlines() if line.strip()))
 
 
-def assign_role_group(d: Dialogue, pool: NamePool, seed: int,
-                      force: bool = True) -> Dialogue:
+def assign_role_group(d: Dialogue, pool: NamePool, seed: int) -> Dialogue:
     """Replace the role table with distinct pool names, order-matched to the speakers.
 
     Deterministic given (d.id, seed): the draw uses a generator derived from
-    both. With ``force=False`` a dialogue whose roles already all come from
-    the pool is left untouched. Turns are never modified.
+    both, so a dialogue renamed again at the same seed and pool keeps its
+    names. Turns are never modified.
     """
     if len(pool) < len(d.roles):
         raise PoolTooSmallError(
             f"pool has {len(pool)} names but dialogue {d.id!r} has {len(d.roles)} roles")
-    if not force and set(d.roles) <= set(pool.names):
-        return d
     rng = derive_rng(seed, "roles", d.id)
     new_roles = tuple([pool.names[j] for j in sample_range(rng, len(pool), len(d.roles))])
     return d._replace(roles=new_roles)
@@ -96,12 +93,14 @@ class RoleMap(NamedTuple):
             if not is_canonical(name) or any(m in name for m in RESERVED_MARKERS):
                 raise AmbiguousMapError(f"invalid role name {name!r}")
         # A multi-word name containing another old name as a whole word makes
-        # match order ambiguous; reject up front.
-        for a in old_names:
-            for b in old_names:
-                if a != b and _word_pattern(a).search(b):
-                    raise AmbiguousMapError(
-                        f"old name {a!r} collides with old name {b!r} at a word boundary")
+        # match order ambiguous; reject up front. New names are the old names
+        # of the swapped map, which must undo this one.
+        for side, names in (("old", old_names), ("new", new_names)):
+            for a in names:
+                for b in names:
+                    if a != b and _word_pattern(a).search(b):
+                        raise AmbiguousMapError(f"{side} name {a!r} collides with "
+                                                f"{side} name {b!r} at a word boundary")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RoleMap":

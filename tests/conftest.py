@@ -302,38 +302,29 @@ def oracle_tokenize(text: str) -> list[str]:
     return re.findall(r"[^\W_]+", text.lower())
 
 
-def _oracle_text_shingles(text: str, k: int) -> frozenset:
-    tokens = oracle_tokenize(text)
-    if k == 1:
-        return frozenset(tokens)
-    return frozenset(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
-
-
-def oracle_shingles(d: Dialogue, k: int) -> frozenset:
-    """Shingles of a dialogue's joined utterance text, built apart from ``dedup``."""
-    return _oracle_text_shingles(" ".join(t.text for t in d.turns), k)
+def oracle_shingles(d: Dialogue) -> frozenset:
+    """Token types of a dialogue's joined utterance text, built apart from ``dedup``."""
+    return frozenset(oracle_tokenize(" ".join(t.text for t in d.turns)))
 
 
 def _oracle_jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b) if a or b else 1.0
 
 
-def oracle_jaccard(a: str, b: str, shingle_k: int = 1) -> float:
-    """|Sa & Sb| / |Sa | Sb| over the shingle sets of two texts; 1.0 when
+def oracle_jaccard(a: str, b: str) -> float:
+    """|Sa & Sb| / |Sa | Sb| over the token type sets of two texts; 1.0 when
     both sets are empty."""
-    return _oracle_jaccard(_oracle_text_shingles(a, shingle_k),
-                           _oracle_text_shingles(b, shingle_k))
+    return _oracle_jaccard(frozenset(oracle_tokenize(a)), frozenset(oracle_tokenize(b)))
 
 
 def _brute_force_first_match(dialogues, references, cfg, reason):
     """The O(n^2) first-match scan the dedup join must reproduce: each dialogue
     is compared with every reference in order and dropped with the first at
     Jaccard >= threshold; ``references=None`` means the dialogues kept so far."""
-    refs = [] if references is None else [(r, oracle_shingles(r, cfg.shingle_k))
-                                           for r in references]
+    refs = [] if references is None else [(r, oracle_shingles(r)) for r in references]
     kept, removed = [], []
     for d in dialogues:
-        shingles = oracle_shingles(d, cfg.shingle_k)
+        shingles = oracle_shingles(d)
         for ref, ref_shingles in refs:
             score = _oracle_jaccard(shingles, ref_shingles)
             if score >= cfg.jaccard_threshold:

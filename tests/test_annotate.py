@@ -303,6 +303,35 @@ def test_submitted_work_bounded_by_in_flight(tmp_path, monkeypatch, bound):
         assert report.completed == ids[:9]
 
 
+def test_in_flight_bound_above_the_batch_starts_one_worker_per_dialogue(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    dialogue = make_dialogue(random.Random(6), "d0")
+    outputs = []
+    for bound in (1, 10**8):
+        out = tmp_path / f"o{bound}.plx"
+        started = time.perf_counter()
+        report = annotate_batch([dialogue], AnnotationJob(model="m", max_in_flight=bound),
+                                MockEndpoint("digest:5"), out, NO_BACKOFF)
+        assert time.perf_counter() - started < 2  # 10**8 idle submissions take seconds
+        assert report.completed == ["d0"]
+        outputs.append(out.read_bytes())
+    assert sizes == [1, 1]
+    assert outputs[0] == outputs[1]
+    # Every dialogue already annotated: nothing is pending, and one worker idles.
+    report = annotate_batch([dialogue], AnnotationJob(model="m", max_in_flight=10**8),
+                            MockEndpoint("digest:5"), out, NO_BACKOFF)
+    assert report.skipped_existing == ["d0"] and sizes[-1] == 1
+
+
 def test_whitespace_summary_is_a_failure(tmp_path):
     rng = random.Random(6)
     dialogues = [make_dialogue(rng, f"d{i}") for i in range(3)]

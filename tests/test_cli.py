@@ -163,11 +163,16 @@ def test_an_output_that_is_an_input_exits_1_and_writes_nothing(tmp_path, capsys,
     ["clean", "--in", "{named}", "--out", "{out}", "--config", "{tmp}/c.json"],
     ["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
      "--kind", "parallel"],
-], ids=["clean-config", "noise-kind"])
+    ["clean", "--in", "{named}", "--out", "{out}", "--shingle-k", "2"],
+    ["roles", "--in", "{named}", "--out", "{out}", "--seed", "1", "--no-force"],
+    ["stats", "--in", "{annotated}", "--out", "{out}", "--summary-index", "0"],
+], ids=["clean-config", "noise-kind", "clean-shingle-k", "roles-no-force",
+        "stats-summary-index"])
 def test_removed_flags_exit_2(tmp_path, capsys, argv):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"min_turns": 40}))
-    paths = {"named": SAMPLE / "golden" / "named.dlg", "out": tmp_path / "out",
+    paths = {"named": SAMPLE / "golden" / "named.dlg",
+             "annotated": SAMPLE / "golden" / "annotated.plx", "out": tmp_path / "out",
              "tmp": tmp_path}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -500,10 +505,6 @@ _INPUT_FILES = {
       "--config", "{tmp}/seed_config.json"], "seed_config.json: unknown field 'seed'"),
     (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
       "--mix", "{tmp}/seed_mix.json"], "seed_mix.json: unknown field 'seed'"),
-    (["stats", "--in", "{annotated}", "--out", "{out}", "--summary-index", "3"],
-     "dialogue 'sample:c000' has no summary 3"),
-    (["stats", "--in", "{annotated}", "--out", "{out}", "--summary-index", "-1"],
-     "dialogue 'sample:c000' has no summary -1"),
     (["eval", "--candidates", "{tmp}/one_text.jsonl", "--references", "{tmp}/one_text.jsonl",
       "--out", "{out}", "--select-train-ref", "--max-length", "-5"],
      "max_length must be >= 1"),
@@ -562,7 +563,6 @@ _INPUT_FILES = {
         "eval-number-candidate-id", "eval-number-reference-id", "eval-max-length-0",
         "annotate-nan-temperature", "annotate-negative-backoff", "noise-config-nan",
         "noise-config-infinity", "noise-config-seed", "noise-mix-seed",
-        "stats-summary-index-past-end", "stats-summary-index-negative",
         "eval-select-ref-negative-max-length", "eval-select-ref-max-length",
         "noise-mix-weight-sum-overflow", "noise-mix-infinite-weight",
         "ingest-null-utterance", "ingest-object-utterance", "ingest-null-speaker",
@@ -665,12 +665,11 @@ def test_clean_cli_matches_oracle_chain(tmp_path):
             eval_set.append(d._replace(id=f"e{i}", source_dataset="eval"))
     save_corpus(corpus, tmp_path / "corpus.dlg")
     save_corpus(eval_set, tmp_path / "eval.dlg")
-    cfg = DedupConfig(jaccard_threshold=0.7, shingle_k=2, min_turns=3, min_tokens=14)
+    cfg = DedupConfig(jaccard_threshold=0.7, min_turns=3, min_tokens=14)
     assert main(["clean", "--in", str(tmp_path / "corpus.dlg"), "--out", str(tmp_path / "out.dlg"),
                  "--eval-set", str(tmp_path / "eval.dlg"),
                  "--report", str(tmp_path / "removals.jsonl"),
-                 "--jaccard-threshold", "0.7", "--shingle-k", "2",
-                 "--min-turns", "3", "--min-tokens", "14"]) == 0
+                 "--jaccard-threshold", "0.7", "--min-turns", "3", "--min-tokens", "14"]) == 0
 
     kept, duplicates = brute_force_dedup(corpus, cfg)
     kept, leaks = brute_force_eval_overlap(kept, [eval_set], cfg)
@@ -718,6 +717,24 @@ def test_clean_eval_set_digest(tmp_path):
     assert {json.loads(line)["reason"] for line in report.read_text().splitlines()} == {
         "duplicate", "eval_overlap", "too_few_turns", "too_few_tokens"}
     assert _matches_digest(out) and _matches_digest(report)
+
+
+def test_zipf_clean_digest(tmp_path):
+    # The benchmark generator's 10^4-dialogue Zipf corpus, of 20k word types
+    # against the sample's 150, ingested and cleaned against its eval set.
+    sys.path.insert(0, str(SAMPLE.parent.parent / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(7)
+    gen.write_corpus(rng, gen.ZipfVocabulary(rng), 10_000, tmp_path)
+    corpus, out, report = tmp_path / "zipf.dlg", tmp_path / "zipf_clean.dlg", tmp_path / "zipf.rem"
+    assert main(["ingest", "--in", str(tmp_path / "raw.jsonl"),
+                 "--spec", str(tmp_path / "ingest_spec.json"), "--out", str(corpus)]) == 0
+    assert main(["clean", "--in", str(corpus), "--eval-set", str(tmp_path / "eval.dlg"),
+                 "--out", str(out), "--report", str(report)]) == 0
+    assert _matches_digest(corpus) and _matches_digest(out) and _matches_digest(report)
 
 
 def _write_jsonl(path, rows):

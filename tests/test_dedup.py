@@ -16,7 +16,6 @@ from dialoprep import dedup
 from dialoprep.dedup import (
     DedupConfig,
     _join,
-    _profile,
     _rows,
     clean,
     dedup_corpus,
@@ -60,11 +59,6 @@ def test_jaccard_disjoint():
 def test_jaccard_both_empty():
     assert oracle_jaccard("", "") == 1.0
     assert oracle_jaccard("...", "!!!") == 1.0  # no alphanumeric tokens
-
-
-def test_jaccard_shingle_k():
-    # bigram shingles: "a b c" -> {ab, bc}; "a b d" -> {ab, bd}
-    assert oracle_jaccard("a b c", "a b d", shingle_k=2) == pytest.approx(1 / 3)
 
 
 @given(st.text(max_size=40), st.text(max_size=40))
@@ -147,7 +141,7 @@ def test_dedup_matches_oracle_small_corpora():
             assert record.matched_id in kept_ids
             assert record.score >= cfg.jaccard_threshold
         # no kept pair is within threshold
-        shingle_sets = {d.id: dialogue_shingles(d, cfg.shingle_k) for d in kept}
+        shingle_sets = {d.id: dialogue_shingles(d) for d in kept}
         ids = [d.id for d in kept]
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
@@ -165,7 +159,7 @@ def _assert_join_exact(dialogues, references, cfg):
     def distinct(ds):
         first: dict = {}
         for i, d in enumerate(ds):
-            first.setdefault(oracle_shingles(d, cfg.shingle_k), i)
+            first.setdefault(oracle_shingles(d), i)
         return {i: s for s, i in first.items() if s}
 
     rows = distinct(dialogues)
@@ -378,18 +372,10 @@ def _sample_vocabulary_corpus(rng: random.Random, vocabulary: list[str],
     return corpus
 
 
-@pytest.mark.parametrize("shingle_k", [1, 2, 10**18])
-@pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9])
-def test_join_matches_brute_force_sample_vocabulary(threshold, shingle_k):
-    # The sample corpus's small vocabulary makes pairwise Jaccard high, and the
-    # sizes spread from a few shingles to about a hundred, so the length ranges
-    # and postings the probes meet are long. Tuple shingles take their ids
-    # through the same dict as strings, and a k longer than every dialogue
-    # gives only empty sets, which all match each other
+def _assert_sample_vocabulary_join(threshold: float, vocabulary: list[str]) -> None:
     rng = random.Random(f"sample-vocabulary:{threshold}")
-    corpus = _sample_vocabulary_corpus(rng, _sample_vocabulary(), 300)
-    cfg = DedupConfig(jaccard_threshold=threshold, shingle_k=shingle_k, min_turns=1,
-                      min_tokens=1)
+    corpus = _sample_vocabulary_corpus(rng, vocabulary, 300)
+    cfg = DedupConfig(jaccard_threshold=threshold, min_turns=1, min_tokens=1)
     kept, removed = dedup_corpus(corpus, cfg)
     assert (kept, removed) == brute_force_dedup(corpus, cfg)
     assert len(removed) > 30
@@ -400,11 +386,25 @@ def test_join_matches_brute_force_sample_vocabulary(threshold, shingle_k):
     _assert_join_exact(kept, [*eval_sets[0], *eval_sets[1]], cfg)
 
 
-@pytest.mark.parametrize("shingle_k", [1, 2])
-def test_clean_output_does_not_follow_the_hash_seed(tmp_path, shingle_k):
+@pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9])
+def test_join_matches_brute_force_sample_vocabulary(threshold):
+    # The sample corpus's small vocabulary makes pairwise Jaccard high, and the
+    # sizes spread from a few shingles to about a hundred, so the length ranges
+    # and postings the probes meet are long
+    _assert_sample_vocabulary_join(threshold, _sample_vocabulary())
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9])
+def test_join_matches_brute_force_all_empty_sets(threshold):
+    # Utterances with no letter or digit give only empty sets, which all match
+    # each other
+    _assert_sample_vocabulary_join(threshold, ["...", "!", "?!", "--", "'"])
+
+
+def test_clean_output_does_not_follow_the_hash_seed(tmp_path):
     # A shingle's first id follows the order a set of strings iterates in,
     # which the hash seed sets; only the renumbering may reach the output
-    rng = random.Random(f"hash-seed:{shingle_k}")
+    rng = random.Random("hash-seed:1")
     vocabulary = _sample_vocabulary()
     corpus = _sample_vocabulary_corpus(rng, vocabulary, 400)
     # Evaluation dialogues: training rows, half of them with one word replaced
@@ -417,8 +417,7 @@ def test_clean_output_does_not_follow_the_hash_seed(tmp_path, shingle_k):
         out, report = tmp_path / f"out{seed}.dlg", tmp_path / f"removals{seed}.jsonl"
         done = subprocess.run(
             [sys.executable, "-m", "dialoprep.cli", "clean", "--in", str(tmp_path / "corpus.dlg"),
-             "--eval-set", str(tmp_path / "eval.dlg"), "--out", str(out), "--report", str(report),
-             "--shingle-k", str(shingle_k)],
+             "--eval-set", str(tmp_path / "eval.dlg"), "--out", str(out), "--report", str(report)],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(_ROOT / "src")})
         assert done.returncode == 0, done.stderr
@@ -435,12 +434,12 @@ _TEXTS = st.lists(st.lists(_WORDS, max_size=8).map(" ".join), min_size=1, max_si
 
 @given(corpus=st.lists(_TEXTS, max_size=25), eval_corpus=st.lists(_TEXTS, max_size=6),
        shared=st.lists(st.integers(0, 24), max_size=3),
-       threshold=st.sampled_from([0.5, 0.7, 0.8, 0.9, 1.0]), shingle_k=st.sampled_from([1, 2]),
+       threshold=st.sampled_from([0.5, 0.7, 0.8, 0.9, 1.0]),
        min_turns=st.integers(1, 3), min_tokens=st.integers(1, 6))
-def test_join_matches_brute_force_property(corpus, eval_corpus, shared, threshold, shingle_k,
+def test_join_matches_brute_force_property(corpus, eval_corpus, shared, threshold,
                                            min_turns, min_tokens):
     # "..." tokenizes to nothing, so empty shingle sets (J = 1.0 between two) occur often
-    cfg = DedupConfig(jaccard_threshold=threshold, shingle_k=shingle_k, min_turns=min_turns,
+    cfg = DedupConfig(jaccard_threshold=threshold, min_turns=min_turns,
                       min_tokens=min_tokens)
     dialogues = [_dlg(f"d{i}", texts) for i, texts in enumerate(corpus)]
     # The second eval set holds training dialogue objects themselves.
@@ -463,13 +462,13 @@ _TURN_TEXT = (st.text(st.sampled_from(["a", "B", "Σ", "ς", "é", "1", "_", "'"
               | st.text(max_size=10) | st.just("..."))
 
 
-@given(texts=st.lists(_TURN_TEXT, min_size=1, max_size=5), shingle_k=st.integers(1, 3))
-def test_profile_matches_oracle(texts, shingle_k):
+@given(texts=st.lists(_TURN_TEXT, min_size=1, max_size=5))
+def test_profile_matches_oracle(texts):
     d = _dlg("d", texts)
-    profile = _profile(d, shingle_k)
-    assert profile.shingles == oracle_shingles(d, shingle_k)
-    assert profile.tokens == oracle_utterance_tokens(d)
-    assert _rows([d], DedupConfig(shingle_k=shingle_k))[0][1] == profile.tokens
+    assert dialogue_shingles(d) == oracle_shingles(d)
+    _, tokens, (size, *_) = _rows([d], DedupConfig())[0]
+    assert tokens == oracle_utterance_tokens(d)
+    assert size == len(oracle_shingles(d))
 
 
 def _pair_at(inter: int, union: int, subset: bool) -> tuple[str, str]:
@@ -570,8 +569,6 @@ def test_config_validation():
         DedupConfig(jaccard_threshold=1.2)
     with pytest.raises(ValueError):
         DedupConfig(min_turns=0)
-    with pytest.raises(ValueError):
-        DedupConfig(shingle_k=0)
 
 
 def test_removal_report_round_trip(tmp_path):

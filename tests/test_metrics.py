@@ -18,7 +18,7 @@ from conftest import (
     oracle_tokenize,
 )
 from dialoprep import metrics
-from dialoprep.errors import EmptyCorpusError, EmptySummaryError
+from dialoprep.errors import EmptyCorpusError, EmptySummaryError, PipelineError
 from dialoprep.metrics import (
     _lcs_length,
     corpus_report,
@@ -377,6 +377,9 @@ def test_empty_summary_raises():
     ex = _example(["hello there"], "...")
     with pytest.raises(EmptySummaryError):
         example_stats(ex)
+    # A dialogue record without summaries has no first summary to compare with.
+    with pytest.raises(PipelineError, match="dialogue 's' has no summary"):
+        example_stats(ex._replace(summaries=()))
 
 
 # Few token types, so summaries repeat n-grams and match the dialogue (role

@@ -64,6 +64,8 @@ def test_assign_run_to_run_stable():
     assert first == second
     assert len(set(first.roles)) == 2
     assert all(r in POOL.names for r in first.roles)
+    # The draw depends on the id, seed and pool alone: a second run keeps the names.
+    assert assign_role_group(first, POOL, seed=3442) == first
 
 
 def test_assign_different_seeds_differ_somewhere():
@@ -89,15 +91,6 @@ def test_assign_preserves_turns_and_indices():
     assert after.turns == before.turns
     assert [t.role_index for t in after.turns] == [t.role_index for t in before.turns]
     assert len(after.roles) == len(before.roles)
-
-
-def test_assign_no_force_keeps_pool_roles():
-    named = Dialogue(id="n", source_dataset="u", roles=("Danny", "Wei"),
-                     turns=(Turn(0, "hi"), Turn(1, "hello")))
-    assert assign_role_group(named, POOL, seed=1, force=False) == named
-    # unnamed roles are replaced even with force=False
-    replaced = assign_role_group(_dlg(), POOL, seed=1, force=False)
-    assert set(replaced.roles) <= set(POOL.names)
 
 
 def test_assign_pool_too_small():
@@ -205,6 +198,25 @@ def test_map_rejects_names_that_are_not_canonical(pairs):
 def test_map_rejects_word_boundary_collision_between_old_names():
     with pytest.raises(AmbiguousMapError):
         RoleMap(pairs={"Ann": "X", "Ann Lee": "Y"})
+
+
+def test_map_rejects_word_boundary_collision_between_new_names():
+    # Its swapped map, which must undo it, would have colliding old names.
+    with pytest.raises(AmbiguousMapError, match="new name 'Bo' collides with new name 'Bo Li'"):
+        RoleMap(pairs={"Ann": "Bo", "Cy": "Bo Li"})
+
+
+@pytest.mark.parametrize("pairs", [
+    {"Agent": "Bo Li", "Customer": "Cy"},
+    {"Agent": "Customer", "Customer": "Agent"},
+    {"Agent": "Li Bo", "Customer": "Bo Li"},
+])
+def test_swapped_map_of_an_accepted_map_restores_the_example(pairs):
+    ex = _support_example()
+    applied = augment_role_replace(ex, RoleMap(pairs=pairs))
+    back = augment_role_replace(applied, RoleMap(pairs={new: old for old, new in pairs.items()}))
+    assert back._replace(summaries=ex.summaries) == ex
+    assert [s.text for s in back.summaries] == [s.text for s in ex.summaries]
 
 
 def test_new_name_already_present_is_ambiguous():

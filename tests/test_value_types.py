@@ -33,7 +33,7 @@ _CASES = [
      "roles", ("Ava", "Bo"), True),
     (SummaryRecord, lambda: {"text": "they talk", "origin": "annotated"},
      "origin", "augmented", True),
-    (DedupConfig, lambda: {"jaccard_threshold": 0.5, "shingle_k": 2}, "min_turns", 3, True),
+    (DedupConfig, lambda: {"jaccard_threshold": 0.5, "min_tokens": 8}, "min_turns", 3, True),
     (RemovalRecord, lambda: {"removed_id": "b", "reason": "duplicate", "matched_id": "a",
                              "score": 0.9}, "score", 0.8, True),
     (IngestSpec, lambda: {"speaker_field": "s", "utterance_field": "t", "id_field": "i",
