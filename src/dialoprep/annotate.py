@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from . import jsonl
-from .errors import BudgetExhaustedError, EndpointError
+from .errors import BudgetExhaustedError, EndpointError, PipelineError
 from .records import (
     Dialogue,
     SummaryRecord,
@@ -204,29 +204,13 @@ def _extract_summary(body: dict | str) -> str:
     raise EndpointError(200, f"unexpected response body: {str(body)[:200]}")
 
 
-class _Budget:
-    """Thread-safe request counter; acquire() is False once spent."""
-
-    def __init__(self, limit: int | None):
-        self._limit = limit
-        self._used = 0
-        self._lock = threading.Lock()
-
-    def acquire(self) -> bool:
-        with self._lock:
-            if self._limit is not None and self._used >= self._limit:
-                return False
-            self._used += 1
-            return True
-
-
 def _annotate_one(d: Dialogue, job: AnnotationJob, endpoint: AnnotationEndpoint,
-                  policy: RetryPolicy, budget: _Budget,
+                  policy: RetryPolicy, budget: threading.Semaphore | None,
                   sleep: Callable[[float], None]) -> tuple[str, int]:
     """Annotate one dialogue with retries. Returns (summary, retry count).
 
     Raises EndpointError after exhausting attempts and BudgetExhaustedError
-    when no request allowance remains.
+    when no request allowance remains in ``budget`` (None: unlimited).
     """
     prompt = build_prompt(d, job.template)
     payload = {
@@ -236,7 +220,7 @@ def _annotate_one(d: Dialogue, job: AnnotationJob, endpoint: AnnotationEndpoint,
     }
     last_status, last_body = 0, ""
     for attempt in range(1, policy.max_attempts + 1):
-        if not budget.acquire():
+        if budget is not None and not budget.acquire(blocking=False):
             raise BudgetExhaustedError(d.id)
         try:
             status, body = endpoint.complete(payload)
@@ -268,10 +252,15 @@ def _drop_torn_tail(out_path: str | Path) -> None:
 
 
 def existing_annotated_ids(out_path: str | Path) -> set[str]:
-    """Dialogue ids already present in an annotation output file."""
+    """Dialogue ids already present in an annotation output file, every
+    record of which must have summaries."""
     if not Path(out_path).exists():
         return set()
-    return {ex.id for ex in load_corpus(out_path, "parallel")}
+    examples = load_corpus(out_path)
+    missing = next((ex.id for ex in examples if not ex.summaries), None)
+    if missing is not None:
+        raise PipelineError(f"{out_path}: dialogue {missing!r} has no summary")
+    return {ex.id for ex in examples}
 
 
 def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
@@ -304,7 +293,7 @@ def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,
         else:
             pending.append(d)
 
-    budget = _Budget(job.budget)
+    budget = None if job.budget is None else threading.Semaphore(job.budget)
     workers = max(1, min(job.max_in_flight, len(pending)))
     queue = iter(pending)
     in_flight: deque[tuple[Dialogue, Future]] = deque()

@@ -97,13 +97,6 @@ def _given(args, config) -> dict:
     return {name: value for name, value in vars(args).items() if name in config._fields}
 
 
-def _sniff_kind(path: str) -> str:
-    """Dialogue or parallel corpus? Decided by the first record's fields."""
-    for _, obj in jsonl.read(path):
-        return "parallel" if "summaries" in obj else "dialogues"
-    return "dialogues"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -127,8 +120,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_clean(args) -> int:
     from . import dedup
     cfg = dedup.DedupConfig(**_given(args, dedup.DedupConfig))
-    dialogues = records.load_corpus(args.input, "dialogues")
-    eval_sets = [records.load_corpus(p, "dialogues") for p in args.eval_set or []]
+    dialogues = records.load_corpus(args.input)
+    eval_sets = [records.load_corpus(p) for p in args.eval_set or []]
     kept, removals = dedup.clean(dialogues, eval_sets, cfg)
     records.save_corpus(kept, args.out)
     if args.report:
@@ -144,7 +137,7 @@ def _cmd_roles(args) -> int:
     from . import roles
     pool = (roles.NamePool.from_file(args.names) if args.names
             else roles.bundled_name_pool())
-    dialogues = records.load_corpus(args.input, "dialogues")
+    dialogues = records.load_corpus(args.input)
     renamed = [roles.assign_role_group(d, pool, args.seed) for d in dialogues]
     records.save_corpus(renamed, args.out)
     _write_manifest(
@@ -159,7 +152,7 @@ def _cmd_roles(args) -> int:
 def _cmd_augment(args) -> int:
     from . import roles
     role_map = roles.RoleMap.from_file(args.map)
-    examples = records.load_corpus(args.input, "parallel")
+    examples = records.load_corpus(args.input)
     augmented = [roles.augment_role_replace(ex, role_map) for ex in examples]
     records.save_corpus(augmented, args.out)
     _write_manifest("augment", args.out, [args.input, args.map],
@@ -181,7 +174,7 @@ def _cmd_annotate(args) -> int:
         fields["template"] = annotate.PromptTemplate(fields["template"])
     job = annotate.AnnotationJob(**fields)
     policy = annotate.RetryPolicy(**_given(args, annotate.RetryPolicy))
-    dialogues = records.load_corpus(args.input, "dialogues")
+    dialogues = records.load_corpus(args.input)
     report = annotate.annotate_batch(dialogues, job, endpoint, args.out, policy)
     annotate.save_failure_report(report, _failures_path(args))
     _write_manifest(
@@ -200,17 +193,12 @@ def _cmd_noise(args) -> int:
            else noising.NoisingConfig())
     mix = (noising.TaskMix.from_file(args.mix) if args.mix
            else noising.TaskMix.equal_reconstruction())
-    kind = _sniff_kind(args.input)
-    if kind == "dialogues" and mix.weights.get("task_oriented", 0.0) > 0.0:
-        raise PipelineError("the mix gives task_oriented a positive weight, which "
-                            "needs a parallel corpus, but the input is a dialogue corpus")
     written = jsonl.write_lines(args.out, noising.pair_lines(
-        records.iter_corpus(args.input, kind), mix, cfg, args.count, seed=args.seed))
+        records.iter_corpus(args.input), mix, cfg, args.count, seed=args.seed))
     _write_manifest(
         "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
         params={
             "count": args.count,
-            "kind": kind,
             "weights": {t: mix.weights.get(t, 0.0) for t in noising.ALL_TASKS},
             **cfg._asdict(),
         },
@@ -221,7 +209,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_stats(args) -> int:
     from . import metrics
-    examples = records.load_corpus(args.input, "parallel")
+    examples = records.load_corpus(args.input)
     report = metrics.corpus_report(examples)
     jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL,
                                 **report._asdict()})
@@ -368,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "commands still parse")
     p.set_defaults(fn=_cmd_roles)
 
-    p = sub.add_parser("augment", help="role-replaced augmentation of a parallel corpus")
+    p = sub.add_parser("augment", help="role-replaced augmentation of a corpus")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--map", required=True, help="role map JSON (old name -> new name)")
     p.add_argument("--out", required=True)

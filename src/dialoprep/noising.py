@@ -631,12 +631,18 @@ def pair_lines(records: Iterable[Dialogue], mix: TaskMix, cfg: NoisingConfig,
     "pair", dialogue id, ordinal). Both depend only on their inputs, so any
     scheduling of ordinals yields the same stream. At the first line, a
     negative ``count`` raises ValueError, or else ``records`` is read to its
-    end and only their compact forms are kept.
+    end and only their compact forms are kept; then a mix that draws
+    ``task_oriented`` raises ValueError if a record has no summary.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     forms = list(map(_compact, records))
     draws = _draws(mix)
+    if "task_oriented" in draws.tasks:
+        missing = next((form.id for form in forms if form.summary is None), None)
+        if missing is not None:
+            raise ValueError(f"the mix gives task_oriented a positive weight, which needs "
+                             f"summaries, but dialogue {missing!r} has no summary")
     gaps: dict[int, tuple[int, ...]] = {}
     for ordinal in range(count):
         yield _pair_line(forms, draws, cfg, ordinal, seed, gaps)

@@ -22,8 +22,10 @@ object. Loading checks a record in the pass that builds its turns and
 calls :func:`validate_dialogue` only for a record that fails a cheap check,
 so every message still comes from the validator.
 
-There is one reader: :func:`iter_corpus` yields each record as its line is
-read, validated and with its id checked unique, so a stage that keeps
+There is one reader, for both kinds of record: :func:`iter_corpus` yields
+each record as its line is read, validated and with its id checked unique,
+and with its summaries when it has them: a stage that uses summaries checks
+each record where it uses it. A stage that keeps
 something smaller than the records (``noise`` keeps a compact form of each)
 never holds them all. :func:`load_corpus` is its list.
 """
@@ -175,7 +177,8 @@ def _require_str(obj: dict, key: str, line_number: int) -> str:
 
 
 def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
-    """Parse and validate one dialogue record object (as read by load_corpus).
+    """Parse and validate one record object (as read by load_corpus), its
+    ``summaries`` too when it has the key.
 
     The pass that builds the turns also makes the checks that a valid
     record passes: distinct role names, each turn's role in range and unlike
@@ -223,12 +226,9 @@ def dialogue_from_obj(obj: dict, line_number: int = 0) -> Dialogue:
         violations = validate_dialogue(d)
         if violations:
             raise MalformedRecordError(line_number, "; ".join(violations))
-    return d
-
-
-def _example_from_obj(obj: dict, line_number: int) -> Dialogue:
-    dialogue = dialogue_from_obj(obj, line_number)
-    raw = _require(obj, "summaries", line_number)
+    if "summaries" not in obj:
+        return d
+    raw = obj["summaries"]
     if not isinstance(raw, list) or not raw:
         raise MalformedRecordError(line_number, "summaries must be a non-empty array")
     summaries = []
@@ -242,28 +242,21 @@ def _example_from_obj(obj: dict, line_number: int) -> Dialogue:
         if not s["text"]:
             raise MalformedRecordError(line_number, "summary text is empty")
         summaries.append(SummaryRecord(text=s["text"], origin=s["origin"]))
-    return dialogue._replace(summaries=tuple(summaries))
+    return d._replace(summaries=tuple(summaries))
 
 
-def iter_corpus(path: str | Path, kind: str) -> Iterator[Dialogue]:
-    """The records of a corpus file, each yielded as soon as its line is read;
-    ``kind`` is ``"dialogues"`` (``summaries`` left empty) or ``"parallel"``
-    (``summaries`` required and filled).
+def iter_corpus(path: str | Path) -> Iterator[Dialogue]:
+    """The records of a corpus file, each yielded as soon as its line is read,
+    with ``summaries`` filled from a record that has them.
 
     Every yielded record is fully validated, and dialogue ids are unique;
     the first bad line, or the second line with an id, raises
     :class:`MalformedRecordError` with its 1-based line number, after the
     records of the lines before it.
     """
-    if kind not in ("dialogues", "parallel"):
-        raise ValueError(f"unknown corpus kind {kind!r}")
-    return _records(path, _example_from_obj if kind == "parallel" else dialogue_from_obj)
-
-
-def _records(path: str | Path, parse) -> Iterator[Dialogue]:
     first_lines: dict[str, int] = {}
     for line_number, obj in jsonl.read(path):
-        record = parse(obj, line_number)
+        record = dialogue_from_obj(obj, line_number)
         first = first_lines.setdefault(record.id, line_number)
         if first != line_number:
             raise MalformedRecordError(
@@ -271,9 +264,9 @@ def _records(path: str | Path, parse) -> Iterator[Dialogue]:
         yield record
 
 
-def load_corpus(path: str | Path, kind: str) -> list[Dialogue]:
+def load_corpus(path: str | Path) -> list[Dialogue]:
     """The records of a corpus file, as a list: see :func:`iter_corpus`."""
-    return list(iter_corpus(path, kind))
+    return list(iter_corpus(path))
 
 
 def save_corpus(records: Iterable[Dialogue], path: str | Path) -> int:

@@ -138,19 +138,18 @@ def augment_role_replace(ex: Dialogue, role_map: RoleMap) -> Dialogue:
         raise AmbiguousMapError(
             f"map keys {sorted(unknown)} are not role names of dialogue {ex.id!r}")
     # A new name that is not itself remapped would merge with pre-existing
-    # occurrences and break invertibility; refuse such examples.
-    texts = [*ex.roles,
-             *(t.text for t in ex.turns),
-             *(s.text for s in ex.summaries)]
-    for old, new in role_map.pairs.items():
-        if new in role_map.pairs:
-            continue
-        pattern = _word_pattern(new)
-        if any(pattern.search(text) for text in texts):
-            raise AmbiguousMapError(
-                f"new name {new!r} already occurs in dialogue {ex.id!r}")
-
+    # occurrences and break invertibility; refuse such examples. An
+    # occurrence inside an old name is replaced with it, so only the text
+    # between old names is searched.
     pattern = _combined_pattern(list(role_map.pairs))
+    fresh = [new for new in role_map.pairs.values() if new not in role_map.pairs]
+    if fresh:
+        clash = _combined_pattern(fresh)
+        for text in (*ex.roles, *(t.text for t in ex.turns), *(s.text for s in ex.summaries)):
+            found = next(filter(None, map(clash.search, pattern.split(text))), None)
+            if found:
+                raise AmbiguousMapError(
+                    f"new name {found.group(0)!r} already occurs in dialogue {ex.id!r}")
 
     def substitute(text: str) -> str:
         return pattern.sub(lambda m: role_map.pairs[m.group(0)], text)

@@ -511,4 +511,4 @@ def test_c12_annotation_client_mock(tmp_path):
         report = annotate_batch(dialogues, AnnotationJob(model="m"),
                                 MockEndpoint("fixed:s."), out, no_backoff)
         assert len(report.completed) == 4
-        assert len(load_corpus(out, "parallel")) == 6
+        assert len(load_corpus(out)) == 6

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import sys
 import threading
 import time
 
@@ -85,7 +86,7 @@ def test_mock_fixed_batch(tmp_path):
     report = annotate_batch(dialogues, JOB, MockEndpoint("fixed:summary."), out, NO_BACKOFF)
     assert report.completed == [d.id for d in dialogues]
     assert report.failures == []
-    examples = load_corpus(out, "parallel")
+    examples = load_corpus(out)
     assert len(examples) == 4
     for ex in examples:
         assert ex.summaries[0].text == "summary."
@@ -109,7 +110,7 @@ def test_appended_line_is_the_encoded_record(tmp_path):
 def test_mock_head_echoes_prompt(tmp_path):
     out = tmp_path / "out.plx"
     annotate_batch([_dlg()], JOB, MockEndpoint("head:3"), out, NO_BACKOFF)
-    ex = load_corpus(out, "parallel")[0]
+    ex = load_corpus(out)[0]
     assert ex.summaries[0].text == "Danny: hi Alejandra:"
 
 
@@ -187,7 +188,24 @@ def test_budget_two_of_five(tmp_path):
                              MockEndpoint("fixed:s."), out, NO_BACKOFF)
     assert sorted(report2.skipped_existing) == sorted(report.completed)
     assert len(report2.completed) == 3
-    assert len(load_corpus(out, "parallel")) == 5
+    assert len(load_corpus(out)) == 5
+
+
+def test_budget_is_spent_exactly_by_many_workers(tmp_path):
+    # More workers than cores, switching threads as often as the interpreter
+    # allows: a lost update to the budget would let a request too many through.
+    rng = random.Random(8)
+    dialogues = [make_dialogue(rng, f"d{i}") for i in range(64)]
+    endpoint = MockEndpoint("fixed:s.")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = annotate_batch(dialogues, AnnotationJob(model="m", max_in_flight=16, budget=20),
+                                endpoint, tmp_path / "out.plx", NO_BACKOFF)
+    finally:
+        sys.setswitchinterval(interval)
+    assert endpoint.calls == len(report.completed) == 20
+    assert len(report.not_attempted) == 44
 
 
 def test_resume_skips_completed(tmp_path):
@@ -298,7 +316,7 @@ def test_submitted_work_bounded_by_in_flight(tmp_path, monkeypatch, bound):
     ids = [d.id for d in dialogues]
     assert sorted(report.completed + report.not_attempted) == sorted(ids)
     assert report.completed == [i for i in ids if i in report.completed]  # input order
-    assert [ex.id for ex in load_corpus(out, "parallel")] == report.completed
+    assert [ex.id for ex in load_corpus(out)] == report.completed
     if bound == 1:  # one request at a time: the budget covers a prefix
         assert report.completed == ids[:9]
 

@@ -17,7 +17,7 @@ from dialoprep import jsonl
 from dialoprep.cli import _build_parser, main
 from dialoprep.dedup import DedupConfig
 from dialoprep.metrics import tokenize_for_metrics, truncate_summary
-from dialoprep.records import load_corpus, render_dialogue_text, save_corpus
+from dialoprep.records import Dialogue, Turn, load_corpus, render_dialogue_text, save_corpus
 
 from conftest import (
     WORDS,
@@ -246,11 +246,15 @@ def test_noise_kind_sniffing_parallel(tmp_path):
 
 
 def test_noise_sniffs_a_parallel_corpus_under_the_default_mix(tmp_path):
-    out = tmp_path / "pairs.jsonl"
-    assert main(["noise", "--in", str(SAMPLE / "golden" / "annotated.plx"), "--out", str(out),
-                 "--count", "20", "--seed", "3442"]) == 0
+    # Reconstruction pairs ignore summaries: the golden parallel corpus
+    # noises as the dialogue corpus it was annotated from.
+    out, plain = tmp_path / "pairs.jsonl", tmp_path / "plain.jsonl"
+    for corpus, path in (("annotated.plx", out), ("named.dlg", plain)):
+        assert main(["noise", "--in", str(SAMPLE / "golden" / corpus), "--out", str(path),
+                     "--count", "20", "--seed", "3442"]) == 0
+    assert out.read_bytes() == plain.read_bytes()
     manifest = json.loads((tmp_path / "pairs.jsonl.manifest.json").read_text())
-    assert manifest["params"]["kind"] == "parallel"
+    assert "kind" not in manifest["params"]
 
 
 def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
@@ -261,6 +265,22 @@ def test_noise_task_oriented_on_dialogue_corpus_exits_1(tmp_path, capsys):
                  "--count", "50", "--seed", "1", "--mix", str(mix)]) == 1
     assert "error: " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [mix]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 3442])
+def test_noise_task_oriented_refuses_a_record_without_summary(tmp_path, capsys, seed):
+    # Whatever the first pair draws, no line is written.
+    corpus = tmp_path / "in.plx"
+    corpus.write_text(_ANNOTATED[0] + _NAMED[1] + "".join(_ANNOTATED[2:]), encoding="utf-8")
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps({"weights": {"task_oriented": 1, "token_mask": 1}}))
+    out = tmp_path / "pairs.jsonl"
+    assert main(["noise", "--in", str(corpus), "--out", str(out),
+                 "--count", "1", "--seed", str(seed), "--mix", str(mix)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"dialogue {json.loads(_NAMED[1])['id']!r} has no summary" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.plx", "mix.json"]
 
 
 # pairs.jsonl's SHA-256 over the golden parallel corpus with all six tasks
@@ -382,6 +402,8 @@ _INPUT_FILES = {
         _ANNOTATED[1], lambda o: o["summaries"][0].update(text=5)),
     "number_source.plx": _ANNOTATED[0] + _edited(
         _ANNOTATED[1], lambda o: o.update(source_dataset=5)),
+    "empty_summaries.plx": _ANNOTATED[0] + _edited(
+        _ANNOTATED[1], lambda o: o.update(summaries=[])),
     "null_utterance.jsonl": ('{"conv": "a", "speaker": "x", "text": "hi"}\n'
                              '{"conv": "a", "speaker": "y", "text": null}\n'),
     "object_utterance.jsonl": '{"conv": "a", "speaker": "x", "text": {"x": 1}}\n',
@@ -547,6 +569,9 @@ _INPUT_FILES = {
       "--names", "{tmp}/tab_pool.txt"], "invalid pool name 'Bob\\tKay'"),
     (["augment", "--in", "{annotated}", "--map", "{tmp}/spaced_map.json", "--out", "{out}"],
      "invalid role name 'Zed  Q'"),
+    (["stats", "--in", "{named}", "--out", "{out}"], "dialogue 'sample:c000' has no summary"),
+    (["clean", "--in", "{tmp}/empty_summaries.plx", "--out", "{out}"],
+     "line 2: summaries must be a non-empty array"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
         "augment-map-array", "ingest-spec-array", "eval-candidate-without-text",
@@ -570,7 +595,7 @@ _INPUT_FILES = {
         "ingest-number-then-bool-id", "ingest-spec-without-id-field", "annotate-mock-digest-x",
         "annotate-mock-bogus", "annotate-mock-head-0", "annotate-endpoint-not-a-url",
         "noise-negative-count", "roles-pool-double-space", "roles-pool-tab",
-        "augment-map-double-space"])
+        "augment-map-double-space", "stats-dialogue-corpus", "clean-empty-summaries"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -591,7 +616,7 @@ def test_roles_cli_uses_bundled_pool(tmp_path):
     save_corpus([make_dialogue(rng, f"d{i}") for i in range(3)], corpus)
     out = tmp_path / "named.dlg"
     assert main(["roles", "--in", str(corpus), "--out", str(out), "--seed", "7"]) == 0
-    renamed = load_corpus(out, "dialogues")
+    renamed = load_corpus(out)
     assert all(r not in ("Ava", "Ben") for d in renamed for r in d.roles)
 
 
@@ -603,7 +628,7 @@ def test_roles_pool_with_a_byte_order_mark_writes_no_u_feff(tmp_path):
     assert main(["roles", "--in", str(SAMPLE / "golden" / "cleaned.dlg"), "--out", str(out),
                  "--seed", "3442", "--names", str(pool)]) == 0
     assert "\ufeff" not in out.read_text(encoding="utf-8")
-    assert {r for d in load_corpus(out, "dialogues") for r in d.roles} == {"Ann", "Bo", "Cy",
+    assert {r for d in load_corpus(out) for r in d.roles} == {"Ann", "Bo", "Cy",
                                                                             "Dee"}
 
 
@@ -634,8 +659,41 @@ def test_augment_cli(tmp_path):
     out = tmp_path / "aug.plx"
     assert main(["augment", "--in", str(corpus), "--map", str(role_map),
                  "--out", str(out)]) == 0
-    augmented = load_corpus(out, "parallel")[0]
+    augmented = load_corpus(out)[0]
     assert augmented.roles[0] == "Zora"
+
+
+def test_roles_keeps_summaries(tmp_path):
+    annotated, out = SAMPLE / "golden" / "annotated.plx", tmp_path / "renamed.plx"
+    assert main(["roles", "--in", str(annotated), "--out", str(out), "--seed", "5"]) == 0
+    before, after = load_corpus(annotated), load_corpus(out)
+    assert [d.roles for d in after] != [d.roles for d in before]
+    assert [d._replace(roles=()) for d in after] == [d._replace(roles=()) for d in before]
+
+
+def test_augment_renames_a_dialogue_corpus(tmp_path):
+    corpus, out = tmp_path / "in.dlg", tmp_path / "aug.dlg"
+    save_corpus([Dialogue("d0", "unit", ("Ann", "Bo"),
+                          (Turn(0, "hi Bo"), Turn(1, "hello Ann, Ann's here")))], corpus)
+    role_map = tmp_path / "map.json"
+    role_map.write_text(json.dumps({"Ann": "Cy"}))
+    assert main(["augment", "--in", str(corpus), "--map", str(role_map),
+                 "--out", str(out)]) == 0
+    assert load_corpus(out) == [Dialogue("d0", "unit", ("Cy", "Bo"),
+                                         (Turn(0, "hi Bo"), Turn(1, "hello Cy, Cy's here")))]
+
+
+def test_annotate_resume_refuses_an_output_record_without_summaries(tmp_path, capsys):
+    out = tmp_path / "annotated.plx"
+    out.write_text(_ANNOTATED[0] + _NAMED[1], encoding="utf-8")
+    before = out.read_bytes()
+    assert main(["annotate", "--in", str(SAMPLE / "golden" / "named.dlg"), "--out", str(out),
+                 "--mock", "digest:12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"dialogue {json.loads(_NAMED[1])['id']!r} has no summary" in err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["annotated.plx"]
 
 
 def test_annotate_cli_requires_endpoint_or_mock(tmp_path, capsys):
@@ -674,7 +732,7 @@ def test_clean_cli_matches_oracle_chain(tmp_path):
     kept, duplicates = brute_force_dedup(corpus, cfg)
     kept, leaks = brute_force_eval_overlap(kept, [eval_set], cfg)
     kept, small = oracle_filter_min_size(kept, cfg)
-    assert load_corpus(tmp_path / "out.dlg", "dialogues") == kept
+    assert load_corpus(tmp_path / "out.dlg") == kept
     removals = [json.loads(line)
                 for line in (tmp_path / "removals.jsonl").read_text().splitlines()]
     assert removals == [r.to_dict() for r in duplicates + leaks + small]
@@ -696,10 +754,10 @@ def test_clean_cli_tiny_threshold_matches_oracle(tmp_path, threshold):
     assert done.returncode == 0, done.stderr
 
     cfg = DedupConfig(jaccard_threshold=float(threshold))
-    kept, duplicates = brute_force_dedup(load_corpus(corpus_path, "dialogues"), cfg)
+    kept, duplicates = brute_force_dedup(load_corpus(corpus_path), cfg)
     kept, small = oracle_filter_min_size(kept, cfg)
     assert duplicates
-    assert load_corpus(tmp_path / "out.dlg", "dialogues") == kept
+    assert load_corpus(tmp_path / "out.dlg") == kept
     removals = [json.loads(line)
                 for line in (tmp_path / "removals.jsonl").read_text().splitlines()]
     assert removals == [r.to_dict() for r in duplicates + small]
@@ -716,6 +774,26 @@ def test_clean_eval_set_digest(tmp_path):
                  "--eval-set", str(eval_set), "--out", str(out), "--report", str(report)]) == 0
     assert {json.loads(line)["reason"] for line in report.read_text().splitlines()} == {
         "duplicate", "eval_overlap", "too_few_turns", "too_few_tokens"}
+    assert _matches_digest(out) and _matches_digest(report)
+
+
+def test_clean_writes_a_parallel_corpus_through(tmp_path):
+    # Jaccard ignores summaries, and the golden corpus is clean already.
+    annotated, out = SAMPLE / "golden" / "annotated.plx", tmp_path / "out.plx"
+    assert main(["clean", "--in", str(annotated), "--out", str(out)]) == 0
+    assert out.read_bytes() == annotated.read_bytes()
+
+
+def test_clean_eval_set_parallel_digest(tmp_path):
+    lines = (SAMPLE / "golden" / "annotated.plx").read_text(encoding="utf-8").splitlines(True)
+    eval_set = tmp_path / "eval.plx"
+    eval_set.write_text("".join(lines[:12]), encoding="utf-8")
+    out, report = tmp_path / "ev.plx", tmp_path / "ev.plx.rem"
+    assert main(["clean", "--in", str(SAMPLE / "golden" / "annotated.plx"),
+                 "--eval-set", str(eval_set), "--out", str(out), "--report", str(report)]) == 0
+    by_id = {json.loads(line)["id"]: line for line in lines}
+    kept = out.read_text(encoding="utf-8").splitlines(True)
+    assert kept and all(line == by_id[json.loads(line)["id"]] for line in kept)
     assert _matches_digest(out) and _matches_digest(report)
 
 
@@ -826,6 +904,12 @@ def test_eval_select_train_ref_accepts_dialogue_records(tmp_path):
                  "--out", str(out), "--select-train-ref"]) == 0
     report = json.loads(out.read_text())
     assert report["per_example"][d.id]["selected_reference"] == 0
+    # Every mode scores a dialogue record by its rendered text.
+    plain = tmp_path / "plain.json"
+    assert main(["eval", "--candidates", str(cands), "--references", str(refs),
+                 "--out", str(plain)]) == 0
+    assert json.loads(plain.read_text())["per_example"][d.id] == {
+        "rouge1": 1.0, "rouge2": 1.0, "rougeL": 1.0}
 
 
 # eval's report bytes in each mode over the sample's fixed candidates (the

@@ -345,7 +345,7 @@ _SAMPLE_CORPUS = _ROOT / "data" / "sample" / "golden" / "corpus.dlg"
 
 
 def _sample_vocabulary() -> list[str]:
-    return sorted({w for d in load_corpus(_SAMPLE_CORPUS, "dialogues")
+    return sorted({w for d in load_corpus(_SAMPLE_CORPUS)
                    for t in d.turns for w in t.text.split()})
 
 

@@ -94,7 +94,7 @@ def test_200_chat_completion_is_written_as_summary(server, tmp_path, monkeypatch
     out = tmp_path / "out.plx"
     report, sleeps = _run(server.url, out)
     assert report.completed == ["h1"] and report.failures == [] and sleeps == []
-    [example] = load_corpus(out, "parallel")
+    [example] = load_corpus(out)
     assert example._replace(summaries=()) == DIALOGUE
     assert example.summaries[0].text == "they meet at the café ✓"
     [request] = server.received
@@ -114,7 +114,7 @@ def test_503_then_200_is_retried_once(server, tmp_path):
     assert report.retries == {"h1": 1}
     assert sleeps == [1.0]
     assert len(server.received) == 2
-    assert load_corpus(out, "parallel")[0].summaries[0].text == "they agree"
+    assert load_corpus(out)[0].summaries[0].text == "they agree"
 
 
 @pytest.mark.parametrize("content_type, body, reason", [

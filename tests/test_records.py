@@ -156,7 +156,7 @@ def test_render_dialogue_text():
 def test_round_trip_single_dialogue(tmp_path):
     path = tmp_path / "one.dlg"
     save_corpus([two_turn()], path)
-    loaded = load_corpus(path, "dialogues")
+    loaded = load_corpus(path)
     assert loaded == [two_turn()]
 
 
@@ -164,17 +164,17 @@ def test_round_trip_parallel(tmp_path):
     ex = two_turn()._replace(
         summaries=(SummaryRecord("Ava greets Ben.", "annotated"),
                    SummaryRecord("A greeting.", "reference")))
+    plain = two_turn()._replace(id="d2")
     path = tmp_path / "one.plx"
-    save_corpus([ex], path)
-    assert load_corpus(path, "parallel") == [ex]
-    assert load_corpus(path, "dialogues") == [two_turn()]
+    save_corpus([ex, plain], path)
+    assert load_corpus(path) == [ex, plain]
 
 
 def test_save_empty(tmp_path):
     path = tmp_path / "empty.dlg"
     assert save_corpus([], path) == 0
     assert path.read_bytes() == b""
-    assert load_corpus(path, "dialogues") == []
+    assert load_corpus(path) == []
 
 
 def test_save_count_and_lines(tmp_path):
@@ -191,7 +191,7 @@ def test_save_load_save_identical_bytes(tmp_path):
     first = tmp_path / "a.dlg"
     second = tmp_path / "b.dlg"
     save_corpus(mixed, first)
-    save_corpus(load_corpus(first, "dialogues"), second)
+    save_corpus(load_corpus(first), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -201,7 +201,7 @@ def test_round_trip_many_random(tmp_path):
         records = [make_example(rng, f"e{trial}-{i}") for i in range(4)]
         path = tmp_path / f"r{trial}.plx"
         save_corpus(records, path)
-        assert load_corpus(path, "parallel") == records
+        assert load_corpus(path) == records
 
 
 def test_missing_turns_field(tmp_path):
@@ -209,7 +209,7 @@ def test_missing_turns_field(tmp_path):
     path.write_text('{"schema_version": 1, "id": "x", "source_dataset": "u", '
                     '"roles": ["A"]}\n')
     with pytest.raises(MalformedRecordError) as err:
-        load_corpus(path, "dialogues")
+        load_corpus(path)
     assert err.value.line_number == 1
     assert "turns" in err.value.reason
 
@@ -220,7 +220,7 @@ def test_role_index_out_of_range_on_load(tmp_path):
                     '"roles": ["A", "B"], '
                     '"turns": [{"role_index": 5, "text": "hi"}]}\n')
     with pytest.raises(MalformedRecordError) as err:
-        load_corpus(path, "dialogues")
+        load_corpus(path)
     assert "role_index out of range" in err.value.reason
 
 
@@ -230,47 +230,40 @@ def test_bad_json_line_number(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
     with pytest.raises(MalformedRecordError) as err:
-        load_corpus(path, "dialogues")
+        load_corpus(path)
     assert err.value.line_number == 2
 
 
-@pytest.mark.parametrize("kind", ["dialogues", "parallel"])
-def test_repeated_id_on_load(tmp_path, kind):
+@pytest.mark.parametrize("shape", ["dialogues", "parallel"])
+def test_repeated_id_on_load(tmp_path, shape):
     rng = random.Random(4)
-    make = make_dialogue if kind == "dialogues" else make_example
+    make = make_dialogue if shape == "dialogues" else make_example
     first, second = make(rng, "d1"), make(rng, "d2")
     path = tmp_path / "repeated"
     save_corpus([first, second, first], path)
     with pytest.raises(MalformedRecordError) as err:
-        load_corpus(path, kind)
+        load_corpus(path)
     assert err.value.line_number == 3
     assert err.value.reason == "dialogue id 'd1' reappears (first at line 1)"
 
 
-@pytest.mark.parametrize("kind", ["dialogues", "parallel"])
-def test_iter_corpus_yields_each_record_before_a_later_bad_line(tmp_path, kind):
+@pytest.mark.parametrize("shape", ["dialogues", "parallel"])
+def test_iter_corpus_yields_each_record_before_a_later_bad_line(tmp_path, shape):
     rng = random.Random(5)
-    make = make_dialogue if kind == "dialogues" else make_example
+    make = make_dialogue if shape == "dialogues" else make_example
     first, second = make(rng, "d1"), make(rng, "d2")
     path = tmp_path / "repeated"
     save_corpus([first, second, first], path)
-    records = iter_corpus(path, kind)
+    records = iter_corpus(path)
     assert [next(records), next(records)] == [first, second]
     with pytest.raises(MalformedRecordError) as err:
         next(records)
     assert err.value.line_number == 3
 
 
-def test_unknown_kind(tmp_path):
-    with pytest.raises(ValueError):
-        load_corpus(tmp_path / "nope", "bogus")
-    with pytest.raises(ValueError):  # when called, before any read
-        iter_corpus(tmp_path / "nope", "bogus")
-
-
 def test_missing_file():
     with pytest.raises(OSError):
-        load_corpus("/nonexistent/path.dlg", "dialogues")
+        load_corpus("/nonexistent/path.dlg")
 
 
 def test_corpus_manifest_counts(tmp_path):

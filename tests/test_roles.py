@@ -210,6 +210,9 @@ def test_map_rejects_word_boundary_collision_between_new_names():
     {"Agent": "Bo Li", "Customer": "Cy"},
     {"Agent": "Customer", "Customer": "Agent"},
     {"Agent": "Li Bo", "Customer": "Bo Li"},
+    # Applied, it leaves "Agent" only inside "Agent Smith", an old name of the
+    # swapped map, which that map replaces whole.
+    {"Agent": "Customer", "Customer": "Agent Smith"},
 ])
 def test_swapped_map_of_an_accepted_map_restores_the_example(pairs):
     ex = _support_example()
@@ -225,6 +228,15 @@ def test_new_name_already_present_is_ambiguous():
                   summaries=(SummaryRecord("They talk.", "annotated"),))
     with pytest.raises(AmbiguousMapError):
         augment_role_replace(ex, RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"}))
+
+
+def test_new_name_outside_every_old_name_is_ambiguous():
+    # "Agent" inside "Agent Smith" is replaced with it; the bare one would merge.
+    ex = Dialogue(id="amb", source_dataset="u", roles=("Customer", "Agent Smith"),
+                  turns=(Turn(0, "is Agent Smith the Agent on duty"), Turn(1, "yes")))
+    with pytest.raises(AmbiguousMapError, match="new name 'Agent' already occurs"):
+        augment_role_replace(ex, RoleMap(pairs={"Customer": "Agent",
+                                                "Agent Smith": "Customer"}))
 
 
 def test_token_count_preserved_for_single_token_names():
