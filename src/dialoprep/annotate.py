@@ -34,7 +34,8 @@ from .errors import BudgetExhaustedError, EndpointError, PipelineError
 from .records import (
     Dialogue,
     SummaryRecord,
-    load_corpus,
+    iter_corpus,
+    load_corpus,  # unused here: bench/run.py --trace 1 wraps annotate.load_corpus
     record_line,
     render_dialogue_text,
     validated,
@@ -254,13 +255,14 @@ def _drop_torn_tail(out_path: str | Path) -> None:
 def existing_annotated_ids(out_path: str | Path) -> set[str]:
     """Dialogue ids already present in an annotation output file, every
     record of which must have summaries."""
+    done: set[str] = set()
     if not Path(out_path).exists():
-        return set()
-    examples = load_corpus(out_path)
-    missing = next((ex.id for ex in examples if not ex.summaries), None)
-    if missing is not None:
-        raise PipelineError(f"{out_path}: dialogue {missing!r} has no summary")
-    return {ex.id for ex in examples}
+        return done
+    for ex in iter_corpus(out_path):
+        if not ex.summaries:
+            raise PipelineError(f"{out_path}: dialogue {ex.id!r} has no summary")
+        done.add(ex.id)
+    return done
 
 
 def annotate_batch(dialogues: Sequence[Dialogue], job: AnnotationJob,

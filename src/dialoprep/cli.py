@@ -7,12 +7,13 @@ Each stage is a subcommand so partial reruns stay cheap:
 A command imports only its own layer, inside its ``_cmd_*`` function, so
 ``--help`` and each stage start without loading the others.
 
-Every run writes ``<out>.manifest.json`` next to its primary output,
-recording the command, parameters, seed, and SHA-256 digests of the inputs,
-enough to re-run the stage identically, and a stored corpus's counts. A flag
-that sets a config field has no default here: the config type holds it. Exit
-codes: 0 success, 1 data error or invalid value (message on stderr), 2 usage
-error.
+Every run writes ``<out>.manifest.json`` beside its output, worked out from
+the run's arguments: command, parameters, seed, the SHA-256 digest of each
+file an input flag names (enough to re-run the stage identically) and what
+``save_corpus`` stored. ``roles``, ``augment`` and ``stats`` stream their
+input record by record. A flag that sets a config field has no default here:
+the config type holds it. Exit codes: 0 success, 1 data error or invalid value
+(message on stderr), 2 usage error.
 
 All randomness flows from ``--seed``; no stage reads the clock or OS entropy,
 so a fixed config and seed reproduce outputs byte-for-byte. ``--jobs`` is
@@ -26,7 +27,6 @@ import hashlib
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__, jsonl, records
 from .errors import IdMismatchError, MalformedRecordError, PipelineError
@@ -40,30 +40,6 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(command: str, out_path: str, inputs: list[str],
-                    params: dict, seed: int | None = None,
-                    corpus: Sequence[records.Dialogue] | None = None) -> None:
-    """Write ``<out>.manifest.json``; ``corpus``, the records stored at
-    ``out_path``, adds the ``corpus`` block."""
-    manifest = {
-        "schema_version": records.SCHEMA_VERSION,
-        "package": f"dialoprep {__version__}",
-        "command": command,
-        "seed": seed,
-        "params": params,
-        "inputs": [{"name": Path(p).name, "sha256": _sha256(p)} for p in inputs],
-        "outputs": [Path(out_path).name],
-    }
-    if corpus is not None:
-        manifest["corpus"] = {
-            "name": Path(out_path).name,
-            "examples": len(corpus),
-            "created_with_seed": seed,
-            "source_datasets": list(dict.fromkeys(d.source_dataset for d in corpus)),
-        }
-    jsonl.write_json(f"{out_path}.manifest.json", manifest)
-
-
 _INPUT_FLAGS = ("--in", "--spec", "--eval-set", "--names", "--map", "--mix", "--config",
                 "--candidates", "--references")
 
@@ -74,6 +50,28 @@ def _paths(args, flags: tuple[str, ...]):
         value = getattr(args, "input" if flag == "--in" else flag[2:].replace("-", "_"), None)
         for path in value if isinstance(value, list) else [value] if value else []:
             yield flag, path
+
+
+def _write_manifest(args, params: dict, corpus: records.Written | None = None) -> None:
+    """Write ``<out>.manifest.json`` for the run ``args`` describes: its
+    command, seed, every path an input flag gives and its output. ``corpus``,
+    what ``save_corpus`` stored at ``--out``, adds the ``corpus`` block."""
+    out, seed = Path(args.out).name, getattr(args, "seed", None)
+    manifest = {
+        "schema_version": records.SCHEMA_VERSION,
+        "package": f"dialoprep {__version__}",
+        "command": args.command,
+        "seed": seed,
+        "params": params,
+        "inputs": [{"name": Path(p).name, "sha256": _sha256(p)}
+                   for _, p in _paths(args, _INPUT_FLAGS)],
+        "outputs": [out],
+    }
+    if corpus is not None:
+        manifest["corpus"] = {"name": out, "examples": corpus.examples,
+                              "created_with_seed": seed,
+                              "source_datasets": list(corpus.source_datasets)}
+    jsonl.write_json(f"{args.out}.manifest.json", manifest)
 
 
 def _failures_path(args) -> str:
@@ -105,12 +103,11 @@ def _cmd_ingest(args) -> int:
     from . import ingest
     spec = ingest.IngestSpec.from_file(args.spec)
     result = ingest.ingest(args.input, spec)
-    records.save_corpus(result.dialogues, args.out)
+    written = records.save_corpus(result.dialogues, args.out)
     if args.report:
         jsonl.write_json(args.report, {"dialogues": len(result.dialogues),
                                        **vars(result.report)})
-    _write_manifest("ingest", args.out, [args.input, args.spec],
-                    params={"spec": Path(args.spec).name}, corpus=result.dialogues)
+    _write_manifest(args, {"spec": Path(args.spec).name}, written)
     print(f"ingest: {len(result.dialogues)} dialogues "
           f"({len(result.report.dropped_empty_dialogues)} empty, "
           f"{len(result.report.dropped_invalid_dialogues)} invalid dropped)")
@@ -123,11 +120,10 @@ def _cmd_clean(args) -> int:
     dialogues = records.load_corpus(args.input)
     eval_sets = [records.load_corpus(p) for p in args.eval_set or []]
     kept, removals = dedup.clean(dialogues, eval_sets, cfg)
-    records.save_corpus(kept, args.out)
+    written = records.save_corpus(kept, args.out)
     if args.report:
         dedup.save_removal_report(removals, args.report)
-    _write_manifest("clean", args.out, [args.input, *(args.eval_set or [])],
-                    params=cfg._asdict(), corpus=kept)
+    _write_manifest(args, cfg._asdict(), written)
     print(f"clean: kept {len(kept)} of {len(dialogues)} dialogues "
           f"({len(removals)} removed)")
     return 0
@@ -137,27 +133,22 @@ def _cmd_roles(args) -> int:
     from . import roles
     pool = (roles.NamePool.from_file(args.names) if args.names
             else roles.bundled_name_pool())
-    dialogues = records.load_corpus(args.input)
-    renamed = [roles.assign_role_group(d, pool, args.seed) for d in dialogues]
-    records.save_corpus(renamed, args.out)
-    _write_manifest(
-        "roles", args.out,
-        [args.input] + ([args.names] if args.names else []),
-        params={"pool_size": len(pool)},
-        seed=args.seed, corpus=renamed)
-    print(f"roles: assigned role groups to {len(renamed)} dialogues")
+    written = records.save_corpus(
+        (roles.assign_role_group(d, pool, args.seed) for d in records.iter_corpus(args.input)),
+        args.out)
+    _write_manifest(args, {"pool_size": len(pool)}, written)
+    print(f"roles: assigned role groups to {written.examples} dialogues")
     return 0
 
 
 def _cmd_augment(args) -> int:
     from . import roles
     role_map = roles.RoleMap.from_file(args.map)
-    examples = records.load_corpus(args.input)
-    augmented = [roles.augment_role_replace(ex, role_map) for ex in examples]
-    records.save_corpus(augmented, args.out)
-    _write_manifest("augment", args.out, [args.input, args.map],
-                    params={"map": Path(args.map).name}, corpus=augmented)
-    print(f"augment: rewrote {len(augmented)} examples")
+    written = records.save_corpus(
+        (roles.augment_role_replace(ex, role_map) for ex in records.iter_corpus(args.input)),
+        args.out)
+    _write_manifest(args, {"map": Path(args.map).name}, written)
+    print(f"augment: rewrote {written.examples} examples")
     return 0
 
 
@@ -177,9 +168,8 @@ def _cmd_annotate(args) -> int:
     dialogues = records.load_corpus(args.input)
     report = annotate.annotate_batch(dialogues, job, endpoint, args.out, policy)
     annotate.save_failure_report(report, _failures_path(args))
-    _write_manifest(
-        "annotate", args.out, [args.input],
-        params={**job._asdict(), "template": job.template.value, "mock": args.mock})
+    _write_manifest(args, {**job._asdict(), "template": job.template.value,
+                           "mock": args.mock})
     print(f"annotate: {len(report.completed)} annotated, "
           f"{len(report.skipped_existing)} skipped, "
           f"{len(report.failures)} failed, "
@@ -195,26 +185,21 @@ def _cmd_noise(args) -> int:
            else noising.TaskMix.equal_reconstruction())
     written = jsonl.write_lines(args.out, noising.pair_lines(
         records.iter_corpus(args.input), mix, cfg, args.count, seed=args.seed))
-    _write_manifest(
-        "noise", args.out, [args.input] + ([args.mix] if args.mix else []),
-        params={
-            "count": args.count,
-            "weights": {t: mix.weights.get(t, 0.0) for t in noising.ALL_TASKS},
-            **cfg._asdict(),
-        },
-        seed=args.seed)
+    _write_manifest(args, {
+        "count": args.count,
+        "weights": {t: mix.weights.get(t, 0.0) for t in noising.ALL_TASKS},
+        **cfg._asdict(),
+    })
     print(f"noise: wrote {written} pairs")
     return 0
 
 
 def _cmd_stats(args) -> int:
     from . import metrics
-    examples = records.load_corpus(args.input)
-    report = metrics.corpus_report(examples)
+    report = metrics.corpus_report(records.iter_corpus(args.input))
     jsonl.write_json(args.out, {"tokenizer": metrics.TOKENIZER_LABEL,
                                 **report._asdict()})
-    _write_manifest("stats", args.out, [args.input],
-                    params={"tokenizer": metrics.TOKENIZER_LABEL})
+    _write_manifest(args, {"tokenizer": metrics.TOKENIZER_LABEL})
     print(metrics.format_stats_table(report))
     return 0
 
@@ -305,11 +290,9 @@ def _cmd_eval(args) -> int:
         }
         print("mean F1  R-1 {rouge1:.4f}  R-2 {rouge2:.4f}  R-L {rougeL:.4f}".format(**mean))
     jsonl.write_json(args.out, report)
-    _write_manifest(
-        "eval", args.out, [args.candidates, args.references],
-        params={"multi_ref": bool(args.multi_ref),
-                "select_train_ref": bool(args.select_train_ref),
-                "max_length": args.max_length})
+    _write_manifest(args, {"multi_ref": bool(args.multi_ref),
+                           "select_train_ref": bool(args.select_train_ref),
+                           "max_length": args.max_length})
     return 0
 
 

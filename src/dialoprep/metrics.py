@@ -26,8 +26,9 @@ shorter than n.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyCorpusError, EmptySummaryError, PipelineError
 from .records import Dialogue, render_dialogue_text
@@ -333,27 +334,22 @@ def example_stats(ex: Dialogue) -> ExampleStats:
     )
 
 
-def corpus_report(examples: Sequence[Dialogue]) -> CorpusStats:
-    """Unweighted per-example means of every statistic over a corpus."""
-    if not examples:
+def corpus_report(examples: Iterable[Dialogue]) -> CorpusStats:
+    """Unweighted per-example means of every statistic over a corpus, read
+    once. Each statistic keeps only its values, as doubles, so ``math.fsum``
+    gives the means that it gives over the whole list of example stats."""
+    # The five scalar statistics, then novel and redundant n-gram % for n = 1, 2, 3.
+    columns = [array("d") for _ in range(5 + 3 + 3)]
+    for ex in examples:
+        s = example_stats(ex)
+        for column, value in zip(columns, (*s[:5], *s.novel_ngram_pct,
+                                           *s.redundant_ngram_pct)):
+            column.append(value)
+    n = len(columns[0])
+    if not n:
         raise EmptyCorpusError("cannot compute statistics over an empty corpus")
-    per_example = [example_stats(ex) for ex in examples]
-
-    def mean(values) -> float:
-        return math.fsum(values) / len(per_example)
-
-    return CorpusStats(
-        n_dialogues=len(per_example),
-        mean_dialogue_tokens=mean(s.dialogue_tokens for s in per_example),
-        mean_summary_tokens=mean(s.summary_tokens for s in per_example),
-        compression=mean(s.compression for s in per_example),
-        coverage=mean(s.coverage for s in per_example),
-        density=mean(s.density for s in per_example),
-        novel_ngram_pct=tuple(
-            mean(s.novel_ngram_pct[k] for s in per_example) for k in range(3)),
-        redundant_ngram_pct=tuple(
-            mean(s.redundant_ngram_pct[k] for s in per_example) for k in range(3)),
-    )
+    means = [math.fsum(column) / n for column in columns]
+    return CorpusStats(n, *means[:5], tuple(means[5:8]), tuple(means[8:]))
 
 
 def format_stats_table(stats: CorpusStats) -> str:

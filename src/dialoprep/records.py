@@ -27,7 +27,10 @@ each record as its line is read, validated and with its id checked unique,
 and with its summaries when it has them: a stage that uses summaries checks
 each record where it uses it. A stage that keeps
 something smaller than the records (``noise`` keeps a compact form of each)
-never holds them all. :func:`load_corpus` is its list.
+never holds them all. :func:`load_corpus` is its list. :func:`save_corpus`
+writes records as they are drawn, so a stage that maps one record to one
+(``roles``, ``augment``) streams from reader to writer, and returns what it
+wrote (:class:`Written`), the facts a manifest's ``corpus`` block needs.
 """
 
 from __future__ import annotations
@@ -269,11 +272,26 @@ def load_corpus(path: str | Path) -> list[Dialogue]:
     return list(iter_corpus(path))
 
 
-def save_corpus(records: Iterable[Dialogue], path: str | Path) -> int:
-    """Write records to ``path``, one JSON object per line. Returns the count written.
+class Written(NamedTuple):
+    """What :func:`save_corpus` wrote: the record count, and each record's
+    ``source_dataset`` once, in order of first appearance."""
+
+    examples: int
+    source_datasets: tuple[str, ...]
+
+
+def save_corpus(records: Iterable[Dialogue], path: str | Path) -> Written:
+    """Write records to ``path``, one JSON object per line, as they are drawn.
 
     Output bytes are a pure function of the records: field order and JSON
     formatting are fixed. ``path`` is replaced only after the last record.
     """
-    return jsonl.write_lines(path, map(record_line, records))
+    sources: dict[str, None] = {}
+
+    def lines() -> Iterator[str]:
+        for d in records:
+            sources[d.source_dataset] = None
+            yield record_line(d)
+
+    return Written(jsonl.write_lines(path, lines()), tuple(sources))
 

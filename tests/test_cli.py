@@ -211,6 +211,40 @@ def test_manifest_contents(tmp_path):
     assert len(manifest["inputs"][0]["sha256"]) == 64
 
 
+# Every command with every input flag it takes, given out of the order of
+# cli._INPUT_FLAGS where it takes two: the manifest lists them in that order.
+@pytest.mark.parametrize("argv, inputs", [
+    (["ingest", "--spec", "spec.json", "--in", "raw.jsonl"], ["raw.jsonl", "spec.json"]),
+    (["clean", "--eval-set", "e.dlg", "--in", "c.dlg", "--eval-set", "n.dlg"],
+     ["c.dlg", "e.dlg", "n.dlg"]),
+    (["roles", "--names", "pool.txt", "--in", "n.dlg", "--seed", "1"], ["n.dlg", "pool.txt"]),
+    (["augment", "--map", "map.json", "--in", "a.plx"], ["a.plx", "map.json"]),
+    (["annotate", "--in", "n.dlg", "--mock", "digest:3"], ["n.dlg"]),
+    (["noise", "--in", "n.dlg", "--mix", "mix.json", "--config", "c.json", "--count", "3",
+      "--seed", "1"], ["n.dlg", "mix.json", "c.json"]),
+    (["stats", "--in", "a.plx"], ["a.plx"]),
+    (["eval", "--references", "r.jsonl", "--candidates", "c.jsonl"], ["c.jsonl", "r.jsonl"]),
+], ids=["ingest", "clean", "roles", "augment", "annotate", "noise", "stats", "eval"])
+def test_manifest_is_derived_from_the_flags(tmp_path, monkeypatch, argv, inputs):
+    for name, source in _SAMPLE_INPUTS.items():
+        (tmp_path / name).write_bytes((SAMPLE / source).read_bytes())
+    corpus = (SAMPLE / "golden" / "corpus.dlg").read_text(encoding="utf-8")
+    (tmp_path / "e.dlg").write_text("".join(corpus.splitlines(True)[:12]), encoding="utf-8")
+    (tmp_path / "pool.txt").write_text("Ann\nBo\n", encoding="utf-8")
+    (tmp_path / "map.json").write_text("{}")
+    (tmp_path / "mix.json").write_text(json.dumps({"weights": {"token_mask": 1}}))
+    (tmp_path / "c.json").write_text(json.dumps({"token_mask_rate": 0.05}))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["seed"] == (1 if "--seed" in argv else None)
+    assert manifest["outputs"] == ["out"]
+    assert manifest["inputs"] == [
+        {"name": name, "sha256": hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}
+        for name in inputs]
+
+
 def test_noise_same_seed_identical_bytes(tmp_path):
     rng = random.Random(0)
     corpus = tmp_path / "in.dlg"
@@ -232,7 +266,7 @@ def test_noise_count_zero(tmp_path):
     assert out.read_bytes() == b""
 
 
-def test_noise_kind_sniffing_parallel(tmp_path):
+def test_noise_task_oriented_mix_on_a_parallel_corpus(tmp_path):
     rng = random.Random(1)
     corpus = tmp_path / "in.plx"
     save_corpus([make_example(rng, f"e{i}", n_turns=4) for i in range(4)], corpus)
@@ -245,7 +279,7 @@ def test_noise_kind_sniffing_parallel(tmp_path):
     assert tasks == {"task_oriented"}
 
 
-def test_noise_sniffs_a_parallel_corpus_under_the_default_mix(tmp_path):
+def test_noise_of_a_parallel_corpus_under_the_default_mix_ignores_summaries(tmp_path):
     # Reconstruction pairs ignore summaries: the golden parallel corpus
     # noises as the dialogue corpus it was annotated from.
     out, plain = tmp_path / "pairs.jsonl", tmp_path / "plain.jsonl"

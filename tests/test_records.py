@@ -14,6 +14,7 @@ from dialoprep.records import (
     Dialogue,
     SummaryRecord,
     Turn,
+    Written,
     dialogue_from_obj,
     iter_corpus,
     load_corpus,
@@ -172,7 +173,7 @@ def test_round_trip_parallel(tmp_path):
 
 def test_save_empty(tmp_path):
     path = tmp_path / "empty.dlg"
-    assert save_corpus([], path) == 0
+    assert save_corpus([], path) == Written(0, ())
     assert path.read_bytes() == b""
     assert load_corpus(path) == []
 
@@ -181,8 +182,15 @@ def test_save_count_and_lines(tmp_path):
     rng = random.Random(7)
     dialogues = [make_dialogue(rng, f"d{i}") for i in range(3)]
     path = tmp_path / "three.dlg"
-    assert save_corpus(dialogues, path) == 3
+    assert save_corpus(dialogues, path) == Written(3, ("synth",))
     assert len(path.read_text().splitlines()) == 3
+
+
+def test_save_names_each_source_once_in_first_appearance_order(tmp_path):
+    rng = random.Random(7)
+    dialogues = [make_dialogue(rng, f"d{i}", source=source)
+                 for i, source in enumerate(["b", "a", "b", "c", "a"])]
+    assert save_corpus(dialogues, tmp_path / "five.dlg") == Written(5, ("b", "a", "c"))
 
 
 def test_save_load_save_identical_bytes(tmp_path):
