@@ -1,11 +1,12 @@
 """Summarization prompts and the batch annotation client.
 
-Prompts come in three fixed variants; the instruct variant (``Tl;dr:`` after
-the dialogue) is the default because it scores best in zero-shot use. The
-batch client POSTs a chat-completion body, respects a request budget, bounds
-in-flight concurrency, and appends every success to the output file as it
-lands so an interrupted run resumes by skipping already-annotated ids.
-Failures are reported, never silently dropped.
+A prompt template is one of three names, ``preceding``, ``instruct`` and
+``subsequent``; the instruct variant (``Tl;dr:`` after the dialogue) is the
+default because it scores best in zero-shot use. The batch client POSTs a
+chat-completion body, respects a request budget, bounds in-flight
+concurrency, and appends every success to the output file as it lands so an
+interrupted run resumes by skipping already-annotated ids. Failures are
+reported, never silently dropped.
 
 The retry rule is fixed: statuses 429, 500, 502, 503 and 504 are retried, and
 so is -1 (a refused connection or a timeout). Retry number ``k`` waits
@@ -24,7 +25,6 @@ import sys
 import threading
 import time
 from collections import deque
-from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -43,25 +43,18 @@ from .records import (
 
 API_KEY_ENV = "LLM_API_KEY"
 
-_PRECEDING_PROMPT = "Summarize the following dialogue into a short summary:"
-_INSTRUCT_PROMPT = "Tl;dr:"
-_SUBSEQUENT_PROMPT = "Summarize the above dialogue into a short summary:"
+#: Each prompt template's name, and the text before and after the rendered dialogue.
+TEMPLATES = {
+    "preceding": ("Summarize the following dialogue into a short summary:\n\n", ""),
+    "instruct": ("", "\nTl;dr:"),
+    "subsequent": ("", "\nSummarize the above dialogue into a short summary:"),
+}
 
 
-class PromptTemplate(Enum):
-    PRECEDING = "preceding"
-    INSTRUCT = "instruct"
-    SUBSEQUENT = "subsequent"
-
-
-def build_prompt(d: Dialogue, template: PromptTemplate = PromptTemplate.INSTRUCT) -> str:
+def build_prompt(d: Dialogue, template: str = "instruct") -> str:
     """Compose the annotation prompt for one dialogue. Byte-deterministic."""
-    dialogue = render_dialogue_text(d)
-    if template is PromptTemplate.PRECEDING:
-        return f"{_PRECEDING_PROMPT}\n\n{dialogue}"
-    if template is PromptTemplate.INSTRUCT:
-        return f"{dialogue}\n{_INSTRUCT_PROMPT}"
-    return f"{dialogue}\n{_SUBSEQUENT_PROMPT}"
+    before, after = TEMPLATES[template]
+    return f"{before}{render_dialogue_text(d)}{after}"
 
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})  # and -1: no reply at all
@@ -88,13 +81,16 @@ class RetryPolicy(NamedTuple):
 class AnnotationJob(NamedTuple):
     model: str
     temperature: float = 0.0
-    template: PromptTemplate = PromptTemplate.INSTRUCT
+    template: str = "instruct"  # a name in TEMPLATES
     max_in_flight: int = 1
     budget: int | None = None  # max requests for this run, retries included
 
     def _check(self):
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be a finite number >= 0")
+        if self.template not in TEMPLATES:
+            raise ValueError(f"template must be one of {', '.join(TEMPLATES)}, "
+                             f"not {self.template!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.budget is not None and self.budget < 0:

@@ -160,16 +160,12 @@ def _cmd_annotate(args) -> int:
         endpoint = annotate.HttpEndpoint(args.endpoint)
     else:
         raise PipelineError("annotate needs --endpoint URL or --mock BEHAVIOR")
-    fields = _given(args, annotate.AnnotationJob)
-    if "template" in fields:
-        fields["template"] = annotate.PromptTemplate(fields["template"])
-    job = annotate.AnnotationJob(**fields)
+    job = annotate.AnnotationJob(**_given(args, annotate.AnnotationJob))
     policy = annotate.RetryPolicy(**_given(args, annotate.RetryPolicy))
     dialogues = records.load_corpus(args.input)
     report = annotate.annotate_batch(dialogues, job, endpoint, args.out, policy)
     annotate.save_failure_report(report, _failures_path(args))
-    _write_manifest(args, {**job._asdict(), "template": job.template.value,
-                           "mock": args.mock})
+    _write_manifest(args, {**job._asdict(), "mock": args.mock})
     print(f"annotate: {len(report.completed)} annotated, "
           f"{len(report.skipped_existing)} skipped, "
           f"{len(report.failures)} failed, "
@@ -355,6 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="offline endpoint: 'fixed:<text>', 'head:<k>' or 'digest:<k>'")
     cfg = p.add_argument_group("settings (an unset one takes the default of AnnotationJob "
                                "or RetryPolicy)", argument_default=argparse.SUPPRESS)
+    # annotate.TEMPLATES's names, spelled out: --help imports no layer.
     cfg.add_argument("--template", choices=["preceding", "instruct", "subsequent"])
     cfg.add_argument("--temperature", type=float)
     cfg.add_argument("--max-in-flight", type=int)

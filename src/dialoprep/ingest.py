@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple
 
 from . import jsonl
 from .errors import MalformedRecordError, UnmappedFieldError
-from .records import RESERVED_MARKERS, Dialogue, Turn, validate_dialogue, validated
+from .records import Dialogue, Turn, markers_in, validate_dialogue, validated
 
 _CHAR_MAP = str.maketrans({
     "‘": "'", "’": "'", "‚": "'", "‛": "'",  # curly single quotes
@@ -109,7 +109,7 @@ def _build_dialogue(raw_id: str, utterances: list[tuple[str, str]],
         if not text:
             report.dropped_empty_utterances += 1
             continue
-        if "<" in text and any(marker in text for marker in RESERVED_MARKERS):
+        if markers_in(text):
             report.dropped_invalid_dialogues.append(dialogue_id)
             return None
         index = role_of.get(speaker)

@@ -11,9 +11,10 @@ config type checks its fields in the constructor, through :func:`validated`.
 Utterance and role texts are stored whitespace-canonical (non-empty, equal to
 ``" ".join(text.split())``: single U+0020 spaces, no other whitespace, none at
 the ends) and must not contain the reserved marker strings, ``BOS`` to
-``UTTR_MASK``, defined here for the serialization layer. Both rules are
-enforced by :func:`validate_dialogue` rather than escaped at write time, so
-corrupted inputs can never be confused with control tokens downstream.
+``UTTR_MASK``, defined here for the serialization layer; :func:`markers_in`
+is the one test for them. Both rules are enforced by :func:`validate_dialogue`
+rather than escaped at write time, so corrupted inputs can never be confused
+with control tokens downstream.
 
 A record is written as :func:`record_line` assembles it from
 ``jsonl.string`` of each text, the escaper the JSON encoder itself calls, so
@@ -102,6 +103,13 @@ def is_canonical(text: str) -> bool:
     return text == " ".join(text.split()) and text != ""
 
 
+def markers_in(text: str) -> list[str]:
+    """The reserved markers ``text`` holds, in ``RESERVED_MARKERS`` order (none: empty)."""
+    if "<" not in text:  # every reserved marker starts with "<"
+        return []
+    return [marker for marker in RESERVED_MARKERS if marker in text]
+
+
 def validate_dialogue(d: Dialogue) -> list[str]:
     """Return every violated invariant of ``d`` (empty list means valid).
 
@@ -117,10 +125,8 @@ def validate_dialogue(d: Dialogue) -> list[str]:
     for i, role in enumerate(d.roles):
         if not is_canonical(role):
             violations.append(f"role {i}: name is empty or not whitespace-canonical")
-        if "<" in role:  # every reserved marker starts with "<"
-            for marker in RESERVED_MARKERS:
-                if marker in role:
-                    violations.append(f"role {i}: reserved marker {marker!r} in name")
+        for marker in markers_in(role):
+            violations.append(f"role {i}: reserved marker {marker!r} in name")
         if role in seen_roles:
             violations.append(f"role {i}: duplicate role name {role!r}")
         seen_roles.add(role)
@@ -130,10 +136,8 @@ def validate_dialogue(d: Dialogue) -> list[str]:
             violations.append(f"turn {i}: role_index out of range")
         if not is_canonical(turn.text):
             violations.append(f"turn {i}: text is empty or not whitespace-canonical")
-        if "<" in turn.text:
-            for marker in RESERVED_MARKERS:
-                if marker in turn.text:
-                    violations.append(f"turn {i}: reserved marker {marker!r} in text")
+        for marker in markers_in(turn.text):
+            violations.append(f"turn {i}: reserved marker {marker!r} in text")
         if prev_index is not None and turn.role_index == prev_index:
             violations.append(f"turn {i}: consecutive turns share speaker")
         prev_index = turn.role_index

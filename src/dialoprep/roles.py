@@ -22,11 +22,11 @@ from typing import NamedTuple
 from . import jsonl
 from .errors import AmbiguousMapError, PoolTooSmallError
 from .records import (
-    RESERVED_MARKERS,
     Dialogue,
     SummaryRecord,
     Turn,
     is_canonical,
+    markers_in,
     validated,
 )
 from .seeding import derive_rng, sample_range
@@ -40,7 +40,7 @@ class NamePool(NamedTuple):
         if len(set(self.names)) != len(self.names):
             raise ValueError("name pool contains duplicates")
         for name in self.names:
-            if not is_canonical(name) or any(m in name for m in RESERVED_MARKERS):
+            if not is_canonical(name) or markers_in(name):
                 raise ValueError(f"invalid pool name {name!r}")
         if type(self.names) is not tuple:
             return self._replace(names=tuple(self.names))
@@ -90,7 +90,7 @@ class RoleMap(NamedTuple):
         if len(set(new_names)) != len(new_names):
             raise AmbiguousMapError("role map is not injective")
         for name in old_names + new_names:
-            if not is_canonical(name) or any(m in name for m in RESERVED_MARKERS):
+            if not is_canonical(name) or markers_in(name):
                 raise AmbiguousMapError(f"invalid role name {name!r}")
         # A multi-word name containing another old name as a whole word makes
         # match order ambiguous; reject up front. New names are the old names

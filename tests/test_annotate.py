@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialoprep.annotate import (
+    TEMPLATES,
     AnnotationJob,
     MockEndpoint,
-    PromptTemplate,
     RetryPolicy,
     annotate_batch,
     build_prompt,
@@ -52,27 +52,45 @@ def test_render_deterministic():
 
 
 def test_prompt_instruct_ends_with_tldr():
-    prompt = build_prompt(_dlg(), PromptTemplate.INSTRUCT)
+    prompt = build_prompt(_dlg(), "instruct")
     assert prompt.endswith("Tl;dr:")
     assert prompt == "Danny: hi\nAlejandra: hello\nTl;dr:"
 
 
 def test_prompt_preceding():
-    prompt = build_prompt(_dlg(), PromptTemplate.PRECEDING)
+    prompt = build_prompt(_dlg(), "preceding")
     assert prompt.startswith("Summarize the following dialogue into a short summary:")
     assert prompt == ("Summarize the following dialogue into a short summary:"
                       "\n\nDanny: hi\nAlejandra: hello")
 
 
 def test_prompt_subsequent():
-    prompt = build_prompt(_dlg(), PromptTemplate.SUBSEQUENT)
+    prompt = build_prompt(_dlg(), "subsequent")
     assert prompt.endswith("Summarize the above dialogue into a short summary:")
     assert prompt == ("Danny: hi\nAlejandra: hello\n"
                       "Summarize the above dialogue into a short summary:")
 
 
 def test_prompt_default_is_instruct():
-    assert build_prompt(_dlg()) == build_prompt(_dlg(), PromptTemplate.INSTRUCT)
+    assert build_prompt(_dlg()) == build_prompt(_dlg(), "instruct")
+
+
+def test_each_template_name_gives_its_documented_layout():
+    # README: preceding puts its sentence and a blank line before the
+    # dialogue; instruct and subsequent append their line after it.
+    dialogue = render_dialogue_text(_dlg())
+    assert {name: build_prompt(_dlg(), name) for name in TEMPLATES} == {
+        "preceding": f"Summarize the following dialogue into a short summary:\n\n{dialogue}",
+        "instruct": f"{dialogue}\nTl;dr:",
+        "subsequent": f"{dialogue}\nSummarize the above dialogue into a short summary:",
+    }
+
+
+def test_job_refuses_a_template_that_is_not_a_name():
+    with pytest.raises(ValueError, match="template must be one of"):
+        AnnotationJob(model="m", template="bogus")
+    with pytest.raises(ValueError):
+        AnnotationJob(model="m")._replace(template="Instruct")
 
 
 JOB = AnnotationJob(model="test-model")

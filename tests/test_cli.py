@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from dialoprep import jsonl
+from dialoprep.annotate import TEMPLATES
 from dialoprep.cli import _build_parser, main
 from dialoprep.dedup import DedupConfig
 from dialoprep.metrics import tokenize_for_metrics, truncate_summary
@@ -737,6 +738,30 @@ def test_annotate_cli_requires_endpoint_or_mock(tmp_path, capsys):
     out = tmp_path / "out.plx"
     assert main(["annotate", "--in", str(corpus), "--out", str(out)]) == 1
     assert "mock" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("template", ["preceding", "instruct", "subsequent"])
+def test_annotate_template_flag_picks_the_prompt(tmp_path, template):
+    corpus, out = tmp_path / "first.dlg", tmp_path / "first.plx"
+    corpus.write_text(_NAMED[0], encoding="utf-8")
+    assert main(["annotate", "--in", str(corpus), "--out", str(out), "--mock", "head:5",
+                 "--template", template]) == 0
+    [record] = load_corpus(out)
+    # preceding puts its sentence first; the others start with the dialogue.
+    dialogue_head = " ".join(render_dialogue_text(record).split()[:5])
+    assert record.summaries[0].text == {"preceding": "Summarize the following dialogue into",
+                                        "instruct": dialogue_head,
+                                        "subsequent": dialogue_head}[template]
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["params"]["template"] == template
+
+
+def test_template_choices_are_the_template_names():
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    [flag] = [action for action in sub.choices["annotate"]._actions
+              if "--template" in action.option_strings]
+    assert flag.choices == list(TEMPLATES)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from dialoprep.annotate import AnnotationJob, PromptTemplate, RetryPolicy
+from dialoprep.annotate import AnnotationJob, RetryPolicy
 from dialoprep.dedup import DedupConfig, RemovalRecord
 from dialoprep.ingest import IngestReport, IngestResult, IngestSpec
 from dialoprep.metrics import (
@@ -43,7 +43,7 @@ _CASES = [
     (IngestResult, lambda: {"dialogues": (Dialogue("d1", "unit", ("A", "B"), _TURNS),),
                             "report": _REPORT}, "dialogues", (), False),
     (RetryPolicy, lambda: {"max_attempts": 2, "base_backoff": 0.25}, "base_backoff", 0.5, True),
-    (AnnotationJob, lambda: {"model": "m", "template": PromptTemplate.PRECEDING, "budget": 4},
+    (AnnotationJob, lambda: {"model": "m", "template": "preceding", "budget": 4},
      "budget", None, True),
     (NamePool, lambda: {"names": ("Ann", "Bo")}, "names", ("Ann", "Cy"), True),
     (RoleMap, lambda: {"pairs": {"Ann": "Bo"}}, "pairs", {"Ann": "Cy"}, False),
