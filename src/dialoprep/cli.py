@@ -11,9 +11,11 @@ Every run writes ``<out>.manifest.json`` beside its output, worked out from
 the run's arguments: command, parameters, seed, the SHA-256 digest of each
 file an input flag names (enough to re-run the stage identically) and what
 ``save_corpus`` stored. ``roles``, ``augment`` and ``stats`` stream their
-input record by record. A flag that sets a config field has no default here:
-the config type holds it. Exit codes: 0 success, 1 data error or invalid value
-(message on stderr), 2 usage error.
+input record by record; ``eval`` holds its references and streams its
+candidates, so a bad line in either file is reported before an id mismatch.
+A flag that sets a config field has no default here: the config type holds
+it. Exit codes: 0 success, 1 data error or invalid value (message on stderr),
+2 usage error.
 
 All randomness flows from ``--seed``; no stage reads the clock or OS entropy,
 so a fixed config and seed reproduce outputs byte-for-byte. ``--jobs`` is
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, jsonl, records
-from .errors import IdMismatchError, MalformedRecordError, PipelineError
+from .errors import MalformedRecordError, PipelineError
 
 
 def _sha256(path: str | Path) -> str:
@@ -200,27 +202,21 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_keyed(path: str) -> dict[str, tuple[int, dict]]:
-    """Records by id, each with its line number. An id may appear once."""
-    entries: dict[str, tuple[int, dict]] = {}
+def _keyed(path: str):
+    """``(line_number, id, obj)`` per record of ``path``. An id is a string and
+    may appear once."""
+    first_lines: dict[str, int] = {}
     for line_number, obj in jsonl.read(path):
         if "id" not in obj:
             raise MalformedRecordError(line_number, "record missing 'id' field")
         record_id = obj["id"]
         if not isinstance(record_id, str):
             raise MalformedRecordError(line_number, "id must be a string")
-        first = entries.setdefault(record_id, (line_number, obj))[0]
+        first = first_lines.setdefault(record_id, line_number)
         if first != line_number:
             raise MalformedRecordError(
                 line_number, f"id {record_id!r} reappears (first at line {first})")
-    return entries
-
-
-def _entry_text(entry: tuple[int, dict]) -> str:
-    line_number, obj = entry
-    if "turns" in obj:  # a dialogue record: use its rendered text
-        return records.render_dialogue_text(records.dialogue_from_obj(obj, line_number))
-    return _text_field(line_number, obj)
+        yield line_number, record_id, obj
 
 
 def _text_field(line_number: int, obj: dict) -> str:
@@ -231,16 +227,19 @@ def _text_field(line_number: int, obj: dict) -> str:
     return obj["text"]
 
 
-def _entry_references(entry: tuple[int, dict]) -> list[str]:
-    line_number, obj = entry
-    if "texts" in obj:
-        texts = obj["texts"]
-        if (not isinstance(texts, list) or not texts
-                or not all(isinstance(t, str) for t in texts)):
-            raise MalformedRecordError(line_number,
-                                       "'texts' must be a non-empty list of strings")
-        return texts
-    return [_text_field(line_number, obj)]
+def _candidate_text(line_number: int, obj: dict) -> str:
+    if "turns" in obj:  # a dialogue record: use its rendered text
+        return records.render_dialogue_text(records.dialogue_from_obj(obj, line_number))
+    return _text_field(line_number, obj)
+
+
+def _reference_texts(line_number: int, obj: dict) -> list[str]:
+    if "texts" not in obj:
+        return [_text_field(line_number, obj)]
+    texts = obj["texts"]
+    if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+        raise MalformedRecordError(line_number, "'texts' must be a non-empty list of strings")
+    return texts
 
 
 def _cmd_eval(args) -> int:
@@ -249,35 +248,41 @@ def _cmd_eval(args) -> int:
         raise PipelineError("max_length must be >= 1")
     if args.max_length is not None and args.select_train_ref:
         raise PipelineError("--max-length does not apply to --select-train-ref")
-    candidates = _load_keyed(args.candidates)
-    references = _load_keyed(args.references)
-    only_refs = [i for i in references if i not in candidates]
-    only_cands = [i for i in candidates if i not in references]
-    if only_refs or only_cands:
-        raise IdMismatchError(only_refs, only_cands)
 
-    ids = sorted(candidates)
-    per_example: dict[str, dict] = {}
+    def score(text: str, refs: list[str]) -> dict:
+        if args.select_train_ref:
+            return {"selected_reference": metrics.select_training_reference(text, refs)}
+        cand = metrics.tokenize_for_metrics(text)
+        if args.max_length is not None:
+            cand = metrics.truncate_summary(cand, args.max_length)
+        scores = (metrics.multi_reference_rouge(cand, refs) if args.multi_ref
+                  else metrics.score_pair(cand, refs[0]))
+        return {key: s.f1 for key, s in scores._asdict().items()}
+
+    # Each reference is dropped once its candidate is scored, so what is left
+    # at the end are the ids only in references.
+    references = {record_id: _reference_texts(line_number, obj)
+                  for line_number, record_id, obj in _keyed(args.references)}
+    scored: dict[str, dict] = {}
+    only_cands = []
+    for line_number, example_id, obj in _keyed(args.candidates):
+        text = _candidate_text(line_number, obj)
+        refs = references.pop(example_id, None)
+        if refs is None:
+            only_cands.append(example_id)
+        else:
+            scored[example_id] = score(text, refs)
+    mismatch = [f"ids only in {name}: {sorted(ids)}"
+                for name, ids in (("references", references), ("candidates", only_cands)) if ids]
+    if mismatch:
+        raise PipelineError("; ".join(mismatch))
+
+    per_example = dict(sorted(scored.items()))
     if args.select_train_ref:
-        for example_id in ids:
-            refs = _entry_references(references[example_id])
-            index = metrics.select_training_reference(
-                _entry_text(candidates[example_id]), refs)
-            per_example[example_id] = {"selected_reference": index}
         report = {"mode": "select_train_ref", "per_example": per_example}
     else:
-        for example_id in ids:
-            cand = metrics.tokenize_for_metrics(_entry_text(candidates[example_id]))
-            if args.max_length is not None:
-                cand = metrics.truncate_summary(cand, args.max_length)
-            refs = _entry_references(references[example_id])
-            if args.multi_ref:
-                scores = metrics.multi_reference_rouge(cand, refs)
-            else:
-                scores = metrics.score_pair(cand, refs[0])
-            per_example[example_id] = {key: score.f1 for key, score in scores._asdict().items()}
-        mean = {key: (math.fsum(f1[key] for f1 in per_example.values()) / len(ids) if ids
-                      else 0.0) for key in metrics.EvalScores._fields}
+        mean = {key: (math.fsum(f1[key] for f1 in per_example.values()) / len(per_example)
+                      if per_example else 0.0) for key in metrics.EvalScores._fields}
         report = {
             "mode": "multi_ref" if args.multi_ref else "single_ref",
             "max_length": args.max_length,

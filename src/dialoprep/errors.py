@@ -52,16 +52,3 @@ class EmptySummaryError(PipelineError):
 class EmptyCorpusError(PipelineError):
     """A corpus-level statistic was requested over zero examples."""
 
-
-class IdMismatchError(PipelineError):
-    """Candidate and reference files do not cover the same example ids."""
-
-    def __init__(self, missing_in_candidates: list[str], missing_in_references: list[str]):
-        parts = []
-        if missing_in_candidates:
-            parts.append(f"ids only in references: {sorted(missing_in_candidates)}")
-        if missing_in_references:
-            parts.append(f"ids only in candidates: {sorted(missing_in_references)}")
-        super().__init__("; ".join(parts) or "id mismatch")
-        self.missing_in_candidates = missing_in_candidates
-        self.missing_in_references = missing_in_references

@@ -365,8 +365,6 @@ def _plan_infill(n_turns: int, budget: int, lam: float,
             insertions += 1
             continue
         runs = _uncovered_runs(covered)
-        if not runs:
-            break
         length = min(length, budget - consumed, max(r[1] for r in runs))
         starts = [s for run_start, run_len in runs
                   for s in range(run_start, run_start + run_len - length + 1)]

@@ -58,9 +58,10 @@ class NamePool(NamedTuple):
 
 
 def bundled_name_pool() -> NamePool:
-    """The name pool shipped with the package (over 4,000 distinct real names)."""
-    text = resources.files("dialoprep").joinpath("data/names.txt").read_text("utf-8")
-    return NamePool(names=tuple(line for line in text.splitlines() if line.strip()))
+    """The name pool shipped with the package (over 4,000 distinct real names),
+    read as :meth:`NamePool.from_file` reads any pool."""
+    with resources.as_file(resources.files("dialoprep") / "data" / "names.txt") as path:
+        return NamePool.from_file(path)
 
 
 def assign_role_group(d: Dialogue, pool: NamePool, seed: int) -> Dialogue:

@@ -456,6 +456,21 @@ _INPUT_FILES = {
     "spaced_pool.txt": "Cy\nAnn  Lee\nDee\n",
     "tab_pool.txt": "Cy\nBob\tKay\nDee\n",
     "spaced_map.json": json.dumps({"Joshua Johnson": "Zed  Q"}),
+    "string_roles.dlg": _NAMED[0] + _edited(_NAMED[1], lambda o: o.update(roles="Ann")),
+    "object_turns.dlg": _NAMED[0] + _edited(_NAMED[1], lambda o: o.update(turns={})),
+    "bare_turn.dlg": _NAMED[0] + _edited(_NAMED[1], lambda o: o["turns"][1].pop("role_index")),
+    "textless_summary.plx": _ANNOTATED[0] + _edited(
+        _ANNOTATED[1], lambda o: o["summaries"][0].pop("text")),
+    "x_origin.plx": _ANNOTATED[0] + _edited(
+        _ANNOTATED[1], lambda o: o["summaries"][0].update(origin="x")),
+    "empty_summary_text.plx": _ANNOTATED[0] + _edited(
+        _ANNOTATED[1], lambda o: o["summaries"][0].update(text="")),
+    "string_rate_config.json": json.dumps({"token_mask_rate": "x"}),
+    "large_rate_config.json": json.dumps({"token_mask_rate": 1.5}),
+    "number_alias_spec.json": json.dumps({"speaker_field": "speaker", "utterance_field": "text",
+                                          "id_field": "conv", "dataset_tag": "sample",
+                                          "aliases": {"agent": 1}}),
+    "number_name_map.json": json.dumps({"A": 1}),
 }
 
 
@@ -607,6 +622,29 @@ _INPUT_FILES = {
     (["stats", "--in", "{named}", "--out", "{out}"], "dialogue 'sample:c000' has no summary"),
     (["clean", "--in", "{tmp}/empty_summaries.plx", "--out", "{out}"],
      "line 2: summaries must be a non-empty array"),
+    (["clean", "--in", "{tmp}/string_roles.dlg", "--out", "{out}"],
+     "line 2: roles must be an array of strings"),
+    (["roles", "--in", "{tmp}/object_turns.dlg", "--out", "{out}", "--seed", "1"],
+     "line 2: turns must be an array"),
+    (["noise", "--in", "{tmp}/bare_turn.dlg", "--out", "{out}", "--count", "3",
+      "--seed", "1"], "line 2: turn must have role_index and text"),
+    (["stats", "--in", "{tmp}/textless_summary.plx", "--out", "{out}"],
+     "line 2: summary must have text and origin"),
+    (["clean", "--in", "{tmp}/x_origin.plx", "--out", "{out}"],
+     "line 2: unknown summary origin 'x'"),
+    (["noise", "--in", "{tmp}/empty_summary_text.plx", "--out", "{out}", "--count", "3",
+      "--seed", "1"], "line 2: summary text is empty"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--config", "{tmp}/string_rate_config.json"],
+     "string_rate_config.json: field 'token_mask_rate' must be a number"),
+    (["noise", "--in", "{named}", "--out", "{out}", "--count", "3", "--seed", "1",
+      "--config", "{tmp}/large_rate_config.json"], "token_mask_rate must be in [0, 1]"),
+    (["ingest", "--in", "{raw}", "--spec", "{tmp}/number_alias_spec.json", "--out", "{out}"],
+     "number_alias_spec.json: every alias must be a string"),
+    (["augment", "--in", "{annotated}", "--map", "{tmp}/number_name_map.json",
+      "--out", "{out}"], "number_name_map.json: the new name for 'A' must be a string"),
+    (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:5",
+      "--budget", "-1"], "budget must be >= 0"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
         "augment-map-array", "ingest-spec-array", "eval-candidate-without-text",
@@ -630,7 +668,11 @@ _INPUT_FILES = {
         "ingest-number-then-bool-id", "ingest-spec-without-id-field", "annotate-mock-digest-x",
         "annotate-mock-bogus", "annotate-mock-head-0", "annotate-endpoint-not-a-url",
         "noise-negative-count", "roles-pool-double-space", "roles-pool-tab",
-        "augment-map-double-space", "stats-dialogue-corpus", "clean-empty-summaries"])
+        "augment-map-double-space", "stats-dialogue-corpus", "clean-empty-summaries",
+        "clean-string-roles", "roles-object-turns", "noise-turn-without-role-index",
+        "stats-summary-without-text", "clean-unknown-summary-origin", "noise-empty-summary-text",
+        "noise-config-string-rate", "noise-config-rate-above-1", "ingest-spec-number-alias",
+        "augment-map-number-name", "annotate-negative-budget"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -934,6 +976,30 @@ def test_eval_id_mismatch_exits_1(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "2" in err and "3" in err
+
+
+def test_eval_id_mismatch_message_and_nothing_written(tmp_path, capsys):
+    cands, refs, out = tmp_path / "c.jsonl", tmp_path / "r.jsonl", tmp_path / "report.json"
+    _write_jsonl(cands, [{"id": "1", "text": "a"}, {"id": "3", "text": "b"}])
+    _write_jsonl(refs, [{"id": "1", "text": "a"}, {"id": "2", "text": "b"}])
+    assert main(["eval", "--candidates", str(cands), "--references", str(refs),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: ids only in references: ['2']; "
+                                       "ids only in candidates: ['3']\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "r.jsonl"]
+
+
+def test_eval_bad_line_is_reported_before_an_id_mismatch(tmp_path, capsys):
+    # Both files are read to their end before the ids are compared, so the
+    # first bad line, references before candidates, wins over a mismatch.
+    cands, refs, out = tmp_path / "c.jsonl", tmp_path / "r.jsonl", tmp_path / "report.json"
+    _write_jsonl(cands, [{"id": "1", "text": "a"}, {"id": "3", "text": "b"}])
+    _write_jsonl(refs, [{"id": "1", "texts": []}, {"id": "2", "text": "b"}])
+    assert main(["eval", "--candidates", str(cands), "--references", str(refs),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: 'texts' must be a non-empty list of strings\n")
+    assert not out.exists()
 
 
 def test_eval_select_train_ref(tmp_path):

@@ -133,6 +133,17 @@ def test_400_is_a_failure_with_status_and_body_excerpt(server, tmp_path, content
     assert out.read_bytes() == b""
 
 
+def test_200_without_choices_is_a_failure_and_not_retried(server, tmp_path):
+    server.replies.append((200, "application/json", '{"id": "x"}'))
+    out = tmp_path / "out.plx"
+    report, sleeps = _run(server.url, out)
+    assert report.completed == [] and sleeps == []
+    assert report.failures == [{"dialogue_id": "h1", "status": 200,
+                                "reason": "unexpected response body: {'id': 'x'}"}]
+    assert len(server.received) == 1
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("key, header", [
     ("sk-loopback", "Bearer sk-loopback"),
     ("", None),

@@ -485,6 +485,15 @@ def test_select_training_reference_on_rendered_dialogue():
     assert select_training_reference(render_dialogue_text(d), refs) == 0
 
 
+def test_refused_arguments_raise_value_error():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rouge_n("a b", "a b", n=0)
+    with pytest.raises(ValueError, match="at least one reference"):
+        multi_reference_rouge("a b", [])
+    with pytest.raises(ValueError, match="at least one reference"):
+        select_training_reference("a b", [])
+
+
 def test_truncate_summary():
     tokens = [f"t{i}" for i in range(100)]
     assert truncate_summary(tokens, 60) == tokens[:60]

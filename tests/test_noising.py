@@ -6,7 +6,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dialoprep import jsonl, noising
@@ -596,6 +596,19 @@ def test_mix_task_oriented_requires_parallel():
         list(mixed_pairs(items, mix, CFG, 1, seed=0))
 
 
+def test_a_record_without_summaries_has_no_task_oriented_pair():
+    d = make_dialogue(random.Random(25), "d0")
+    with pytest.raises(ValueError, match="task_oriented requires parallel examples"):
+        make_task_oriented_pair(d)
+    with pytest.raises(ValueError, match="task_oriented requires parallel examples"):
+        mixed_pair([d], TaskMix(weights={"task_oriented": 1.0}), CFG, 0, seed=0)
+
+
+def test_serialized_input_lengths_must_match():
+    with pytest.raises(ValueError, match="equal length"):
+        SerializedInput(("<s>", "A", "<eor>"), (0, 0))
+
+
 def test_mix_weight_validation():
     with pytest.raises(ValueError):
         TaskMix(weights={})
@@ -770,7 +783,10 @@ def _canonical_items(draw):
     return items, parallel
 
 
-@settings(max_examples=150, deadline=None)
+# Drawing a corpus takes about 30 ms, so shrinking a failure takes a minute or
+# more: a failing example is reported as it was drawn.
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(corpus=_canonical_items(), task=st.sampled_from(noising.ALL_TASKS),
        rates=st.tuples(_RATE, _RATE, _RATE, _RATE), lam=st.sampled_from([0.5, 3.0, 50.0]),
        seed=st.integers(0, 2**32), ordinal=st.integers(0, 10**6))
