@@ -34,8 +34,8 @@ GOLDEN_FILES = (
 )
 
 
-def sample_pipeline_argv(raw: str | Path, spec: str | Path, outdir: str | Path,
-                         jobs: int = 1) -> list[list[str]]:
+def sample_pipeline_argv(raw: str | Path, spec: str | Path,
+                         outdir: str | Path) -> list[list[str]]:
     """The exact CLI invocations of the sample pipeline, in order."""
     out = Path(outdir)
     return [
@@ -44,11 +44,10 @@ def sample_pipeline_argv(raw: str | Path, spec: str | Path, outdir: str | Path,
         ["clean", "--in", str(out / "corpus.dlg"), "--out", str(out / "cleaned.dlg"),
          "--report", str(out / "removals.jsonl")],
         ["roles", "--in", str(out / "cleaned.dlg"), "--out", str(out / "named.dlg"),
-         "--seed", str(SAMPLE_SEED), "--jobs", str(jobs)],
+         "--seed", str(SAMPLE_SEED)],
         ["annotate", "--in", str(out / "named.dlg"), "--out", str(out / "annotated.plx"),
          "--mock", SAMPLE_MOCK],
         ["noise", "--in", str(out / "named.dlg"), "--out", str(out / "pairs.jsonl"),
-         "--count", str(SAMPLE_PAIR_COUNT), "--seed", str(SAMPLE_SEED),
-         "--jobs", str(jobs)],
+         "--count", str(SAMPLE_PAIR_COUNT), "--seed", str(SAMPLE_SEED)],
         ["stats", "--in", str(out / "annotated.plx"), "--out", str(out / "stats.json")],
     ]

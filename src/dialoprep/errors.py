@@ -1,4 +1,6 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline. ``cli.main`` reports any
+:class:`PipelineError` as one ``error:`` line, so a subclass is kept only if code
+catches it by type or reads its fields, or if many raise sites share its message."""
 
 from __future__ import annotations
 
@@ -16,22 +18,6 @@ class MalformedRecordError(PipelineError):
         self.reason = reason
 
 
-class UnmappedFieldError(PipelineError):
-    """A source record is missing a field required by the ingest spec."""
-
-    def __init__(self, name: str):
-        super().__init__(f"source record has no field {name!r}")
-        self.name = name
-
-
-class PoolTooSmallError(PipelineError):
-    """The name pool has fewer entries than a dialogue has roles."""
-
-
-class AmbiguousMapError(PipelineError):
-    """A role map cannot be applied unambiguously."""
-
-
 class EndpointError(PipelineError):
     """An annotation endpoint request failed after all retries."""
 
@@ -43,12 +29,3 @@ class EndpointError(PipelineError):
 
 class BudgetExhaustedError(PipelineError):
     """The request budget for an annotation run was used up."""
-
-
-class EmptySummaryError(PipelineError):
-    """A summary tokenizes to zero tokens, so ratio statistics are undefined."""
-
-
-class EmptyCorpusError(PipelineError):
-    """A corpus-level statistic was requested over zero examples."""
-

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import jsonl
-from .errors import MalformedRecordError, UnmappedFieldError
+from .errors import MalformedRecordError
 from .records import Dialogue, Turn, markers_in, validate_dialogue, validated
 
 _CHAR_MAP = str.maketrans({
@@ -173,7 +173,9 @@ def ingest(path: str | Path, spec: IngestSpec) -> IngestResult:
         try:
             speaker, text, raw = obj[fields[0]], obj[fields[1]], obj[fields[2]]
         except KeyError:
-            raise UnmappedFieldError(next(name for name in fields if name not in obj)) from None
+            missing = next(name for name in fields if name not in obj)
+            raise MalformedRecordError(
+                line_number, f"source record has no field {missing!r}") from None
         if type(text) is not str:
             raise MalformedRecordError(line_number, f"{spec.utterance_field!r} must be a string")
         if type(speaker) is not str:

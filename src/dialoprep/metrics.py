@@ -30,7 +30,7 @@ from array import array
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyCorpusError, EmptySummaryError, PipelineError
+from .errors import PipelineError
 from .records import Dialogue, render_dialogue_text
 from .tokens import TOKENIZER_LABEL, tokenize_for_metrics  # both public here too
 
@@ -319,7 +319,7 @@ def example_stats(ex: Dialogue) -> ExampleStats:
     dialogue_tokens = tokenize_for_metrics(render_dialogue_text(ex))
     summary_tokens = tokenize_for_metrics(ex.summaries[0].text)
     if not summary_tokens:
-        raise EmptySummaryError(f"summary 0 of dialogue {ex.id!r} has no tokens")
+        raise PipelineError(f"summary 0 of dialogue {ex.id!r} has no tokens")
     matches = _longest_matches(dialogue_tokens, summary_tokens)
     frags = _tile(matches)
     return ExampleStats(
@@ -347,7 +347,7 @@ def corpus_report(examples: Iterable[Dialogue]) -> CorpusStats:
             column.append(value)
     n = len(columns[0])
     if not n:
-        raise EmptyCorpusError("cannot compute statistics over an empty corpus")
+        raise PipelineError("cannot compute statistics over an empty corpus")
     means = [math.fsum(column) / n for column in columns]
     return CorpusStats(n, *means[:5], tuple(means[5:8]), tuple(means[8:]))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import jsonl
-from .errors import AmbiguousMapError, PoolTooSmallError
+from .errors import PipelineError
 from .records import (
     Dialogue,
     SummaryRecord,
@@ -72,7 +72,7 @@ def assign_role_group(d: Dialogue, pool: NamePool, seed: int) -> Dialogue:
     names. Turns are never modified.
     """
     if len(pool) < len(d.roles):
-        raise PoolTooSmallError(
+        raise PipelineError(
             f"pool has {len(pool)} names but dialogue {d.id!r} has {len(d.roles)} roles")
     rng = derive_rng(seed, "roles", d.id)
     new_roles = tuple([pool.names[j] for j in sample_range(rng, len(pool), len(d.roles))])
@@ -89,10 +89,10 @@ class RoleMap(NamedTuple):
         old_names = list(self.pairs.keys())
         new_names = list(self.pairs.values())
         if len(set(new_names)) != len(new_names):
-            raise AmbiguousMapError("role map is not injective")
+            raise PipelineError("role map is not injective")
         for name in old_names + new_names:
             if not is_canonical(name) or markers_in(name):
-                raise AmbiguousMapError(f"invalid role name {name!r}")
+                raise PipelineError(f"invalid role name {name!r}")
         # A multi-word name containing another old name as a whole word makes
         # match order ambiguous; reject up front. New names are the old names
         # of the swapped map, which must undo this one.
@@ -100,8 +100,8 @@ class RoleMap(NamedTuple):
             for a in names:
                 for b in names:
                     if a != b and _word_pattern(a).search(b):
-                        raise AmbiguousMapError(f"{side} name {a!r} collides with "
-                                                f"{side} name {b!r} at a word boundary")
+                        raise PipelineError(f"{side} name {a!r} collides with "
+                                            f"{side} name {b!r} at a word boundary")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RoleMap":
@@ -136,7 +136,7 @@ def augment_role_replace(ex: Dialogue, role_map: RoleMap) -> Dialogue:
     mentioned = set(ex.roles)
     unknown = set(role_map.pairs) - mentioned
     if unknown:
-        raise AmbiguousMapError(
+        raise PipelineError(
             f"map keys {sorted(unknown)} are not role names of dialogue {ex.id!r}")
     # A new name that is not itself remapped would merge with pre-existing
     # occurrences and break invertibility; refuse such examples. An
@@ -149,7 +149,7 @@ def augment_role_replace(ex: Dialogue, role_map: RoleMap) -> Dialogue:
         for text in (*ex.roles, *(t.text for t in ex.turns), *(s.text for s in ex.summaries)):
             found = next(filter(None, map(clash.search, pattern.split(text))), None)
             if found:
-                raise AmbiguousMapError(
+                raise PipelineError(
                     f"new name {found.group(0)!r} already occurs in dialogue {ex.id!r}")
 
     def substitute(text: str) -> str:

@@ -471,6 +471,12 @@ _INPUT_FILES = {
                                           "id_field": "conv", "dataset_tag": "sample",
                                           "aliases": {"agent": 1}}),
     "number_name_map.json": json.dumps({"A": 1}),
+    "one_name_pool.txt": "Cy\n",
+    "unknown_name_map.json": json.dumps({"Zed": "Q"}),
+    "present_name_map.json": json.dumps({"Joshua Johnson": "Larry"}),
+    "first.plx": _ANNOTATED[0],
+    "dots_summary.plx": _edited(_ANNOTATED[0], lambda o: o["summaries"][0].update(text="...")),
+    "textless_row.jsonl": '{"conv": "a", "speaker": "x"}\n',
 }
 
 
@@ -645,6 +651,19 @@ _INPUT_FILES = {
       "--out", "{out}"], "number_name_map.json: the new name for 'A' must be a string"),
     (["annotate", "--in", "{named}", "--out", "{out}", "--mock", "digest:5",
       "--budget", "-1"], "budget must be >= 0"),
+    (["roles", "--in", "{named}", "--out", "{out}", "--seed", "1",
+      "--names", "{tmp}/one_name_pool.txt"],
+     "pool has 1 names but dialogue 'sample:c000' has 2 roles"),
+    (["augment", "--in", "{annotated}", "--map", "{tmp}/unknown_name_map.json",
+      "--out", "{out}"], "map keys ['Zed'] are not role names of dialogue 'sample:c000'"),
+    (["augment", "--in", "{tmp}/first.plx", "--map", "{tmp}/present_name_map.json",
+      "--out", "{out}"], "new name 'Larry' already occurs in dialogue 'sample:c000'"),
+    (["stats", "--in", "{tmp}/empty.dlg", "--out", "{out}"],
+     "cannot compute statistics over an empty corpus"),
+    (["stats", "--in", "{tmp}/dots_summary.plx", "--out", "{out}"],
+     "summary 0 of dialogue 'sample:c000' has no tokens"),
+    (["ingest", "--in", "{tmp}/textless_row.jsonl", "--spec", "{spec}", "--out", "{out}"],
+     "line 1: source record has no field 'text'"),
 ], ids=["noise-empty-corpus", "noise-negative-weight", "annotate-in-flight-0",
         "clean-threshold-2", "noise-mix-without-weights", "noise-mix-string-weight", "noise-config-array",
         "augment-map-array", "ingest-spec-array", "eval-candidate-without-text",
@@ -672,7 +691,9 @@ _INPUT_FILES = {
         "clean-string-roles", "roles-object-turns", "noise-turn-without-role-index",
         "stats-summary-without-text", "clean-unknown-summary-origin", "noise-empty-summary-text",
         "noise-config-string-rate", "noise-config-rate-above-1", "ingest-spec-number-alias",
-        "augment-map-number-name", "annotate-negative-budget"])
+        "augment-map-number-name", "annotate-negative-budget", "roles-pool-too-small",
+        "augment-map-unknown-name", "augment-map-name-present", "stats-empty-corpus",
+        "stats-summary-without-tokens", "ingest-row-without-text"])
 def test_invalid_value_exits_1_with_error_line(tmp_path, capsys, argv, named):
     for name, text in _INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialoprep.errors import MalformedRecordError, UnmappedFieldError
+from dialoprep.errors import MalformedRecordError
 from dialoprep.ingest import _CHAR_MAP, IngestSpec, ingest, normalize_text
 from dialoprep.records import Dialogue, Turn, validate_dialogue
 
@@ -181,9 +181,10 @@ def test_ingest_rejects_marker_text(tmp_path):
 def test_ingest_unmapped_field(tmp_path):
     raw = tmp_path / "raw.jsonl"
     _write_raw(raw, [{"conv": 1, "speaker": "a"}])
-    with pytest.raises(UnmappedFieldError) as err:
+    with pytest.raises(MalformedRecordError) as err:
         ingest(raw, SPEC)
-    assert err.value.name == "text"
+    assert err.value.line_number == 1
+    assert err.value.reason == "source record has no field 'text'"
 
 
 def test_ingest_rejects_reappearing_raw_id(tmp_path):

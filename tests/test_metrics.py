@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
     oracle_tokenize,
 )
 from dialoprep import metrics
-from dialoprep.errors import EmptyCorpusError, EmptySummaryError, PipelineError
+from dialoprep.errors import PipelineError
 from dialoprep.metrics import (
     _lcs_length,
     corpus_report,
@@ -375,7 +376,8 @@ def test_novel_counts_instances():
 
 def test_empty_summary_raises():
     ex = _example(["hello there"], "...")
-    with pytest.raises(EmptySummaryError):
+    with pytest.raises(PipelineError,
+                       match=re.escape("summary 0 of dialogue 's' has no tokens")):
         example_stats(ex)
     # A dialogue record without summaries has no first summary to compare with.
     with pytest.raises(PipelineError, match="dialogue 's' has no summary"):
@@ -431,7 +433,8 @@ def test_corpus_report_permutation_invariant():
 
 
 def test_corpus_report_empty_raises():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(PipelineError,
+                       match=re.escape("cannot compute statistics over an empty corpus")):
         corpus_report([])
 
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from dialoprep.errors import AmbiguousMapError, PoolTooSmallError
+from dialoprep.errors import PipelineError
 from dialoprep.records import (
     Dialogue,
     SummaryRecord,
@@ -95,7 +96,8 @@ def test_assign_preserves_turns_and_indices():
 
 def test_assign_pool_too_small():
     tiny = NamePool(names=("OnlyOne",))
-    with pytest.raises(PoolTooSmallError):
+    with pytest.raises(PipelineError,
+                       match=re.escape("pool has 1 names but dialogue 'd1' has 2 roles")):
         assign_role_group(_dlg(), tiny, seed=1)
 
 
@@ -179,30 +181,36 @@ def test_inverse_map_restores_texts():
 
 
 def test_map_must_cover_only_mentioned_roles():
-    with pytest.raises(AmbiguousMapError):
+    with pytest.raises(PipelineError, match=re.escape(
+            "map keys ['Nobody'] are not role names of dialogue 'cs1'")):
         augment_role_replace(_support_example(), RoleMap(pairs={"Nobody": "Danny"}))
 
 
 def test_map_injective_required():
-    with pytest.raises(AmbiguousMapError):
+    with pytest.raises(PipelineError, match=re.escape("role map is not injective")):
         RoleMap(pairs={"A": "Z", "B": "Z"})
 
 
-@pytest.mark.parametrize("pairs", [{"Agent": "Zed  Q"}, {"Agent": "Zed\tQ"},
-                                   {"Agent": " Zed"}, {"Agent ": "Zed"}])
-def test_map_rejects_names_that_are_not_canonical(pairs):
-    with pytest.raises(AmbiguousMapError, match="invalid role name"):
+@pytest.mark.parametrize("pairs, name", [({"Agent": "Zed  Q"}, "Zed  Q"),
+                                         ({"Agent": "Zed\tQ"}, "Zed\tQ"),
+                                         ({"Agent": " Zed"}, " Zed"),
+                                         ({"Agent ": "Zed"}, "Agent ")],
+                         ids=["pairs0", "pairs1", "pairs2", "pairs3"])
+def test_map_rejects_names_that_are_not_canonical(pairs, name):
+    with pytest.raises(PipelineError, match=re.escape(f"invalid role name {name!r}")):
         RoleMap(pairs=pairs)
 
 
 def test_map_rejects_word_boundary_collision_between_old_names():
-    with pytest.raises(AmbiguousMapError):
+    with pytest.raises(PipelineError, match=re.escape(
+            "old name 'Ann' collides with old name 'Ann Lee' at a word boundary")):
         RoleMap(pairs={"Ann": "X", "Ann Lee": "Y"})
 
 
 def test_map_rejects_word_boundary_collision_between_new_names():
     # Its swapped map, which must undo it, would have colliding old names.
-    with pytest.raises(AmbiguousMapError, match="new name 'Bo' collides with new name 'Bo Li'"):
+    with pytest.raises(PipelineError, match=re.escape(
+            "new name 'Bo' collides with new name 'Bo Li' at a word boundary")):
         RoleMap(pairs={"Ann": "Bo", "Cy": "Bo Li"})
 
 
@@ -226,7 +234,8 @@ def test_new_name_already_present_is_ambiguous():
     ex = Dialogue(id="amb", source_dataset="u", roles=("Agent", "Customer"),
                   turns=(Turn(0, "i spoke to Danny yesterday"), Turn(1, "ok")),
                   summaries=(SummaryRecord("They talk.", "annotated"),))
-    with pytest.raises(AmbiguousMapError):
+    with pytest.raises(PipelineError,
+                       match=re.escape("new name 'Danny' already occurs in dialogue 'amb'")):
         augment_role_replace(ex, RoleMap(pairs={"Agent": "Danny", "Customer": "Alejandra"}))
 
 
@@ -234,7 +243,8 @@ def test_new_name_outside_every_old_name_is_ambiguous():
     # "Agent" inside "Agent Smith" is replaced with it; the bare one would merge.
     ex = Dialogue(id="amb", source_dataset="u", roles=("Customer", "Agent Smith"),
                   turns=(Turn(0, "is Agent Smith the Agent on duty"), Turn(1, "yes")))
-    with pytest.raises(AmbiguousMapError, match="new name 'Agent' already occurs"):
+    with pytest.raises(PipelineError,
+                       match=re.escape("new name 'Agent' already occurs in dialogue 'amb'")):
         augment_role_replace(ex, RoleMap(pairs={"Customer": "Agent",
                                                 "Agent Smith": "Customer"}))
 
